@@ -33,16 +33,13 @@ or per-config via ``ReproConfig(cache=CacheConfig(enabled=True))``
 prints the spec grammar).
 
 With the default config the cache is dormant and every timing stays
-bit-identical to the seed — pinned by ``tests/cache/test_timing_pin.py``
+bit-identical to the seed — pinned by ``tests/obs/test_timing_regression.py``
 the same way ``repro.obs``/``repro.faults``/``repro.sched``/
 ``repro.mem`` are.  Enabled-but-cold runs are *also* bit-identical:
 misses charge nothing.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
 
 from repro.cache.cache import CacheEntry, ResultCache
 from repro.cache.fingerprint import (
@@ -52,6 +49,7 @@ from repro.cache.fingerprint import (
 )
 from repro.cache.spec import describe_cache, parse_cache_spec
 from repro.config import CacheConfig
+from repro.layer import Slot
 
 __all__ = [
     "CacheConfig",
@@ -68,59 +66,15 @@ __all__ = [
     "cached",
 ]
 
-#: The globally installed cache instance, if any (see :func:`install_cache`).
-_installed: Optional[ResultCache] = None
-
-
-def _coerce(cache_or_spec: Union[ResultCache, CacheConfig, str]) -> ResultCache:
-    if isinstance(cache_or_spec, ResultCache):
-        return cache_or_spec
-    if isinstance(cache_or_spec, CacheConfig):
-        return ResultCache(cache_or_spec)
-    return ResultCache(parse_cache_spec(cache_or_spec))
-
-
-def install_cache(
-    cache_or_spec: Union[ResultCache, CacheConfig, str]
-) -> ResultCache:
-    """Make a cache the default for clusters built afterwards.
-
-    Accepts a :class:`ResultCache` instance, a :class:`CacheConfig` or
-    a spec string (validated eagerly, so a typo fails at install time
-    rather than mid-run).  The same instance is shared by every
-    subsequent cluster — re-running a task on a fresh cluster hits.
-    """
-    global _installed
-    cache = _coerce(cache_or_spec)
-    _installed = cache
-    return cache
-
-
-def uninstall_cache() -> None:
-    """Clear the globally installed cache (back to the dormant default)."""
-    global _installed
-    _installed = None
-
-
-def current_cache() -> Optional[ResultCache]:
-    """The globally installed cache instance, or None."""
-    return _installed
-
-
-@contextmanager
-def cached(
-    cache_or_spec: Union[ResultCache, CacheConfig, str] = "on"
-) -> Iterator[ResultCache]:
-    """Install a result cache for the duration of a ``with`` block.
-
-    >>> with cached(CacheConfig(enabled=True)) as cache:
-    ...     run = run_kge_script(fresh_cluster(), dataset)
-    """
-    global _installed
-    cache = _coerce(cache_or_spec)
-    previous = _installed
-    _installed = cache
-    try:
-        yield cache
-    finally:
-        _installed = previous
+#: The globally installed cache instance, if any — shared by every
+#: cluster built afterwards, so re-running a task on a fresh cluster
+#: hits.  Takes a :class:`ResultCache`, or what its constructor takes (a
+#: :class:`CacheConfig` or a spec string).
+_slot = Slot(
+    lambda value: value if isinstance(value, ResultCache) else ResultCache(value)
+)
+install_cache = _slot.install
+uninstall_cache = _slot.uninstall
+current_cache = _slot.current
+#: ``with cached("on,cap=2GiB") as cache: ...``
+cached = _slot.scoped

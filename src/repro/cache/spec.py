@@ -1,31 +1,34 @@
 """Compact CLI specs for cache policies: ``--cache "on,cap=1GiB"``.
 
-A spec is a comma-separated list of flags and ``key=value`` pairs:
-
-=============  ===================================================
-``on``         enable lineage-keyed result caching
-``off``        keep the cache dormant (the seed path)
-``cap=SIZE``   per-node capacity for cached entries (``1GiB``)
-``lookup=S``   virtual seconds charged per cache *hit* (0.0001)
-``epoch=N``    generation counter; bump to invalidate everything
-=============  ===================================================
-
-Sizes use the same grammar as ``--mem`` (``KiB``/``MiB``/``GiB`` or
-plain bytes).  ``repro cache SPEC`` prints the policy a spec expands
+The grammar is the field table below; ``repro cache`` prints it with
+the defaults, and ``repro cache SPEC`` prints the policy a spec expands
 to.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict
-
 from repro.cache.fingerprint import combine
 from repro.config import CacheConfig
-from repro.errors import CacheSpecError, MemSpecError
-from repro.mem.spec import format_size, parse_size
+from repro.errors import CacheSpecError
+from repro.layer import Field, Grammar, finite, size
+from repro.mem.spec import format_size
 
-__all__ = ["parse_cache_spec", "describe_cache"]
+__all__ = ["CACHE_GRAMMAR", "parse_cache_spec", "describe_cache"]
+
+CACHE_GRAMMAR = Grammar(
+    noun="cache",
+    error=CacheSpecError,
+    flags="enable / disable result caching (default: off)",
+    fields=(
+        Field("cap", "capacity_bytes", size, "SIZE",
+              "per-node capacity, LRU-evicted (e.g. 1gib, 256mib)"),
+        Field("lookup", "lookup_s", finite, "SECONDS",
+              "virtual cost charged per cache hit (default 0.0001)"),
+        Field("epoch", "epoch", int, "N",
+              "generation counter; bump to invalidate everything"),
+    ),
+    example="--cache on,cap=1gib,lookup=0.0001",
+)
 
 
 def parse_cache_spec(spec: str) -> CacheConfig:
@@ -34,49 +37,7 @@ def parse_cache_spec(spec: str) -> CacheConfig:
     >>> parse_cache_spec("on,cap=1GiB").enabled
     True
     """
-    text = spec.strip()
-    if not text:
-        raise CacheSpecError("empty cache spec")
-    kwargs: Dict[str, Any] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise CacheSpecError(f"empty fragment in cache spec {spec!r}")
-        if "=" not in part:
-            flag = part.lower()
-            if flag == "on":
-                kwargs["enabled"] = True
-            elif flag == "off":
-                kwargs["enabled"] = False
-            else:
-                raise CacheSpecError(
-                    f"unknown cache spec flag {part!r} (want 'on', 'off' or "
-                    "key=value)"
-                )
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        try:
-            if key == "cap":
-                try:
-                    kwargs["capacity_bytes"] = parse_size(value)
-                except MemSpecError as exc:
-                    raise CacheSpecError(str(exc)) from None
-            elif key == "lookup":
-                kwargs["lookup_s"] = float(value)
-            elif key == "epoch":
-                kwargs["epoch"] = int(value)
-            else:
-                raise CacheSpecError(f"unknown cache spec key {key!r}")
-        except ValueError:
-            raise CacheSpecError(
-                f"bad value for cache spec key {key!r}: {value!r}"
-            ) from None
-    try:
-        return replace(CacheConfig(), **kwargs)
-    except ValueError as exc:
-        raise CacheSpecError(str(exc)) from None
+    return CACHE_GRAMMAR.build(spec, CacheConfig)
 
 
 def describe_cache(config: CacheConfig) -> str:

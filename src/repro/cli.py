@@ -123,19 +123,22 @@ and drains workers from the ``repro.obs`` gauge signals.  Composes
 with ``jobs`` (the traffic run above scales 1..N with load) and
 ``--trace`` (membership appears as the ``cluster.nodes`` gauge).
 
-Subcommand dispatch is table-driven: each inspection subcommand is one
-:class:`Subcommand` row in ``SUBCOMMANDS`` sharing a single usage and
-exit-2 spec-error formatter, so new subsystems slot in without another
-hand-rolled branch.
+Everything per-layer is one row of ``SUBCOMMANDS``: the inspection
+subcommand and the run-time ``--flag SPEC`` of a layer share a parser,
+error classes and grammar text, and ``build_parser``, the exit-2
+spec-error formatter, scope installation and the end-of-run summaries
+are all derived from that table (``docs/architecture.md``, "How a
+layer is wired").
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments.exp_language import run_table1
@@ -155,8 +158,10 @@ from repro.experiments.exp_scenarios import run_scenarios
 from repro.experiments.exp_scheduling import run_scheduling
 from repro.experiments.exp_workers import run_fig14a, run_fig14b, run_fig14c
 from repro.cache import ResultCache, cached, describe_cache, parse_cache_spec
-from repro.config import JobsConfig
+from repro.cache.spec import CACHE_GRAMMAR
+from repro.config import CacheConfig, ElasticConfig, JobsConfig, MemoryConfig
 from repro.elastic import describe_elastic, elastic_enabled, parse_elastic_spec
+from repro.elastic.spec import ELASTIC_GRAMMAR
 from repro.errors import (
     CacheSpecError,
     ElasticSpecError,
@@ -165,12 +170,16 @@ from repro.errors import (
     InvalidWorkflow,
     JobsSpecError,
     MemSpecError,
+    UnknownPolicy,
     WorkflowSpecError,
 )
 from repro.faults import FaultSchedule, faults_injected
+from repro.faults.schedule import FAULT_SPEC_HINT
 from repro.jobs import describe_jobs, parse_jobs_spec
+from repro.jobs.spec import JOBS_GRAMMAR
 from repro.mem import describe_memory, memory_managed, parse_mem_spec
-from repro.obs import Tracer, format_breakdown, tracing, write_chrome_trace
+from repro.mem.spec import MEM_GRAMMAR
+from repro.obs import format_breakdown, tracing, write_chrome_trace
 from repro.sched import policy_catalogue, scheduling, valid_policy
 
 __all__ = ["main", "QUICK_EXPERIMENTS"]
@@ -208,33 +217,13 @@ QUICK_EXPERIMENTS = {
     "scenarios": lambda: run_scenarios(scale=0.5, seeds=(0,)),
 }
 
-#: Shown by the bare ``mem`` subcommand alongside the default policy.
-MEM_SPEC_HELP = """\
-spec grammar: comma-separated flags and key=value pairs
-  on | off         enable / disable spilling + backpressure (default: off)
-  ram=SIZE         clamp every node's RAM (e.g. 2gib, 512mib, 1.5gb)
-  spill=FRACTION   start spilling above this fraction of RAM (default 0.8)
-  admit=FRACTION   block admissions above this fraction (default 0.95)
-  write_bw=SIZE    spill write bandwidth per second (default 100mib)
-  read_bw=SIZE     restore read bandwidth per second (default 100mib)
-  base=SECONDS     fixed per-spill/restore latency (default 0.002)
-example: --mem on,ram=2gib,spill=0.7,admit=0.9"""
-
-#: Shown by the bare ``cache`` subcommand alongside the default policy.
-CACHE_SPEC_HELP = """\
-spec grammar: comma-separated flags and key=value pairs
-  on | off         enable / disable result caching (default: off)
-  cap=SIZE         per-node capacity, LRU-evicted (e.g. 1gib, 256mib)
-  lookup=SECONDS   virtual cost charged per cache hit (default 0.0001)
-  epoch=N          generation counter; bump to invalidate everything
-example: --cache on,cap=1gib,lookup=0.0001"""
-
-#: Appended to fault-spec parse errors (the full grammar lives in
-#: ``FaultSchedule.from_spec``'s docstring and ``docs/faults.md``).
-FAULT_SPEC_HINT = """\
-spec grammar: seed=N[,tasks=N,operators=N,nodes=N,links=N,replicas=N,\
-ooms=N,horizon=S,outage=S,...] or a path to a schedule JSON
-example: --faults seed=7,tasks=2,nodes=1 (inspect with 'repro faults SPEC')"""
+#: Shown by the bare ``mem`` / ``cache`` / ``jobs`` / ``elastic``
+#: subcommands alongside the default policy, and appended to their spec
+#: errors: rendered from the field tables the parsers run on.
+MEM_SPEC_HELP = MEM_GRAMMAR.help()
+CACHE_SPEC_HELP = CACHE_GRAMMAR.help()
+JOBS_SPEC_HELP = JOBS_GRAMMAR.help()
+ELASTIC_SPEC_HELP = ELASTIC_GRAMMAR.help()
 
 #: Appended to workflow-spec errors from ``compile`` and ``--workflow``.
 WORKFLOW_SPEC_HELP = """\
@@ -249,33 +238,6 @@ config values may use resolution forms:
   {"$predicate": {...}}             declarative predicate tree
 examples: examples/workflows/*.json (the four paper tasks, $param-bound);
 examples/workflows/demo.json (self-contained, runnable via --workflow)"""
-
-
-#: Shown by the bare ``jobs`` subcommand alongside the default config.
-JOBS_SPEC_HELP = """\
-spec grammar: comma-separated flags and key=value pairs
-  on | off          run / don't run the traffic generator (default: off)
-  seed=N            traffic-generator seed (default 0)
-  rate=JOBS_PER_S   mean Poisson arrival rate (default 10)
-  horizon=SECONDS   arrival-generation horizon (default 60)
-  tenants=N         tenant population (default 4)
-  burst=F           burst amplitude: in-window rate x(1+F) (default 0)
-  burst_period=S    burst window period (default 300)
-  burst_duty=F      burst duty cycle, fraction of period (default 0.1)
-  diurnal=F         diurnal sine amplitude in [0,1] (default 0)
-  period=S          diurnal period (default 86400)
-  policy=NAME       admission ordering: fifo or drf (default drf)
-  placement=NAME    node placement policy, see 'repro sched' (default drf)
-  quota_running=N   per-tenant cap on concurrently running jobs
-  quota_cpus=N      per-tenant cap on concurrently held vCPUs
-  quota_ram=SIZE    per-tenant cap on concurrently held RAM
-  max_queue=N       queue capacity; beyond it submissions are rejected
-  cpus=N            per-job vCPU demand (default 1)
-  ram=SIZE          per-job RAM demand (default 1gib)
-  duration=SECONDS  mean profile-body duration (default 1.0)
-  body=NAME         job body, see repro.jobs.bodies (default profile)
-  admit=FRACTION    RAM backpressure watermark (default: memory policy's)
-example: --jobs on,rate=50,tenants=8,policy=drf,quota_running=4"""
 
 
 #: Shown by the bare ``gen`` subcommand alongside the family catalogue.
@@ -293,25 +255,6 @@ spec grammar: comma-separated key=value pairs
   run=on|off        execute under both paradigms and diff rows (default on)
   emit=PATH         write the spec JSON to PATH (count>1 appends -SEED)
 examples: repro gen family=raster,scale=2 / repro gen count=5,depth=6,run=off"""
-
-
-#: Shown by the bare ``elastic`` subcommand alongside the default config.
-ELASTIC_SPEC_HELP = """\
-spec grammar: comma-separated flags and key=value pairs
-  on | off          attach / don't attach the autoscaler (default: off)
-  min=N             fleet floor, workers (default 1)
-  max=N             fleet ceiling, workers (default 8)
-  interval=SECONDS  gauge-evaluation cadence (default 1)
-  provision=SECONDS virtual boot latency per new node (default 10)
-  up=F              scale up above F queued jobs per worker (default 4)
-  load=FRACTION     ... or at this reserved-vCPU load (default 0.9)
-  ram=FRACTION      ... or at this RAM high-water fraction (default 0.9)
-  idle=SECONDS      a node must idle this long to drain (default 3)
-  cooldown=SECONDS  no scale-down within this of a scale-up (default 5)
-  step=N            nodes provisioned per scale-up decision (default 1)
-  shape=NAME        new-node machine shape: default, fast, slow, highmem
-  drain=on|off      drain (migrate replicas) vs crash-evict (default on)
-example: --elastic on,min=1,max=16,provision=5,shape=fast"""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,62 +286,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Chrome trace_event JSON of the run to PATH "
         "(implies tracing; open in chrome://tracing or Perfetto)",
     )
-    parser.add_argument(
-        "--faults",
-        metavar="SPEC",
-        default=None,
-        help="run with a deterministic fault schedule installed; SPEC is "
-        "'seed=7,tasks=2,nodes=1,...' or a path to a schedule JSON "
-        "(inspect with the 'faults' subcommand: 'repro faults SPEC')",
-    )
-    parser.add_argument(
-        "--scheduler",
-        metavar="NAME",
-        default=None,
-        help="placement policy installed in both engines for the run "
-        "(list with the 'sched' subcommand: 'repro sched')",
-    )
-    parser.add_argument(
-        "--mem",
-        metavar="SPEC",
-        default=None,
-        help="run with a memory-pressure policy installed; SPEC is "
-        "'on,ram=2gib,spill=0.7,...' (inspect with the 'mem' "
-        "subcommand: 'repro mem SPEC')",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="SPEC",
-        default=None,
-        help="run with lineage-keyed result caching installed; SPEC is "
-        "'on,cap=1gib,lookup=0.0001,...' (inspect with the 'cache' "
-        "subcommand: 'repro cache SPEC')",
-    )
-    parser.add_argument(
-        "--workflow",
-        metavar="FILE",
-        default=None,
-        help="run a self-contained workflow-spec JSON through both "
-        "paradigms (pipelined engine and Ray-like script plan) and "
-        "diff the collected rows (validate with the 'compile' "
-        "subcommand: 'repro compile FILE')",
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="SPEC",
-        default=None,
-        help="run the named experiments as jobs submitted through the "
-        "multi-tenant job service; SPEC is 'on,rate=50,policy=drf,...' "
-        "(inspect with the 'jobs' subcommand: 'repro jobs SPEC')",
-    )
-    parser.add_argument(
-        "--elastic",
-        metavar="SPEC",
-        default=None,
-        help="install an elastic-membership/autoscaler policy for the "
-        "run; SPEC is 'on,min=1,max=16,provision=5,...' (inspect with "
-        "the 'elastic' subcommand: 'repro elastic SPEC')",
-    )
+    for sub in SUBCOMMANDS.values():
+        if sub.flag is not None:
+            parser.add_argument(
+                f"--{sub.flag}",
+                metavar=sub.metavar,
+                default=None,
+                help=sub.flag_help,
+            )
     return parser
 
 
@@ -438,65 +333,46 @@ def _handle_sched(spec: Optional[str]) -> int:
     return 0
 
 
-def _handle_mem(spec: Optional[str]) -> int:
-    if spec is None:
-        from repro.config import MemoryConfig
+def _parse_policy(name: str) -> str:
+    if not valid_policy(name):
+        raise UnknownPolicy(f"unknown policy {name!r}")
+    return name
 
-        print(describe_memory(MemoryConfig()))
-        print()
-        print(MEM_SPEC_HELP)
+
+def _inspect(parse, describe, grammar, default=None, then=None):
+    """Handler of a layer's inspection subcommand.
+
+    Bare, it prints the dormant ``default()`` and the grammar; given a
+    spec, what the spec expands to — and ``then(config)`` decides the
+    exit code when there is more to do than describe.
+    """
+
+    def handler(spec: Optional[str]) -> int:
+        if spec is None:
+            print(describe(default()))
+            print()
+            print(grammar)
+            return 0
+        config = parse(spec)
+        print(describe(config))
+        return then(config) if then is not None else 0
+
+    return handler
+
+
+def _run_traffic(config: JobsConfig) -> int:
+    """``repro jobs SPEC`` with ``on``: drive the traffic through a service."""
+    if not config.enabled:
         return 0
-    print(describe_memory(parse_mem_spec(spec)))
-    return 0
+    from repro.jobs import JobService
 
-
-def _handle_cache(spec: Optional[str]) -> int:
-    if spec is None:
-        from repro.config import CacheConfig
-
-        print(describe_cache(CacheConfig()))
-        print()
-        print(CACHE_SPEC_HELP)
-        return 0
-    print(describe_cache(parse_cache_spec(spec)))
-    return 0
-
-
-def _handle_faults(spec: Optional[str]) -> int:
-    print(FaultSchedule.from_spec(spec).describe())
-    return 0
-
-
-def _handle_jobs(spec: Optional[str]) -> int:
-    if spec is None:
-        print(describe_jobs(JobsConfig()))
-        print()
-        print(JOBS_SPEC_HELP)
-        return 0
-    config = parse_jobs_spec(spec)
-    print(describe_jobs(config))
-    if config.enabled:
-        from repro.jobs import JobService
-
-        service = JobService(config)
-        summary = service.simulate()
-        print()
-        print(_jobs_summary(summary))
-        if not service.queue.drained:
-            print("repro: jobs: queue did not drain", file=sys.stderr)
-            return 1
-    return 0
-
-
-def _handle_elastic(spec: Optional[str]) -> int:
-    if spec is None:
-        from repro.config import ElasticConfig
-
-        print(describe_elastic(ElasticConfig()))
-        print()
-        print(ELASTIC_SPEC_HELP)
-        return 0
-    print(describe_elastic(parse_elastic_spec(spec)))
+    service = JobService(config)
+    summary = service.simulate()
+    print()
+    print(_jobs_summary(summary))
+    if not service.queue.drained:
+        print("repro: jobs: queue did not drain", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -517,10 +393,37 @@ def _register_task_operator_types() -> None:
 def _gen_emit_path(base: str, seed: int, multiple: bool) -> str:
     if not multiple:
         return base
-    from pathlib import Path
-
     p = Path(base)
     return str(p.with_name(f"{p.stem}-{seed}{p.suffix or '.json'}"))
+
+
+def _run_both_paradigms(spec, plan):
+    """Run a parsed spec under both paradigms and diff the sink rows.
+
+    Returns the workflow result, the cluster the script ``plan`` ran on
+    (its clock is the script paradigm's virtual time) and one
+    ``(sink id, workflow rows, script rows, identical)`` verdict per
+    sink, rows compared as multisets.
+    """
+    from repro.cluster import build_cluster
+    from repro.sim import Environment
+    from repro.workflow import run_workflow
+    from repro.workflow.spec import build_workflow
+
+    def multiset(table):
+        return sorted(tuple(map(str, row.values)) for row in table)
+
+    result = run_workflow(build_cluster(Environment()), build_workflow(spec))
+    script_cluster = build_cluster(Environment())
+    script_tables = plan.run(cluster=script_cluster)
+    verdicts = []
+    for sink_id, table in sorted(script_tables.items()):
+        engine_rows = multiset(result.results[sink_id])
+        script_rows = multiset(table)
+        verdicts.append(
+            (sink_id, len(engine_rows), len(script_rows), engine_rows == script_rows)
+        )
+    return result, script_cluster, verdicts
 
 
 def _handle_gen(spec: Optional[str]) -> int:
@@ -553,8 +456,6 @@ def _handle_gen(spec: Optional[str]) -> int:
             doc = generate_spec(replace(request.config, seed=seed))
         parsed = WorkflowSpec.from_json(doc)
         if request.emit:
-            from pathlib import Path
-
             path = _gen_emit_path(request.emit, seed, request.count > 1)
             try:
                 Path(path).write_text(
@@ -574,30 +475,14 @@ def _handle_gen(spec: Optional[str]) -> int:
                 f"({plan.num_tasks} script tasks)"
             )
             continue
-        from repro.cluster import build_cluster
-        from repro.sim import Environment
-        from repro.workflow import run_workflow
-
-        cluster = build_cluster(Environment())
-        result = run_workflow(cluster, build_workflow(parsed))
-        script_cluster = build_cluster(Environment())
-        script_tables = plan.run(cluster=script_cluster)
-
-        def multiset(table):
-            return sorted(tuple(map(str, row.values)) for row in table)
-
-        rows = 0
-        identical = True
-        for sink_id, table in sorted(script_tables.items()):
-            engine_rows = multiset(result.results[sink_id])
-            identical = identical and engine_rows == multiset(table)
-            rows += len(engine_rows)
-        verdict = "identical" if identical else "MISMATCH"
+        result, script_cluster, verdicts = _run_both_paradigms(parsed, plan)
+        identical = all(match for *_, match in verdicts)
         mismatches += 0 if identical else 1
         print(
             f"{head} -- workflow {result.elapsed_s:.3f}s, "
             f"script {script_cluster.env.now:.3f}s, "
-            f"{rows} rows {verdict}"
+            f"{sum(rows for _, rows, _, _ in verdicts)} rows "
+            f"{'identical' if identical else 'MISMATCH'}"
         )
     if mismatches:
         print(
@@ -649,10 +534,7 @@ def _handle_compile(source: Optional[str]) -> int:
 def _run_workflow_file(path: str) -> int:
     """Run a self-contained spec through both paradigms; diff rows."""
     _register_task_operator_types()
-    from repro.cluster import build_cluster
     from repro.rayx.compile import compile_script_plan
-    from repro.sim import Environment
-    from repro.workflow import run_workflow
     from repro.workflow.spec import build_workflow, read_spec
 
     spec = read_spec(path)
@@ -663,19 +545,11 @@ def _run_workflow_file(path: str) -> int:
             f"self-contained specs run from the command line "
             f"(inspect with 'repro compile {path}')"
         )
-    workflow = build_workflow(spec)
-    cluster = build_cluster(Environment())
-    result = run_workflow(cluster, workflow)
     plan = compile_script_plan(build_workflow(spec))
-    script_cluster = build_cluster(Environment())
-    script_tables = plan.run(cluster=script_cluster)
-
-    def multiset(table):
-        return sorted(tuple(map(str, row.values)) for row in table)
-
+    result, script_cluster, verdicts = _run_both_paradigms(spec, plan)
     print(
-        f"workflow {spec.name!r}: {workflow.num_operators} operators, "
-        f"{len(workflow.links)} links"
+        f"workflow {spec.name!r}: {plan.workflow.num_operators} operators, "
+        f"{len(plan.workflow.links)} links"
     )
     print(
         f"  workflow paradigm: {result.elapsed_s:.3f}s virtual "
@@ -685,18 +559,13 @@ def _run_workflow_file(path: str) -> int:
         f"  script paradigm:   {script_cluster.env.now:.3f}s virtual "
         f"({plan.num_tasks} tasks)"
     )
-    identical = True
-    for sink_id, table in sorted(script_tables.items()):
-        engine_rows = multiset(result.results[sink_id])
-        script_rows = multiset(table)
-        match = engine_rows == script_rows
-        identical = identical and match
-        verdict = "identical" if match else "MISMATCH"
+    for sink_id, engine_rows, script_rows, match in verdicts:
         print(
-            f"  sink {sink_id!r}: {len(engine_rows)} rows (workflow) vs "
-            f"{len(script_rows)} rows (script) -- {verdict}"
+            f"  sink {sink_id!r}: {engine_rows} rows (workflow) vs "
+            f"{script_rows} rows (script) -- "
+            f"{'identical' if match else 'MISMATCH'}"
         )
-    if not identical:
+    if not all(match for *_, match in verdicts):
         print(
             f"repro: --workflow: paradigms disagree on {path}",
             file=sys.stderr,
@@ -707,58 +576,124 @@ def _run_workflow_file(path: str) -> int:
 
 @dataclass(frozen=True)
 class Subcommand:
-    """One row of the dispatch table: an inspection subcommand."""
+    """One row of the CLI table: an inspection subcommand and, for a
+    layer, the run-time ``--flag`` that installs it."""
 
     name: str
-    #: Usage line printed on arity errors (``repro: {name}: usage: {usage}``).
-    usage: str
     #: ``"none"`` (no spec), ``"optional"`` or ``"required"``.
     arity: str
-    #: ``args`` attribute consulted when no positional spec is given
-    #: (so ``repro faults --faults SPEC`` and friends keep working).
-    option: Optional[str]
     handler: Callable[[Optional[str]], int]
-    #: Spec-error classes the handler may raise.
+    #: Spec-error classes the handler and ``parse`` may raise.
     errors: Tuple[type, ...]
     #: Grammar appended to spec errors by the shared formatter.
     help_text: str
+    #: ``--{flag}``: the argparse option, and the ``args`` attribute the
+    #: subcommand falls back to when no positional spec is given (so
+    #: ``repro faults --faults SPEC`` and friends keep working).
+    flag: Optional[str] = None
+    metavar: str = "SPEC"
+    flag_help: str = ""
+    #: What ``--{flag} VALUE`` resolves to before anything runs.
+    parse: Optional[Callable[[str], Any]] = None
+    #: Installs the parsed value for the run (``repro.layer.Slot.scoped``).
+    scope: Optional[Callable[[Any], ContextManager[Any]]] = None
+    #: End-of-run line from what ``scope`` yielded.
+    summary: Optional[Callable[[Any], str]] = None
+
+    @property
+    def usage(self) -> str:
+        """Printed on arity errors (``repro: {name}: usage: {usage}``)."""
+        spec = {"none": "", "optional": f" [{self.metavar}]"}
+        return f"repro {self.name}" + spec.get(self.arity, f" {self.metavar}")
 
 
+def _layer(
+    name, parse, describe, default, errors, grammar, flag_help, then=None, **run
+):
+    """Row of a layer whose spec expands to a config: ``repro NAME
+    [SPEC]`` describes it, ``--NAME SPEC`` installs it for the run."""
+    return Subcommand(
+        name, "optional",
+        _inspect(parse, describe, grammar, default, then),
+        errors, grammar, flag=name, flag_help=flag_help, parse=parse, **run,
+    )
+
+
+#: Rows with a flag are listed in ``--help`` order.
 SUBCOMMANDS = {
     sub.name: sub
     for sub in (
         Subcommand(
-            "sched", "repro sched", "none", None, _handle_sched, (), ""
+            "faults", "required",
+            _inspect(FaultSchedule.from_spec, FaultSchedule.describe, FAULT_SPEC_HINT),
+            (FaultSpecError,), FAULT_SPEC_HINT,
+            flag="faults",
+            flag_help="run with a deterministic fault schedule installed; SPEC is "
+            "'seed=7,tasks=2,nodes=1,...' or a path to a schedule JSON "
+            "(inspect with the 'faults' subcommand: 'repro faults SPEC')",
+            parse=FaultSchedule.from_spec,
+            scope=faults_injected,
+            summary=_fault_summary,
         ),
         Subcommand(
-            "mem", "repro mem [SPEC]", "optional", "mem",
-            _handle_mem, (MemSpecError,), MEM_SPEC_HELP,
+            "sched", "none", _handle_sched,
+            (UnknownPolicy,), policy_catalogue(),
+            flag="scheduler",
+            metavar="NAME",
+            flag_help="placement policy installed in both engines for the run "
+            "(list with the 'sched' subcommand: 'repro sched')",
+            parse=_parse_policy,
+            scope=scheduling,
+        ),
+        _layer(
+            "mem", parse_mem_spec, describe_memory, MemoryConfig,
+            (MemSpecError,), MEM_SPEC_HELP,
+            "run with a memory-pressure policy installed; SPEC is "
+            "'on,ram=2gib,spill=0.7,...' (inspect with the 'mem' "
+            "subcommand: 'repro mem SPEC')",
+            scope=memory_managed,
+        ),
+        _layer(
+            "cache", parse_cache_spec, describe_cache, CacheConfig,
+            (CacheSpecError,), CACHE_SPEC_HELP,
+            "run with lineage-keyed result caching installed; SPEC is "
+            "'on,cap=1gib,lookup=0.0001,...' (inspect with the 'cache' "
+            "subcommand: 'repro cache SPEC')",
+            scope=cached,
+            summary=_cache_summary,
+        ),
+        # --workflow FILE runs instead of installing, so the row has no
+        # parse/scope; main() handles it before the layer flags.
+        Subcommand(
+            "compile", "required", _handle_compile,
+            (WorkflowSpecError, InvalidWorkflow), WORKFLOW_SPEC_HELP,
+            flag="workflow",
+            metavar="FILE",
+            flag_help="run a self-contained workflow-spec JSON through both "
+            "paradigms (pipelined engine and Ray-like script plan) and "
+            "diff the collected rows (validate with the 'compile' "
+            "subcommand: 'repro compile FILE')",
+        ),
+        # No scope: the parsed config is handed to _run_experiments.
+        _layer(
+            "jobs", parse_jobs_spec, describe_jobs, JobsConfig,
+            (JobsSpecError,), JOBS_SPEC_HELP,
+            "run the named experiments as jobs submitted through the "
+            "multi-tenant job service; SPEC is 'on,rate=50,policy=drf,...' "
+            "(inspect with the 'jobs' subcommand: 'repro jobs SPEC')",
+            then=_run_traffic,
+        ),
+        _layer(
+            "elastic", parse_elastic_spec, describe_elastic, ElasticConfig,
+            (ElasticSpecError,), ELASTIC_SPEC_HELP,
+            "install an elastic-membership/autoscaler policy for the "
+            "run; SPEC is 'on,min=1,max=16,provision=5,...' (inspect with "
+            "the 'elastic' subcommand: 'repro elastic SPEC')",
+            scope=elastic_enabled,
         ),
         Subcommand(
-            "cache", "repro cache [SPEC]", "optional", "cache",
-            _handle_cache, (CacheSpecError,), CACHE_SPEC_HELP,
-        ),
-        Subcommand(
-            "faults", "repro faults SPEC", "required", "faults",
-            _handle_faults, (FaultSpecError,), FAULT_SPEC_HINT,
-        ),
-        Subcommand(
-            "jobs", "repro jobs [SPEC]", "optional", "jobs",
-            _handle_jobs, (JobsSpecError,), JOBS_SPEC_HELP,
-        ),
-        Subcommand(
-            "elastic", "repro elastic [SPEC]", "optional", "elastic",
-            _handle_elastic, (ElasticSpecError,), ELASTIC_SPEC_HELP,
-        ),
-        Subcommand(
-            "compile", "repro compile FILE", "required", None,
-            _handle_compile, (WorkflowSpecError, InvalidWorkflow),
-            WORKFLOW_SPEC_HELP,
-        ),
-        Subcommand(
-            "gen", "repro gen [SPEC]", "optional", None,
-            _handle_gen, (GenSpecError, WorkflowSpecError, InvalidWorkflow),
-            GEN_SPEC_HELP,
+            "gen", "optional", _handle_gen,
+            (GenSpecError, WorkflowSpecError, InvalidWorkflow), GEN_SPEC_HELP,
         ),
     )
 }
@@ -769,13 +704,11 @@ def _dispatch_subcommand(names: List[str], args) -> Optional[int]:
     if not names or names[0] not in SUBCOMMANDS:
         return None
     sub = SUBCOMMANDS[names[0]]
-    if len(names) > (1 if sub.arity == "none" else 2):
-        print(f"repro: {sub.name}: usage: {sub.usage}", file=sys.stderr)
-        return 2
     spec = names[1] if len(names) == 2 else (
-        getattr(args, sub.option) if sub.option else None
+        getattr(args, sub.flag) if sub.flag else None
     )
-    if spec is None and sub.arity == "required":
+    too_many = len(names) > (1 if sub.arity == "none" else 2)
+    if too_many or (spec is None and sub.arity == "required"):
         print(f"repro: {sub.name}: usage: {sub.usage}", file=sys.stderr)
         return 2
     try:
@@ -785,19 +718,28 @@ def _dispatch_subcommand(names: List[str], args) -> Optional[int]:
         return 2
 
 
-#: ``--flag SPEC`` options sharing the exit-2 formatter: each row is
-#: (args attribute, parser, error classes, grammar).
-SPEC_OPTIONS = (
-    ("faults", FaultSchedule.from_spec, (FaultSpecError,), FAULT_SPEC_HINT),
-    ("mem", parse_mem_spec, (MemSpecError,), MEM_SPEC_HELP),
-    (
-        "cache",
-        lambda spec: ResultCache(parse_cache_spec(spec)),
-        (CacheSpecError,),
-        CACHE_SPEC_HELP,
-    ),
-    ("jobs", parse_jobs_spec, (JobsSpecError,), JOBS_SPEC_HELP),
-)
+def _install_flags(rows, args, stack: ExitStack, installed: Dict[str, Any]) -> bool:
+    """Resolve the given ``--flag VALUE`` of each row and install it.
+
+    Records in ``installed``, by flag, what each resolved to (what its
+    scope yielded, else the parsed value); False once a bad value has
+    printed its exit-2 diagnostics.
+    """
+    for sub in rows:
+        raw = getattr(args, sub.flag)
+        if raw is None:
+            continue
+        try:
+            value = sub.parse(raw)
+        except sub.errors as exc:
+            print(
+                _spec_error(f"--{sub.flag}", exc, sub.help_text), file=sys.stderr
+            )
+            return False
+        if sub.scope is not None:
+            value = stack.enter_context(sub.scope(value))
+        installed[sub.flag] = value
+    return True
 
 
 def _jobs_summary(summary) -> str:
@@ -874,123 +816,70 @@ def _run_experiments(names: List[str], registry, jobs_config) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # --elastic is resolved before subcommand dispatch (unlike the
-    # SPEC_OPTIONS below) so it composes with 'repro jobs SPEC': the
-    # traffic run resolves the installed config when it builds its
-    # JobService.
-    elastic_config = None
-    if args.elastic is not None:
-        try:
-            elastic_config = parse_elastic_spec(args.elastic)
-        except ElasticSpecError as exc:
-            print(
-                _spec_error("--elastic", exc, ELASTIC_SPEC_HELP),
-                file=sys.stderr,
-            )
-            return 2
-    elastic_context = (
-        elastic_enabled(elastic_config)
-        if elastic_config is not None
-        else nullcontext()
-    )
-    with elastic_context:
-        return _main(args)
-
-
-def _main(args) -> int:
+    args = build_parser().parse_args(argv)
     registry = QUICK_EXPERIMENTS if args.quick else ALL_EXPERIMENTS
     if args.list:
         for name in sorted(registry):
             print(name)
         return 0
     names = list(args.experiments)
-    code = _dispatch_subcommand(names, args)
-    if code is not None:
-        return code
-    if args.workflow is not None:
-        try:
-            return _run_workflow_file(args.workflow)
-        except (WorkflowSpecError, InvalidWorkflow) as exc:
-            print(
-                _spec_error("--workflow", exc, WORKFLOW_SPEC_HELP),
-                file=sys.stderr,
-            )
+    elastic = SUBCOMMANDS["elastic"]
+    layers = [
+        sub
+        for sub in SUBCOMMANDS.values()
+        if sub.parse is not None and sub is not elastic
+    ]
+    installed: Dict[str, Any] = {}
+    with ExitStack() as stack:
+        # --elastic alone is installed before subcommand dispatch, so it
+        # composes with 'repro jobs SPEC': the traffic run resolves the
+        # installed config when it builds its JobService.
+        if not _install_flags([elastic], args, stack, installed):
             return 2
-    if args.scheduler is not None and not valid_policy(args.scheduler):
-        print(
-            f"repro: --scheduler: unknown policy {args.scheduler!r}\n"
-            + policy_catalogue(),
-            file=sys.stderr,
-        )
-        return 2
-    parsed = {}
-    for attr, parse, errors, help_text in SPEC_OPTIONS:
-        raw = getattr(args, attr)
-        if raw is None:
-            continue
-        try:
-            parsed[attr] = parse(raw)
-        except errors as exc:
-            print(_spec_error(f"--{attr}", exc, help_text), file=sys.stderr)
+        code = _dispatch_subcommand(names, args)
+        if code is not None:
+            return code
+        if args.workflow is not None:
+            try:
+                return _run_workflow_file(args.workflow)
+            except (WorkflowSpecError, InvalidWorkflow) as exc:
+                print(
+                    _spec_error("--workflow", exc, WORKFLOW_SPEC_HELP),
+                    file=sys.stderr,
+                )
+                return 2
+        if not _install_flags(layers, args, stack, installed):
             return 2
-    schedule = parsed.get("faults")
-    mem_config = parsed.get("mem")
-    cache = parsed.get("cache")
-    jobs_config = parsed.get("jobs")
-    trace_mode = bool(names) and names[0] == "trace"
-    if trace_mode:
-        names = names[1:]
-    trace_mode = trace_mode or args.trace is not None
-    names = names or sorted(registry)
-    unknown = [name for name in names if name not in registry]
-    if unknown:
-        print(_unknown_experiments_message(unknown, registry), file=sys.stderr)
-        return 2
-    if args.trace is not None:
-        # Fail fast on an unwritable target instead of crashing after
-        # the experiments have already run.
-        from pathlib import Path
-
-        parent = Path(args.trace).resolve().parent
-        if not parent.is_dir():
-            print(
-                f"repro: --trace: directory does not exist: {parent}",
-                file=sys.stderr,
-            )
+        trace_mode = bool(names) and names[0] == "trace"
+        if trace_mode:
+            names = names[1:]
+        trace_mode = trace_mode or args.trace is not None
+        names = names or sorted(registry)
+        unknown = [name for name in names if name not in registry]
+        if unknown:
+            print(_unknown_experiments_message(unknown, registry), file=sys.stderr)
             return 2
-    fault_context = (
-        faults_injected(schedule) if schedule is not None else nullcontext()
-    )
-    sched_context = (
-        scheduling(args.scheduler) if args.scheduler is not None else nullcontext()
-    )
-    mem_context = (
-        memory_managed(mem_config) if mem_config is not None else nullcontext()
-    )
-    cache_context = cached(cache) if cache is not None else nullcontext()
-    if not trace_mode:
-        with fault_context as injector, sched_context, mem_context, cache_context:
-            code = _run_experiments(names, registry, jobs_config)
-        if injector is not None:
-            print(_fault_summary(injector))
-        if cache is not None:
-            print(_cache_summary(cache))
-        return code
-    tracer = Tracer()
-    with fault_context as injector, tracing(tracer), sched_context, \
-            mem_context, cache_context:
-        code = _run_experiments(names, registry, jobs_config)
-    print(format_breakdown(tracer))
-    if injector is not None:
-        print(_fault_summary(injector))
-    if cache is not None:
-        print(_cache_summary(cache))
+        if args.trace is not None:
+            # Fail fast on an unwritable target instead of crashing after
+            # the experiments have already run.
+            parent = Path(args.trace).resolve().parent
+            if not parent.is_dir():
+                print(
+                    f"repro: --trace: directory does not exist: {parent}",
+                    file=sys.stderr,
+                )
+                return 2
+        tracer = stack.enter_context(tracing()) if trace_mode else None
+        code = _run_experiments(names, registry, installed.get("jobs"))
+    if tracer is not None:
+        print(format_breakdown(tracer))
+    for sub in layers:
+        if sub.summary is not None and sub.flag in installed:
+            print(sub.summary(installed[sub.flag]))
     if args.trace is not None:
         write_chrome_trace(tracer, args.trace)
         print(f"\nwrote Chrome trace: {args.trace}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -254,7 +254,7 @@ class MemoryConfig:
     With the defaults (``enabled=False``, no RAM override) the manager
     is completely dormant: every allocation takes the seed's direct
     ``Node.allocate_ram`` path and timings stay bit-identical (pinned
-    by ``tests/mem/test_timing_pin.py``).  Enabling the policy turns
+    by ``tests/obs/test_timing_regression.py``).  Enabling the policy turns
     hard :class:`repro.errors.InsufficientResources` failures into LRU
     spill-to-disk plus FIFO admission backpressure, modelled on Ray's
     object-spilling and plasma-store admission control.
@@ -330,7 +330,7 @@ class CacheConfig:
     With the default (``enabled=False``) the cache is completely
     dormant: no fingerprints are consulted, no lookup costs are
     charged, and timings stay bit-identical to the seed (pinned by
-    ``tests/cache/test_timing_pin.py``).  When enabled, every rayx
+    ``tests/obs/test_timing_regression.py``).  When enabled, every rayx
     task submission and workflow operator batch is fingerprinted from
     the function identity, the lineage of its ``ObjectRef`` arguments
     and ``epoch``; a repeat execution returns the memoized result at
@@ -481,7 +481,7 @@ class ElasticConfig:
     With the default (``enabled=False``) the subsystem is completely
     dormant: the node set stays exactly as built and every direct
     engine run is bit-identical to the seed timings (pinned by
-    ``tests/elastic/test_timing_pin.py``).  Enabling it attaches an
+    ``tests/obs/test_timing_regression.py``).  Enabling it attaches an
     :class:`repro.elastic.Autoscaler` process to the job service that
     watches the quantities behind the ``repro.obs`` gauges — queue
     depth (``jobs.queue_depth``), reserved-vCPU load
@@ -582,10 +582,6 @@ class ReproConfig:
     #: fully dormant; an explicitly installed cache
     #: (``repro.cache.cached``) takes precedence over this field.
     cache: CacheConfig = field(default_factory=CacheConfig)
-    #: Multi-tenant job-service policy (see :mod:`repro.jobs`).  The
-    #: default is fully dormant; an explicitly installed config
-    #: (``repro.jobs.jobs_enabled``) takes precedence over this field.
-    jobs: JobsConfig = field(default_factory=JobsConfig)
     #: Elastic-membership/autoscaler policy (see :mod:`repro.elastic`).
     #: The default is fully dormant; an explicitly installed config
     #: (``repro.elastic.elastic_enabled``) takes precedence over this

@@ -31,13 +31,10 @@ or from the command line with ``--elastic SPEC`` (composes with
 Dormant by default: nothing consults this package unless an autoscaler
 is explicitly enabled, the node set stays exactly as built, and every
 direct engine run is bit-identical to the seed virtual timings (pinned
-by ``tests/elastic/test_timing_pin.py``).
+by ``tests/obs/test_timing_regression.py``).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
 
 from repro.config import ElasticConfig
 from repro.elastic.autoscaler import Autoscaler
@@ -49,6 +46,7 @@ from repro.elastic.spec import (
     machine_shape,
     parse_elastic_spec,
 )
+from repro.layer import Slot
 
 __all__ = [
     "ElasticConfig",
@@ -65,54 +63,16 @@ __all__ = [
     "elastic_enabled",
 ]
 
-#: The globally installed config, if any (see :func:`install_elastic`).
-_installed: Optional[ElasticConfig] = None
-
-
-def _coerce(config_or_spec: Union[ElasticConfig, str]) -> ElasticConfig:
-    if isinstance(config_or_spec, ElasticConfig):
-        return config_or_spec
-    return parse_elastic_spec(config_or_spec)
-
-
-def install_elastic(config_or_spec: Union[ElasticConfig, str]) -> ElasticConfig:
-    """Make an elastic config the session default.
-
-    Accepts an :class:`ElasticConfig` or a spec string (validated
-    eagerly, so a typo fails at install time rather than mid-run).
-    """
-    global _installed
-    config = _coerce(config_or_spec)
-    _installed = config
-    return config
-
-
-def uninstall_elastic() -> None:
-    """Clear the globally installed config (back to the dormant default)."""
-    global _installed
-    _installed = None
-
-
-def current_elastic_config() -> Optional[ElasticConfig]:
-    """The globally installed elastic config, or None."""
-    return _installed
-
-
-@contextmanager
-def elastic_enabled(
-    config_or_spec: Union[ElasticConfig, str],
-) -> Iterator[ElasticConfig]:
-    """Install an elastic config for the duration of a ``with`` block.
-
-    >>> with elastic_enabled("on,min=1,max=8") as config:
-    ...     config.max_nodes
-    8
-    """
-    global _installed
-    config = _coerce(config_or_spec)
-    previous = _installed
-    _installed = config
-    try:
-        yield config
-    finally:
-        _installed = previous
+#: The globally installed config, if any: every job service built
+#: afterwards attaches an autoscaler when it says ``on``.  Takes an
+#: :class:`ElasticConfig` or a spec string.
+_slot = Slot(
+    lambda value: value
+    if isinstance(value, ElasticConfig)
+    else parse_elastic_spec(value)
+)
+install_elastic = _slot.install
+uninstall_elastic = _slot.uninstall
+current_elastic_config = _slot.current
+#: ``with elastic_enabled("on,min=1,max=8") as config: ...``
+elastic_enabled = _slot.scoped

@@ -1,39 +1,21 @@
 """Compact CLI specs for elasticity: ``--elastic "on,min=1,max=8"``.
 
-A spec is a comma-separated list of flags and ``key=value`` pairs,
-the same grammar family as ``--mem``, ``--faults`` and ``--jobs``:
-
-==================  ====================================================
-``on``              attach the autoscaler to the job service
-``off``             keep the subsystem dormant (the default)
-``min=N``           fleet floor, workers (1)
-``max=N``           fleet ceiling, workers (8)
-``interval=F``      gauge-evaluation cadence, virtual seconds (1)
-``provision=F``     virtual boot latency per provisioned node (10)
-``up=F``            scale up above this many queued jobs per worker (4)
-``load=F``          ... or at this reserved-vCPU load with a queue (0.9)
-``ram=F``           ... or at this RAM high-water fraction (0.9)
-``idle=F``          a node must idle this long to be drained (3)
-``cooldown=F``      no scale-down within this of a scale-up (5)
-``step=N``          nodes provisioned per scale-up decision (1)
-``shape=NAME``      machine shape for new nodes (``default``;
-                    also ``fast``, ``slow``, ``highmem``)
-``drain=on|off``    drain (migrate replicas) vs crash-evict on
-                    scale-down (on)
-==================  ====================================================
-
-``repro elastic SPEC`` prints the configuration a spec expands to.
+The grammar is the field table below; ``repro elastic`` prints it with
+the defaults, and ``repro elastic SPEC`` prints the configuration a
+spec expands to.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any, Dict
 
 from repro.config import GIB, ElasticConfig, MachineConfig
 from repro.errors import ElasticSpecError
+from repro.layer import Field, Grammar, choice, finite, on_off
 
 __all__ = [
+    "ELASTIC_GRAMMAR",
     "MACHINE_SHAPES",
     "machine_shape",
     "parse_elastic_spec",
@@ -59,26 +41,51 @@ MACHINE_SHAPES: Dict[str, MachineConfig] = {
 }
 
 
+_shape = choice(
+    MACHINE_SHAPES.__contains__,
+    f"unknown machine shape {{!r}} (have {', '.join(sorted(MACHINE_SHAPES))})",
+)
+
+
 def machine_shape(name: str) -> MachineConfig:
     """Resolve a shape name; raises :class:`ElasticSpecError`."""
     try:
-        return MACHINE_SHAPES[name]
-    except KeyError:
-        raise ElasticSpecError(
-            f"unknown machine shape {name!r} "
-            f"(have {', '.join(sorted(MACHINE_SHAPES))})"
-        ) from None
+        return MACHINE_SHAPES[_shape(name)]
+    except ValueError as exc:
+        raise ElasticSpecError(str(exc)) from None
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("on", "true", "1", "yes"):
-        return True
-    if lowered in ("off", "false", "0", "no"):
-        return False
-    raise ElasticSpecError(
-        f"bad value for elastic spec key {key!r}: {value!r} (want on/off)"
-    )
+ELASTIC_GRAMMAR = Grammar(
+    noun="elastic",
+    error=ElasticSpecError,
+    flags="attach / don't attach the autoscaler (default: off)",
+    fields=(
+        Field("min", "min_nodes", int, "N", "fleet floor, workers (default 1)"),
+        Field("max", "max_nodes", int, "N", "fleet ceiling, workers (default 8)"),
+        Field("interval", "interval_s", finite, "SECONDS",
+              "gauge-evaluation cadence (default 1)"),
+        Field("provision", "provision_s", finite, "SECONDS",
+              "virtual boot latency per new node (default 10)"),
+        Field("up", "up_queue_per_node", finite, "F",
+              "scale up above F queued jobs per worker (default 4)"),
+        Field("load", "up_load", finite, "FRACTION",
+              "... or at this reserved-vCPU load (default 0.9)"),
+        Field("ram", "up_ram", finite, "FRACTION",
+              "... or at this RAM high-water fraction (default 0.9)"),
+        Field("idle", "idle_s", finite, "SECONDS",
+              "a node must idle this long to drain (default 3)"),
+        Field("cooldown", "cooldown_s", finite, "SECONDS",
+              "no scale-down within this of a scale-up (default 5)"),
+        Field("step", "step", int, "N",
+              "nodes provisioned per scale-up decision (default 1)"),
+        Field("shape", "shape", _shape, "NAME",
+              "new-node machine shape: default, fast, slow, highmem"),
+        Field("drain", "drain", on_off, "on|off",
+              "drain (migrate replicas) vs crash-evict (default on)"),
+    ),
+    example="--elastic on,min=1,max=16,provision=5,shape=fast",
+    width=18,
+)
 
 
 def parse_elastic_spec(spec: str) -> ElasticConfig:
@@ -87,65 +94,7 @@ def parse_elastic_spec(spec: str) -> ElasticConfig:
     >>> parse_elastic_spec("on,min=2,max=16").max_nodes
     16
     """
-    text = spec.strip()
-    if not text:
-        raise ElasticSpecError("empty elastic spec")
-    kwargs: Dict[str, Any] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise ElasticSpecError(f"empty fragment in elastic spec {spec!r}")
-        if "=" not in part:
-            flag = part.lower()
-            if flag == "on":
-                kwargs["enabled"] = True
-            elif flag == "off":
-                kwargs["enabled"] = False
-            else:
-                raise ElasticSpecError(
-                    f"unknown elastic spec flag {part!r} (want 'on', 'off' "
-                    "or key=value)"
-                )
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        try:
-            if key == "min":
-                kwargs["min_nodes"] = int(value)
-            elif key == "max":
-                kwargs["max_nodes"] = int(value)
-            elif key == "interval":
-                kwargs["interval_s"] = float(value)
-            elif key == "provision":
-                kwargs["provision_s"] = float(value)
-            elif key == "up":
-                kwargs["up_queue_per_node"] = float(value)
-            elif key == "load":
-                kwargs["up_load"] = float(value)
-            elif key == "ram":
-                kwargs["up_ram"] = float(value)
-            elif key == "idle":
-                kwargs["idle_s"] = float(value)
-            elif key == "cooldown":
-                kwargs["cooldown_s"] = float(value)
-            elif key == "step":
-                kwargs["step"] = int(value)
-            elif key == "shape":
-                machine_shape(value)  # validate eagerly
-                kwargs["shape"] = value
-            elif key == "drain":
-                kwargs["drain"] = _parse_bool(key, value)
-            else:
-                raise ElasticSpecError(f"unknown elastic spec key {key!r}")
-        except ValueError:
-            raise ElasticSpecError(
-                f"bad value for elastic spec key {key!r}: {value!r}"
-            ) from None
-    try:
-        return replace(ElasticConfig(), **kwargs)
-    except ValueError as exc:
-        raise ElasticSpecError(str(exc)) from None
+    return ELASTIC_GRAMMAR.build(spec, ElasticConfig)
 
 
 def elastic_config_to_json(config: ElasticConfig) -> Dict[str, Any]:

@@ -28,11 +28,11 @@ virtual instant, not lazily at the next query.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fnmatch import fnmatch
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.layer import Slot
 
 __all__ = [
     "FaultInjector",
@@ -290,47 +290,15 @@ class NullInjector:
 #: Shared singleton; ``Environment.faults`` defaults to this.
 NULL_INJECTOR = NullInjector()
 
-#: The globally installed injector, if any (see :func:`install_faults`).
-_installed: Optional[FaultInjector] = None
-
-
-def install_faults(schedule_or_injector) -> FaultInjector:
-    """Make a schedule/injector the default for clusters built afterwards."""
-    global _installed
-    if isinstance(schedule_or_injector, FaultSchedule):
-        injector = FaultInjector(schedule_or_injector)
-    else:
-        injector = schedule_or_injector
-    _installed = injector
-    return injector
-
-
-def uninstall_faults() -> None:
-    """Clear the globally installed injector (back to :data:`NULL_INJECTOR`)."""
-    global _installed
-    _installed = None
-
-
-def current_injector():
-    """The globally installed injector, or :data:`NULL_INJECTOR`."""
-    return _installed if _installed is not None else NULL_INJECTOR
-
-
-@contextmanager
-def faults_injected(schedule: FaultSchedule) -> Iterator[FaultInjector]:
-    """Install a fault schedule for the duration of a ``with`` block.
-
-    >>> schedule = FaultSchedule.generate(seed=7, tasks=2)
-    >>> with faults_injected(schedule) as injector:
-    ...     run = run_dice_script(fresh_cluster(), reports)
-    >>> injector.injected
-    2
-    """
-    global _installed
-    injector = FaultInjector(schedule)
-    previous = _installed
-    _installed = injector
-    try:
-        yield injector
-    finally:
-        _installed = previous
+#: The globally installed injector, if any: the default for clusters
+#: built afterwards (else :data:`NULL_INJECTOR`).  Takes a
+#: :class:`FaultSchedule` (wrapped in a fresh injector) or an injector.
+_slot = Slot(
+    lambda value: FaultInjector(value) if isinstance(value, FaultSchedule) else value,
+    default=NULL_INJECTOR,
+)
+install_faults = _slot.install
+uninstall_faults = _slot.uninstall
+current_injector = _slot.current
+#: ``with faults_injected(schedule) as injector: ...``
+faults_injected = _slot.scoped

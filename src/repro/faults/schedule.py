@@ -52,8 +52,15 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import FaultSpecError
+from repro.layer import Field, Grammar, finite
 
-__all__ = ["FaultEvent", "FaultSchedule", "FAULT_KINDS"]
+__all__ = [
+    "FaultEvent",
+    "FaultSchedule",
+    "FAULT_KINDS",
+    "FAULT_GRAMMAR",
+    "FAULT_SPEC_HINT",
+]
 
 FAULT_KINDS = ("task", "operator", "node", "link", "replica", "oom")
 
@@ -215,18 +222,13 @@ class FaultSchedule:
     def from_spec(cls, spec: str) -> "FaultSchedule":
         """Parse a CLI spec: ``key=value[,key=value...]`` or a JSON path.
 
-        Keys: ``seed`` (required for key=value form), ``horizon``,
-        ``tasks``, ``operators``/``ops``, ``nodes``, ``links``,
-        ``replicas``, ``ooms``, ``outage``, ``link_factor``,
-        ``oom_factor``, and the target globs
-        ``task_target``/``operator_target``/``replica_target``.
+        Keys are the rows of :data:`FAULT_GRAMMAR`; ``seed`` is required
+        for the key=value form.
 
         >>> FaultSchedule.from_spec("seed=7,tasks=2,nodes=1").seed
         7
         """
         spec = spec.strip()
-        if not spec:
-            raise FaultSpecError("empty fault spec")
         candidate = Path(spec)
         if spec.endswith(".json") or candidate.is_file():
             try:
@@ -244,53 +246,10 @@ class FaultSchedule:
                 raise FaultSpecError(
                     f"fault schedule {spec!r} is not valid JSON: {exc}"
                 ) from None
-        int_keys = {
-            "seed": "seed",
-            "tasks": "tasks",
-            "operators": "operators",
-            "ops": "operators",
-            "nodes": "nodes",
-            "links": "links",
-            "replicas": "replicas",
-            "ooms": "ooms",
-        }
-        float_keys = {
-            "horizon": "horizon_s",
-            "outage": "outage_s",
-            "link_factor": "link_factor",
-            "oom_factor": "oom_factor",
-        }
-        str_keys = {
-            "task_target": "task_target",
-            "operator_target": "operator_target",
-            "replica_target": "replica_target",
-        }
-        kwargs: Dict[str, Any] = {}
-        for part in spec.split(","):
-            if "=" not in part:
-                raise FaultSpecError(
-                    f"bad fault spec fragment {part!r} (want key=value)"
-                )
-            key, _, value = part.partition("=")
-            key = key.strip().lower()
-            value = value.strip()
-            try:
-                if key in int_keys:
-                    kwargs[int_keys[key]] = int(value)
-                elif key in float_keys:
-                    kwargs[float_keys[key]] = float(value)
-                elif key in str_keys:
-                    kwargs[str_keys[key]] = value
-                else:
-                    raise FaultSpecError(f"unknown fault spec key {key!r}")
-            except ValueError:
-                raise FaultSpecError(
-                    f"bad value for fault spec key {key!r}: {value!r}"
-                ) from None
+        kwargs = FAULT_GRAMMAR.parse(spec)
         if "seed" not in kwargs:
             raise FaultSpecError("fault spec needs a seed (e.g. 'seed=7,tasks=2')")
-        seed = kwargs.pop("seed")
-        return cls.generate(seed, note=spec, **kwargs)
+        return cls.generate(kwargs.pop("seed"), note=spec, **kwargs)
 
     # -- serialization -----------------------------------------------------
 
@@ -336,3 +295,42 @@ class FaultSchedule:
         if self.note:
             lines.append(f"note: {self.note}")
         return "\n".join(lines)
+
+
+#: The ``key=value`` form of :meth:`FaultSchedule.from_spec`: keywords
+#: of :meth:`FaultSchedule.generate`.  Rows without a metavar are left
+#: out of the one-line synopsis below.
+FAULT_GRAMMAR = Grammar(
+    noun="fault",
+    error=FaultSpecError,
+    fields=(
+        Field("seed", "seed", int, "N"),
+        Field("tasks", "tasks", int, "N"),
+        Field("operators", "operators", int, "N"),
+        Field("ops", "operators", int),
+        Field("nodes", "nodes", int, "N"),
+        Field("links", "links", int, "N"),
+        Field("replicas", "replicas", int, "N"),
+        Field("ooms", "ooms", int, "N"),
+        Field("horizon", "horizon_s", finite, "S"),
+        Field("outage", "outage_s", finite, "S"),
+        Field("link_factor", "link_factor", finite),
+        Field("oom_factor", "oom_factor", finite),
+        Field("task_target", "task_target", str),
+        Field("operator_target", "operator_target", str),
+        Field("replica_target", "replica_target", str),
+    ),
+)
+
+#: Appended to fault-spec parse errors by the CLI (``docs/faults.md``
+#: has the prose).
+FAULT_SPEC_HINT = (
+    "spec grammar: seed=N[,"
+    + ",".join(
+        f"{field.key}={field.metavar}"
+        for field in FAULT_GRAMMAR.fields[1:]
+        if field.metavar
+    )
+    + ",...] or a path to a schedule JSON\n"
+    "example: --faults seed=7,tasks=2,nodes=1 (inspect with 'repro faults SPEC')"
+)

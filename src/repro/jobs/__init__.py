@@ -22,11 +22,11 @@ This package is that control plane, built from the layers beneath it:
   ``drf`` policy by default), ``jobs.*`` telemetry via
   :mod:`repro.obs`.
 
-Enabling the service follows the pattern of every other layer:
+A service takes its config explicitly:
 
->>> from repro.jobs import jobs_enabled
->>> with jobs_enabled("on,rate=50,tenants=8,policy=drf") as config:
-...     summary = JobService(config).simulate()
+>>> from repro.jobs import JobService, parse_jobs_spec
+>>> config = parse_jobs_spec("on,rate=50,tenants=8,policy=drf")
+>>> summary = JobService(config).simulate()
 
 or from the command line with ``python -m repro jobs SPEC`` /
 ``--jobs SPEC`` (``python -m repro jobs`` prints the grammar).
@@ -38,9 +38,6 @@ virtual timings, pinned by ``tests/jobs/test_timing_pin.py``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
 
 from repro.config import JobsConfig
 from repro.jobs.bodies import (
@@ -101,57 +98,4 @@ __all__ = [
     "CANCELLED",
     "STATES",
     "TERMINAL_STATES",
-    "install_jobs",
-    "uninstall_jobs",
-    "current_jobs_config",
-    "jobs_enabled",
 ]
-
-#: The globally installed config, if any (see :func:`install_jobs`).
-_installed: Optional[JobsConfig] = None
-
-
-def _coerce(config_or_spec: Union[JobsConfig, str]) -> JobsConfig:
-    if isinstance(config_or_spec, JobsConfig):
-        return config_or_spec
-    return parse_jobs_spec(config_or_spec)
-
-
-def install_jobs(config_or_spec: Union[JobsConfig, str]) -> JobsConfig:
-    """Make a jobs config the session default.
-
-    Accepts a :class:`JobsConfig` or a spec string (validated eagerly,
-    so a typo fails at install time rather than mid-run).
-    """
-    global _installed
-    config = _coerce(config_or_spec)
-    _installed = config
-    return config
-
-
-def uninstall_jobs() -> None:
-    """Clear the globally installed config (back to the dormant default)."""
-    global _installed
-    _installed = None
-
-
-def current_jobs_config() -> Optional[JobsConfig]:
-    """The globally installed jobs config, or None."""
-    return _installed
-
-
-@contextmanager
-def jobs_enabled(config_or_spec: Union[JobsConfig, str]) -> Iterator[JobsConfig]:
-    """Install a jobs config for the duration of a ``with`` block.
-
-    >>> with jobs_enabled("on,rate=50") as config:
-    ...     summary = JobService(config).simulate()
-    """
-    global _installed
-    config = _coerce(config_or_spec)
-    previous = _installed
-    _installed = config
-    try:
-        yield config
-    finally:
-        _installed = previous

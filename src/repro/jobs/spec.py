@@ -1,61 +1,80 @@
 """Compact CLI specs for the job service: ``--jobs "on,rate=50,policy=drf"``.
 
-A spec is a comma-separated list of flags and ``key=value`` pairs,
-the same grammar family as ``--mem`` and ``--cache``:
-
-==================  ====================================================
-``on``              run the traffic generator through the service
-``off``             keep the subsystem dormant (the default)
-``seed=N``          traffic-generator seed (0)
-``rate=F``          mean arrival rate, jobs per virtual second (10)
-``horizon=F``       arrival-generation horizon, virtual seconds (60)
-``tenants=N``       tenant population, drawn uniformly (4)
-``burst=F``         burst amplitude; in-window rate is ``x (1+burst)``
-``burst_period=F``  burst window period, seconds (300)
-``burst_duty=F``    burst duty cycle, fraction of the period (0.1)
-``diurnal=F``       diurnal sine amplitude in [0, 1] (0)
-``period=F``        diurnal period, seconds (86400)
-``policy=P``        admission ordering: ``fifo`` or ``drf`` (drf)
-``placement=P``     node placement policy (``repro.sched``; drf)
-``quota_running=N`` per-tenant cap on concurrently running jobs
-``quota_cpus=N``    per-tenant cap on concurrently held vCPUs
-``quota_ram=SIZE``  per-tenant cap on concurrently held RAM
-``max_queue=N``     queue capacity; beyond it submissions are rejected
-``cpus=N``          per-job vCPU demand (1)
-``ram=SIZE``        per-job RAM demand (``1GiB``)
-``duration=F``      mean profile-body duration, seconds (1.0)
-``body=NAME``       job body (``profile``; see ``repro.jobs.bodies``)
-``admit=F``         admission backpressure watermark override
-==================  ====================================================
-
-Sizes accept the binary suffixes of ``--mem`` (``2GiB``, ``512MiB``).
-``repro jobs SPEC`` prints the configuration a spec expands to.
+The grammar is the field table below; ``repro jobs`` prints it with the
+defaults, and ``repro jobs SPEC`` prints the configuration a spec
+expands to (and runs the traffic when it says ``on``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any, Dict
 
 from repro.config import JobsConfig
-from repro.errors import JobsSpecError, MemSpecError
-from repro.mem.spec import format_size, parse_size
+from repro.errors import JobsSpecError
+from repro.layer import Field, Grammar, choice, finite, size
+from repro.mem.spec import format_size
 from repro.sched import valid_policy
 
 __all__ = [
+    "JOBS_GRAMMAR",
     "parse_jobs_spec",
     "describe_jobs",
     "jobs_config_to_json",
     "jobs_config_from_json",
 ]
 
+_placement = choice(
+    valid_policy,
+    "unknown placement policy {!r} (see 'repro sched' for the catalogue)",
+)
 
-def _parse_jobs_size(text: str) -> int:
-    """``parse_size`` with the error rebranded for the ``--jobs`` matrix."""
-    try:
-        return parse_size(text)
-    except MemSpecError as exc:
-        raise JobsSpecError(str(exc)) from None
+JOBS_GRAMMAR = Grammar(
+    noun="jobs",
+    error=JobsSpecError,
+    flags="run / don't run the traffic generator (default: off)",
+    fields=(
+        Field("seed", "seed", int, "N", "traffic-generator seed (default 0)"),
+        Field("rate", "rate_per_s", finite, "JOBS_PER_S",
+              "mean Poisson arrival rate (default 10)"),
+        Field("horizon", "horizon_s", finite, "SECONDS",
+              "arrival-generation horizon (default 60)"),
+        Field("tenants", "tenants", int, "N", "tenant population (default 4)"),
+        Field("burst", "burst", finite, "F",
+              "burst amplitude: in-window rate x(1+F) (default 0)"),
+        Field("burst_period", "burst_period_s", finite, "S",
+              "burst window period (default 300)"),
+        Field("burst_duty", "burst_duty", finite, "F",
+              "burst duty cycle, fraction of period (default 0.1)"),
+        Field("diurnal", "diurnal", finite, "F",
+              "diurnal sine amplitude in [0,1] (default 0)"),
+        Field("period", "diurnal_period_s", finite, "S",
+              "diurnal period (default 86400)"),
+        Field("policy", "policy", str, "NAME",
+              "admission ordering: fifo or drf (default drf)"),
+        Field("placement", "placement", _placement, "NAME",
+              "node placement policy, see 'repro sched' (default drf)"),
+        Field("quota_running", "quota_running", int, "N",
+              "per-tenant cap on concurrently running jobs"),
+        Field("quota_cpus", "quota_cpus", int, "N",
+              "per-tenant cap on concurrently held vCPUs"),
+        Field("quota_ram", "quota_ram_bytes", size, "SIZE",
+              "per-tenant cap on concurrently held RAM"),
+        Field("max_queue", "max_queue", int, "N",
+              "queue capacity; beyond it submissions are rejected"),
+        Field("cpus", "cpus", int, "N", "per-job vCPU demand (default 1)"),
+        Field("ram", "ram_bytes", size, "SIZE",
+              "per-job RAM demand (default 1gib)"),
+        Field("duration", "duration_s", finite, "SECONDS",
+              "mean profile-body duration (default 1.0)"),
+        Field("body", "body", str, "NAME",
+              "job body, see repro.jobs.bodies (default profile)"),
+        Field("admit", "admission_watermark", finite, "FRACTION",
+              "RAM backpressure watermark (default: memory policy's)"),
+    ),
+    example="--jobs on,rate=50,tenants=8,policy=drf,quota_running=4",
+    width=18,
+)
 
 
 def parse_jobs_spec(spec: str) -> JobsConfig:
@@ -64,85 +83,7 @@ def parse_jobs_spec(spec: str) -> JobsConfig:
     >>> parse_jobs_spec("on,rate=50,tenants=8").rate_per_s
     50.0
     """
-    text = spec.strip()
-    if not text:
-        raise JobsSpecError("empty jobs spec")
-    kwargs: Dict[str, Any] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise JobsSpecError(f"empty fragment in jobs spec {spec!r}")
-        if "=" not in part:
-            flag = part.lower()
-            if flag == "on":
-                kwargs["enabled"] = True
-            elif flag == "off":
-                kwargs["enabled"] = False
-            else:
-                raise JobsSpecError(
-                    f"unknown jobs spec flag {part!r} (want 'on', 'off' or "
-                    "key=value)"
-                )
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        try:
-            if key == "seed":
-                kwargs["seed"] = int(value)
-            elif key == "rate":
-                kwargs["rate_per_s"] = float(value)
-            elif key == "horizon":
-                kwargs["horizon_s"] = float(value)
-            elif key == "tenants":
-                kwargs["tenants"] = int(value)
-            elif key == "burst":
-                kwargs["burst"] = float(value)
-            elif key == "burst_period":
-                kwargs["burst_period_s"] = float(value)
-            elif key == "burst_duty":
-                kwargs["burst_duty"] = float(value)
-            elif key == "diurnal":
-                kwargs["diurnal"] = float(value)
-            elif key == "period":
-                kwargs["diurnal_period_s"] = float(value)
-            elif key == "policy":
-                kwargs["policy"] = value
-            elif key == "placement":
-                if not valid_policy(value):
-                    raise JobsSpecError(
-                        f"unknown placement policy {value!r} "
-                        "(see 'repro sched' for the catalogue)"
-                    )
-                kwargs["placement"] = value
-            elif key == "quota_running":
-                kwargs["quota_running"] = int(value)
-            elif key == "quota_cpus":
-                kwargs["quota_cpus"] = int(value)
-            elif key == "quota_ram":
-                kwargs["quota_ram_bytes"] = _parse_jobs_size(value)
-            elif key == "max_queue":
-                kwargs["max_queue"] = int(value)
-            elif key == "cpus":
-                kwargs["cpus"] = int(value)
-            elif key == "ram":
-                kwargs["ram_bytes"] = _parse_jobs_size(value)
-            elif key == "duration":
-                kwargs["duration_s"] = float(value)
-            elif key == "body":
-                kwargs["body"] = value
-            elif key == "admit":
-                kwargs["admission_watermark"] = float(value)
-            else:
-                raise JobsSpecError(f"unknown jobs spec key {key!r}")
-        except ValueError:
-            raise JobsSpecError(
-                f"bad value for jobs spec key {key!r}: {value!r}"
-            ) from None
-    try:
-        return replace(JobsConfig(), **kwargs)
-    except ValueError as exc:
-        raise JobsSpecError(str(exc)) from None
+    return JOBS_GRAMMAR.build(spec, JobsConfig)
 
 
 def jobs_config_to_json(config: JobsConfig) -> Dict[str, Any]:

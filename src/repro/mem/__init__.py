@@ -27,16 +27,14 @@ the command line with ``python -m repro fig13d --mem on,ram=2GiB``
 (``python -m repro mem`` prints the spec grammar).
 
 With the default config the manager is dormant and every timing stays
-bit-identical to the seed — pinned by ``tests/mem/test_timing_pin.py``
+bit-identical to the seed — pinned by ``tests/obs/test_timing_regression.py``
 the same way ``repro.obs``/``repro.faults``/``repro.sched`` are.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
-
 from repro.config import MemoryConfig
+from repro.layer import Slot
 from repro.mem.manager import MemoryManager
 from repro.mem.spec import describe_memory, format_size, parse_mem_spec, parse_size
 
@@ -53,53 +51,13 @@ __all__ = [
     "memory_managed",
 ]
 
-#: The globally installed policy, if any (see :func:`install_memory`).
-_installed: Optional[MemoryConfig] = None
-
-
-def _coerce(config_or_spec: Union[MemoryConfig, str]) -> MemoryConfig:
-    if isinstance(config_or_spec, MemoryConfig):
-        return config_or_spec
-    return parse_mem_spec(config_or_spec)
-
-
-def install_memory(config_or_spec: Union[MemoryConfig, str]) -> MemoryConfig:
-    """Make a memory policy the default for clusters built afterwards.
-
-    Accepts a :class:`MemoryConfig` or a spec string (validated
-    eagerly, so a typo fails at install time rather than mid-run).
-    """
-    global _installed
-    config = _coerce(config_or_spec)
-    _installed = config
-    return config
-
-
-def uninstall_memory() -> None:
-    """Clear the globally installed policy (back to the dormant default)."""
-    global _installed
-    _installed = None
-
-
-def current_memory_config() -> Optional[MemoryConfig]:
-    """The globally installed memory policy, or None."""
-    return _installed
-
-
-@contextmanager
-def memory_managed(
-    config_or_spec: Union[MemoryConfig, str]
-) -> Iterator[MemoryConfig]:
-    """Install a memory policy for the duration of a ``with`` block.
-
-    >>> with memory_managed(MemoryConfig(enabled=True)) as policy:
-    ...     run = run_kge_script(fresh_cluster(), dataset)
-    """
-    global _installed
-    config = _coerce(config_or_spec)
-    previous = _installed
-    _installed = config
-    try:
-        yield config
-    finally:
-        _installed = previous
+#: The globally installed policy, if any: the default for clusters
+#: built afterwards.  Takes a :class:`MemoryConfig` or a spec string.
+_slot = Slot(
+    lambda value: value if isinstance(value, MemoryConfig) else parse_mem_spec(value)
+)
+install_memory = _slot.install
+uninstall_memory = _slot.uninstall
+current_memory_config = _slot.current
+#: ``with memory_managed("on,ram=2GiB") as policy: ...``
+memory_managed = _slot.scoped

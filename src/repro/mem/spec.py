@@ -1,63 +1,56 @@
 """Compact CLI specs for memory policies: ``--mem "on,ram=2GiB"``.
 
-A spec is a comma-separated list of flags and ``key=value`` pairs:
-
-=============  ===================================================
-``on`` 	       enable spilling + admission backpressure
-``off``        keep the policy dormant (RAM override still applies)
-``ram=SIZE``   clamp every node's RAM ceiling (``2GiB``, ``512MiB``)
-``spill=F``    spill watermark, fraction of the ceiling (0.80)
-``admit=F``    admission watermark, fraction of the ceiling (0.95)
-``write_bw=S`` spill-device write bandwidth per second (``100MiB``)
-``read_bw=S``  spill-device read bandwidth per second (``100MiB``)
-``base=T``     fixed per-spill/restore seconds (0.002)
-=============  ===================================================
-
-Sizes accept binary suffixes (``KiB``/``MiB``/``GiB``, also the loose
-``KB``/``MB``/``GB`` spellings, treated as binary) or plain byte
-counts.  ``repro mem SPEC`` prints the policy a spec expands to.
+The grammar is the field table below; ``repro mem`` prints it with the
+defaults, and ``repro mem SPEC`` prints the policy a spec expands to.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict
-
 from repro.config import GIB, KIB, MIB, MemoryConfig
 from repro.errors import MemSpecError
+from repro.layer import Field, Grammar, finite, size
 
-__all__ = ["parse_mem_spec", "parse_size", "format_size", "describe_memory"]
+__all__ = [
+    "MEM_GRAMMAR",
+    "parse_mem_spec",
+    "parse_size",
+    "format_size",
+    "describe_memory",
+]
 
-_SIZE_SUFFIXES = {
-    "kib": KIB,
-    "kb": KIB,
-    "k": KIB,
-    "mib": MIB,
-    "mb": MIB,
-    "m": MIB,
-    "gib": GIB,
-    "gb": GIB,
-    "g": GIB,
-}
+
+def _rate(text: str) -> float:
+    return float(size(text))
+
+
+MEM_GRAMMAR = Grammar(
+    noun="memory",
+    error=MemSpecError,
+    flags="enable / disable spilling + backpressure (default: off)",
+    fields=(
+        Field("ram", "node_ram_bytes", size, "SIZE",
+              "clamp every node's RAM (e.g. 2gib, 512mib, 1.5gb)"),
+        Field("spill", "spill_watermark", finite, "FRACTION",
+              "start spilling above this fraction of RAM (default 0.8)"),
+        Field("admit", "admission_watermark", finite, "FRACTION",
+              "block admissions above this fraction (default 0.95)"),
+        Field("write_bw", "spill_write_bytes_per_s", _rate, "SIZE",
+              "spill write bandwidth per second (default 100mib)"),
+        Field("read_bw", "spill_read_bytes_per_s", _rate, "SIZE",
+              "restore read bandwidth per second (default 100mib)"),
+        Field("base", "spill_base_s", finite, "SECONDS",
+              "fixed per-spill/restore latency (default 0.002)"),
+    ),
+    example="--mem on,ram=2gib,spill=0.7,admit=0.9",
+)
 
 
 def parse_size(text: str) -> int:
     """Parse ``"2GiB"`` / ``"512MiB"`` / ``"1048576"`` into bytes."""
-    raw = text.strip()
-    lowered = raw.lower()
-    multiplier = 1
-    for suffix, value in sorted(_SIZE_SUFFIXES.items(), key=lambda kv: -len(kv[0])):
-        if lowered.endswith(suffix):
-            lowered = lowered[: -len(suffix)]
-            multiplier = value
-            break
     try:
-        quantity = float(lowered)
-    except ValueError:
-        raise MemSpecError(f"bad size {text!r} (want e.g. '2GiB', '512MiB')") from None
-    if quantity <= 0:
-        raise MemSpecError(f"size must be positive: {text!r}")
-    return int(quantity * multiplier)
+        return size(text)
+    except ValueError as exc:
+        raise MemSpecError(str(exc)) from None
 
 
 def format_size(nbytes: int) -> str:
@@ -77,52 +70,7 @@ def parse_mem_spec(spec: str) -> MemoryConfig:
     >>> parse_mem_spec("on,ram=2GiB").enabled
     True
     """
-    text = spec.strip()
-    if not text:
-        raise MemSpecError("empty memory spec")
-    kwargs: Dict[str, Any] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise MemSpecError(f"empty fragment in memory spec {spec!r}")
-        if "=" not in part:
-            flag = part.lower()
-            if flag == "on":
-                kwargs["enabled"] = True
-            elif flag == "off":
-                kwargs["enabled"] = False
-            else:
-                raise MemSpecError(
-                    f"unknown memory spec flag {part!r} (want 'on', 'off' or "
-                    "key=value)"
-                )
-            continue
-        key, _, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        try:
-            if key == "ram":
-                kwargs["node_ram_bytes"] = parse_size(value)
-            elif key == "spill":
-                kwargs["spill_watermark"] = float(value)
-            elif key == "admit":
-                kwargs["admission_watermark"] = float(value)
-            elif key == "write_bw":
-                kwargs["spill_write_bytes_per_s"] = float(parse_size(value))
-            elif key == "read_bw":
-                kwargs["spill_read_bytes_per_s"] = float(parse_size(value))
-            elif key == "base":
-                kwargs["spill_base_s"] = float(value)
-            else:
-                raise MemSpecError(f"unknown memory spec key {key!r}")
-        except ValueError:
-            raise MemSpecError(
-                f"bad value for memory spec key {key!r}: {value!r}"
-            ) from None
-    try:
-        return replace(MemoryConfig(), **kwargs)
-    except ValueError as exc:
-        raise MemSpecError(str(exc)) from None
+    return MEM_GRAMMAR.build(spec, MemoryConfig)
 
 
 def describe_memory(config: MemoryConfig) -> str:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.layer import Slot
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = [
@@ -325,41 +326,13 @@ class NullTracer:
 #: Shared singleton; ``Environment.tracer`` defaults to this.
 NULL_TRACER = NullTracer()
 
-#: The globally installed tracer, if any (see :func:`install_tracer`).
-_installed: Optional[Tracer] = None
-
-
-def install_tracer(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the default for clusters built afterwards."""
-    global _installed
-    _installed = tracer
-    return tracer
-
-
-def uninstall_tracer() -> None:
-    """Clear the globally installed tracer (back to :data:`NULL_TRACER`)."""
-    global _installed
-    _installed = None
-
-
-def current_tracer():
-    """The globally installed tracer, or :data:`NULL_TRACER`."""
-    return _installed if _installed is not None else NULL_TRACER
-
-
-@contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Install a tracer for the duration of a ``with`` block.
-
-    >>> with tracing() as tracer:
-    ...     run = run_gotta_script(fresh_cluster(), paragraphs)
-    >>> print(format_breakdown(tracer))
-    """
-    global _installed
-    active = tracer if tracer is not None else Tracer()
-    previous = _installed
-    install_tracer(active)
-    try:
-        yield active
-    finally:
-        _installed = previous
+#: The globally installed tracer, if any: the default for clusters
+#: built afterwards (else :data:`NULL_TRACER`).
+_slot = Slot(
+    lambda tracer: tracer if tracer is not None else Tracer(), default=NULL_TRACER
+)
+install_tracer = _slot.install
+uninstall_tracer = _slot.uninstall
+current_tracer = _slot.current
+#: ``with tracing() as tracer: ...`` (a fresh :class:`Tracer` unless one is given).
+tracing = _slot.scoped

@@ -34,9 +34,7 @@ changes timing, never results; pinned by the hypothesis suite in
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
-
+from repro.layer import Slot
 from repro.sched.policy import (
     DEFAULT_POLICY,
     POLICIES,
@@ -76,44 +74,16 @@ __all__ = [
     "scheduling",
 ]
 
-#: The globally installed policy name, if any (see :func:`install_policy`).
-_installed: Optional[str] = None
-
-
-def install_policy(name: str) -> str:
-    """Make ``name`` the default policy for schedulers built afterwards.
-
-    Validates eagerly (raises :class:`repro.errors.UnknownPolicy`), so
-    a typo fails at install time rather than mid-experiment.
-    """
-    global _installed
-    make_policy(name)  # validate
-    _installed = name
+def _validated(name: str) -> str:
+    make_policy(name)  # raises UnknownPolicy
     return name
 
 
-def uninstall_policy() -> None:
-    """Clear the globally installed policy (back to ``round_robin``)."""
-    global _installed
-    _installed = None
-
-
-def current_policy_name() -> Optional[str]:
-    """The globally installed policy name, or None."""
-    return _installed
-
-
-@contextmanager
-def scheduling(name: str) -> Iterator[str]:
-    """Install a placement policy for the duration of a ``with`` block.
-
-    >>> with scheduling("least_loaded"):
-    ...     run = run_gotta_script(fresh_cluster(), paragraphs, num_cpus=4)
-    """
-    global _installed
-    previous = _installed
-    install_policy(name)
-    try:
-        yield name
-    finally:
-        _installed = previous
+#: The globally installed policy name, if any: the default for
+#: schedulers built afterwards (else ``round_robin``).
+_slot = Slot(_validated)
+install_policy = _slot.install
+uninstall_policy = _slot.uninstall
+current_policy_name = _slot.current
+#: ``with scheduling("least_loaded"): ...``
+scheduling = _slot.scoped

@@ -1,10 +1,8 @@
 """The cache must be invisible until it hits.
 
-Three timing guarantees, in escalating order:
+Two timing guarantees beyond the dormant pin every layer shares
+(``tests/obs/test_timing_regression.py``), in escalating order:
 
-* **dormant** (the default config): every task timing bit-identical to
-  the pre-``repro.cache`` seed — same constants ``repro.obs``,
-  ``repro.faults``, ``repro.sched`` and ``repro.mem`` pin;
 * **enabled but cold**: still bit-identical — misses charge nothing,
   and fingerprinting happens in free real Python;
 * **warm**: strictly faster on every task, under both engines, with
@@ -13,10 +11,6 @@ Three timing guarantees, in escalating order:
 
 from repro.cache import ResultCache, cached
 from tests.obs.test_timing_regression import SEED_TIMINGS, _run_all
-
-
-def test_dormant_cache_timings_bit_identical_to_seed():
-    assert _run_all() == SEED_TIMINGS
 
 
 def test_enabled_cold_cache_timings_bit_identical_to_seed():

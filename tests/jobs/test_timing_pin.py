@@ -1,10 +1,7 @@
 """The job service must be invisible until it multiplexes.
 
-Three dormancy guarantees:
+Two dormancy guarantees:
 
-* **dormant layer**: installing a jobs config (``jobs_enabled``)
-  changes nothing about direct engine runs — every pinned task timing
-  stays bit-identical to the pre-``repro.jobs`` seed;
 * **single job == direct run**: one job submitted by one tenant runs
   its task body on a fresh cluster exactly as the seed would — the
   body's measured virtual time equals the SEED_TIMINGS constant, and
@@ -15,11 +12,11 @@ Three dormancy guarantees:
   an uncontended submission.
 """
 
-from repro.jobs import JobService, JobSpec, jobs_enabled
+from repro.jobs import JobService, JobSpec
 from repro.tasks.base import fresh_cluster
 from repro.tasks.kge.common import make_kge_dataset
 from repro.tasks.kge.script import run_kge_script
-from tests.obs.test_timing_regression import SEED_TIMINGS, _run_all
+from tests.obs.test_timing_regression import SEED_TIMINGS
 
 #: body name -> SEED_TIMINGS key (bodies register at the pinned scales).
 PINNED_BODIES = {
@@ -28,12 +25,6 @@ PINNED_BODIES = {
     "kge/script": "kge/script",
     "kge/workflow": "kge/workflow",
 }
-
-
-def test_installed_jobs_config_does_not_perturb_direct_runs():
-    with jobs_enabled("on,rate=50,tenants=8,policy=drf"):
-        timings = _run_all()
-    assert timings == SEED_TIMINGS
 
 
 def test_single_job_task_timings_bit_identical_to_seed():

@@ -48,3 +48,14 @@ def test_trace_flag_fails_fast_on_missing_directory(capsys):
 def test_cli_uninstalls_tracer_afterwards(tmp_path):
     main(["trace", "fig13a", "--quick"])
     assert current_tracer() is NULL_TRACER
+
+
+def test_traced_run_keeps_the_exit_code(capsys):
+    """Regression: the traced tail of ``main`` ended in ``return 0``, so a
+    failed ``--jobs`` run exited 1 untraced but 0 under ``trace``."""
+    argv = ["fig13d", "--quick", "--jobs", "on,cpus=999"]
+    assert main(argv) == 1
+    untraced = capsys.readouterr().err
+    assert main(["trace"] + argv) == 1
+    assert capsys.readouterr().err == untraced
+    assert "exceeds every node" in untraced

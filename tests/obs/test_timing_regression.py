@@ -1,20 +1,30 @@
-"""Tracing must never change simulated timings.
+"""No layer may change simulated timings while dormant.
 
-Two guarantees, both load-bearing for the paper reproduction:
+Three guarantees, all load-bearing for the paper reproduction:
 
-* with the default null tracer, every task accumulates virtual time
+* with nothing installed, every task accumulates virtual time
   **bit-identical** to the pre-observability seed (the constants below
   were recorded before the instrumentation existed);
+* explicitly installing any layer's *dormant* value — the object is
+  constructed and consulted on every run — changes no timing by one
+  bit (one matrix over every install slot; the stronger per-layer
+  cases live in ``tests/{mem,cache,jobs}/test_timing_pin.py``);
 * enabling a tracer changes *nothing* — recording is bookkeeping only,
   so traced and untraced runs agree to the last bit as well.
 """
 
 import pytest
 
+from repro.cache import cached
+from repro.config import CacheConfig, MemoryConfig
 from repro.datasets.fsqa import generate_fsqa
 from repro.datasets.maccrobat import generate_maccrobat
 from repro.datasets.wildfire import generate_wildfire_tweets
-from repro.obs import Tracer, tracing
+from repro.elastic import elastic_enabled
+from repro.faults import FaultSchedule, faults_injected
+from repro.mem import memory_managed
+from repro.obs import NULL_TRACER, Tracer, tracing
+from repro.sched import scheduling
 from repro.tasks.base import fresh_cluster
 from repro.tasks.dice.script import run_dice_script
 from repro.tasks.dice.workflow import run_dice_workflow
@@ -82,6 +92,26 @@ def test_null_tracer_timings_bit_identical_to_seed():
     assert _run_all() == SEED_TIMINGS
 
 
+#: Every install slot, entered with its layer's dormant value.  Elastic
+#: is installed *enabled*: direct runs build no job service, so no
+#: autoscaler ever attaches.  ``repro.jobs`` has no slot (a service
+#: takes its config explicitly).
+DORMANT_INSTALLS = {
+    "obs": lambda: tracing(NULL_TRACER),
+    "faults": lambda: faults_injected(FaultSchedule.empty()),
+    "sched": lambda: scheduling("round_robin"),
+    "mem": lambda: memory_managed(MemoryConfig()),
+    "cache": lambda: cached(CacheConfig()),
+    "elastic": lambda: elastic_enabled("on,min=1,max=8,provision=3,interval=0.5"),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(DORMANT_INSTALLS))
+def test_installed_dormant_layer_timings_bit_identical_to_seed(layer):
+    with DORMANT_INSTALLS[layer]():
+        assert _run_all() == SEED_TIMINGS
+
+
 def test_enabled_tracer_does_not_perturb_timings():
     with tracing(Tracer()):
         traced = _run_all()
@@ -114,8 +144,6 @@ def test_installed_empty_fault_schedule_timings_bit_identical():
     short-circuit before touching the virtual clock, keeping all task
     timings bit-identical to the pre-faults seed.
     """
-    from repro.faults import FaultSchedule, faults_injected
-
     with faults_injected(FaultSchedule.empty()) as injector:
         timings = _run_all()
     assert timings == SEED_TIMINGS

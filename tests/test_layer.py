@@ -1,0 +1,153 @@
+"""The shared layer scaffolding: ``repro.layer.Grammar`` and ``Slot``."""
+
+import pytest
+
+from repro.layer import Field, Grammar, Slot, choice, finite, on_off, size
+
+
+class ToySpecError(Exception):
+    pass
+
+
+def _positive(**kwargs):
+    if kwargs.get("count", 1) < 1:
+        raise ValueError("count must be >= 1")
+    return kwargs
+
+
+TOY = Grammar(
+    noun="toy",
+    error=ToySpecError,
+    flags="switch the toy on / off",
+    fields=(
+        Field("count", "count", int, "N", "how many (default 1)"),
+        Field("ratio", "ratio", finite, "F", "a finite fraction"),
+        Field("cap", "cap_bytes", size, "SIZE", "a byte size"),
+        Field("drain", "drain", on_off, "on|off", "a boolean"),
+        Field("c", "count", int),
+        Field(
+            "colour",
+            "colour",
+            choice({"red", "blue"}.__contains__, "no such colour {!r}"),
+            "NAME",
+            "red or blue",
+        ),
+    ),
+    example="--toy on,count=2",
+    width=12,
+)
+
+
+# -- Grammar ------------------------------------------------------------------
+
+
+def test_parse_maps_keys_to_attributes_and_flags_to_enabled():
+    assert TOY.parse(" ON , Count = 3 ,cap=2kib, drain=off ,colour=red") == {
+        "enabled": True,
+        "count": 3,
+        "cap_bytes": 2048,
+        "drain": False,
+        "colour": "red",
+    }
+    assert TOY.parse("off,c=2,count=5") == {"enabled": False, "count": 5}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("", "empty toy spec"),
+        ("   ", "empty toy spec"),
+        ("on,,off", "empty fragment in toy spec 'on,,off'"),
+        ("banana", "unknown toy spec flag 'banana' (want 'on', 'off' or key=value)"),
+        ("bogus=1", "unknown toy spec key 'bogus'"),
+        ("count=lots", "bad value for toy spec key 'count': 'lots'"),
+        ("drain=maybe", "bad value for toy spec key 'drain': 'maybe'"),
+        ("cap=lots", "bad size 'lots' (want e.g. '2GiB', '512MiB')"),
+        ("cap=-1", "size must be positive: '-1'"),
+        ("colour=green", "no such colour 'green'"),
+    ],
+)
+def test_the_shared_error_messages(spec, message):
+    with pytest.raises(ToySpecError) as excinfo:
+        TOY.parse(spec)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "spec", ["ratio=nan", "ratio=inf", "ratio=-inf", "cap=inf", "cap=nan", "cap=1e400"]
+)
+def test_non_finite_numbers_are_bad_values(spec):
+    with pytest.raises(ToySpecError):
+        TOY.parse(spec)
+
+
+def test_a_grammar_without_flags_takes_key_value_pairs_only():
+    pairs = Grammar("pair", ToySpecError, TOY.fields)
+    assert pairs.parse("count=2") == {"count": 2}
+    with pytest.raises(ToySpecError) as excinfo:
+        pairs.parse("count=2,on")
+    assert str(excinfo.value) == "bad pair spec fragment 'on' (want key=value)"
+
+
+def test_build_rebrands_the_factory_value_error():
+    assert TOY.build("count=2", _positive) == {"count": 2}
+    with pytest.raises(ToySpecError, match="count must be >= 1"):
+        TOY.build("count=0", _positive)
+
+
+def test_help_is_rendered_from_the_same_table():
+    assert TOY.help() == (
+        "spec grammar: comma-separated flags and key=value pairs\n"
+        "  on | off    switch the toy on / off\n"
+        "  count=N     how many (default 1)\n"
+        "  ratio=F     a finite fraction\n"
+        "  cap=SIZE    a byte size\n"
+        "  drain=on|offa boolean\n"
+        "  colour=NAME red or blue\n"
+        "example: --toy on,count=2"
+    )
+    # every visible key the help names is one the parser accepts
+    for field in TOY.fields:
+        assert (f"  {field.key}=" in TOY.help()) == bool(field.metavar)
+
+
+# -- Slot ---------------------------------------------------------------------
+
+
+def _even(value):
+    if value % 2:
+        raise ValueError(f"odd: {value}")
+    return value * 10
+
+
+def test_install_coerces_and_current_falls_back_to_the_default():
+    slot = Slot(_even, default="null")
+    assert slot.current() == "null"
+    assert slot.install(2) == 20
+    assert slot.current() == 20
+    slot.uninstall()
+    assert slot.current() == "null"
+
+
+def test_install_validates_eagerly_and_leaves_the_slot_untouched():
+    slot = Slot(_even)
+    slot.install(2)
+    with pytest.raises(ValueError):
+        slot.install(3)
+    assert slot.current() == 20
+    with pytest.raises(ValueError):
+        with slot.scoped(3):
+            pytest.fail("scope entered with a bad value")
+    assert slot.current() == 20
+
+
+def test_nested_scopes_restore_the_previous_value_also_on_exception():
+    slot = Slot(_even)
+    with slot.scoped(2) as outer:
+        assert outer == slot.current() == 20
+        with pytest.raises(RuntimeError):
+            with slot.scoped(4) as inner:
+                assert inner == slot.current() == 40
+                raise RuntimeError("boom")
+        assert slot.current() == 20
+    assert slot.current() is None
