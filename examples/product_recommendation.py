@@ -17,7 +17,8 @@ from repro.tasks.kge import (
 )
 
 # Reduced scale so the example runs in seconds; mechanisms are
-# identical at the paper's 6.8k/68k scales (see benchmarks/).
+# identical at the paper's 6.8k/68k scales (see
+# tests/experiments/test_paper_shape.py).
 NUM_CANDIDATES = 3000
 UNIVERSE = 5000
 

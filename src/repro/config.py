@@ -285,7 +285,7 @@ class MemoryConfig:
     #: Override every node's RAM ceiling (bytes).  Applied even when
     #: the policy is disabled — this is the knob that shrinks the
     #: testbed so the seed code path visibly dies while the spilling
-    #: path completes (``benchmarks/bench_memory.py``).
+    #: path completes (``python -m repro memory``).
     node_ram_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:

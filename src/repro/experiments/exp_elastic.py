@@ -19,8 +19,7 @@ Both runs must complete every job.  The elastic run must beat static-4
 on **node-seconds** (machines are only billed while joined — the tail
 runs on one node instead of four) at **equal-or-better p99 queue
 latency** (the burst gets more than four workers).  The experiment
-asserts both; ``benchmarks/bench_elastic.py`` records them in
-``BENCH_elastic.json``.
+asserts both; ``python -m repro elasticity`` prints them.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ def run_scenarios(
     """Replay the burst-then-tail arrivals on static-4 and elastic.
 
     Returns ``{"static-4": summary, "elastic": summary}`` — shared by
-    the experiment report and ``benchmarks/bench_elastic.py``.
+    the experiment report and ``tests/elastic/test_autoscaler.py``.
     """
     arrivals = _streams(
         flood_s, heavy_rate, light_rate, light_horizon_s=tail_s

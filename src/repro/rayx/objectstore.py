@@ -98,7 +98,7 @@ class ObjectStore:
         self.stale_fetches = 0
         #: Inter-node replica fetches actually performed, and the
         #: virtual seconds they took — what the locality placement
-        #: policy exists to reduce (see ``benchmarks/bench_scheduling``).
+        #: policy exists to reduce (see ``tests/sched/test_policies.py``).
         self.transfers = 0
         self.transfer_seconds = 0.0
         self.transfers_deduped = 0

@@ -9,11 +9,17 @@ warm tasks back to the node holding their result.
 
 from repro.cache import ResultCache, cached
 from repro.cluster import build_cluster
+from repro.datasets import generate_fsqa, generate_maccrobat, generate_wildfire_tweets
+from repro.experiments.harness import cached_kge_dataset
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
 from repro.sched import PlacementRequest, Scheduler
 from repro.sched.policy import LocalityPolicy
 from repro.sim import Environment
 from repro.rayx import run_script
+from repro.tasks.dice import run_dice_script, run_dice_workflow
+from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
+from repro.tasks.kge import run_kge_script, run_kge_workflow
+from repro.tasks.wef import run_wef_script, run_wef_workflow
 
 
 def fresh_cluster():
@@ -89,6 +95,67 @@ def test_epoch_bump_invalidates_everything():
         _, values = run_once()
     assert values == cold
     assert cache.hits == 0
+
+
+# -- steady state on the paper tasks -------------------------------------------
+
+#: Warm re-runs allowed before we call the timeline non-convergent.
+MAX_WARM_RUNS = 10
+
+
+def steady_warm(run_fn):
+    """Warm re-run until the elapsed time is a fixed point.
+
+    Pipelined workflow runs re-batch as hits shift the timeline, so the
+    first warm pass can be a partial hit; the steady state is what an
+    analyst iterating on an unchanged pipeline sees.  Returns
+    ``(elapsed, passes)``; ``passes == MAX_WARM_RUNS`` means it never
+    settled.
+    """
+    previous = None
+    for passes in range(MAX_WARM_RUNS):
+        elapsed = run_fn(fresh_cluster()).elapsed_s
+        if elapsed == previous:
+            return elapsed, passes
+        previous = elapsed
+    return previous, MAX_WARM_RUNS
+
+
+def test_warm_workflow_runs_converge_to_a_fixed_point():
+    reports = generate_maccrobat(num_docs=40, seed=7)
+
+    def run_fn(cluster):
+        return run_dice_workflow(cluster, reports, num_workers=4)
+
+    with cached(ResultCache("on")):
+        run_fn(fresh_cluster())
+        warm, passes = steady_warm(run_fn)
+    assert passes < MAX_WARM_RUNS, "warm workflow timeline never converged"
+    assert warm > 0.0
+
+
+def test_steady_warm_at_least_2x_on_every_task_both_engines():
+    reports = generate_maccrobat(num_docs=40, seed=7)
+    paragraphs = generate_fsqa(num_paragraphs=1, seed=17)
+    dataset = cached_kge_dataset(1500, universe_size=4000)
+    tweets = generate_wildfire_tweets(40, seed=11)
+    cases = {
+        "dice/script": lambda cl: run_dice_script(cl, reports, num_cpus=4),
+        "dice/workflow": lambda cl: run_dice_workflow(cl, reports, num_workers=4),
+        "gotta/script": lambda cl: run_gotta_script(cl, paragraphs, num_cpus=4),
+        "gotta/workflow": lambda cl: run_gotta_workflow(cl, paragraphs, num_workers=4),
+        "kge/script": lambda cl: run_kge_script(cl, dataset, num_cpus=4),
+        "kge/workflow": lambda cl: run_kge_workflow(cl, dataset),
+        "wef/script": lambda cl: run_wef_script(cl, tweets, num_cpus=4),
+        "wef/workflow": lambda cl: run_wef_workflow(cl, tweets),
+    }
+    for case, run_fn in cases.items():
+        dormant = run_fn(fresh_cluster()).elapsed_s
+        with cached(ResultCache("on")):
+            cold = run_fn(fresh_cluster()).elapsed_s
+            warm, _ = steady_warm(run_fn)
+        assert cold == dormant, f"{case}: cold drifted from seed"
+        assert cold / warm >= 2.0, f"{case}: steady warm only {cold / warm:.2f}x"
 
 
 # -- fault interplay -----------------------------------------------------------

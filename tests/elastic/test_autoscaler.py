@@ -176,6 +176,33 @@ def test_equal_completions_with_and_without_elasticity():
     )
 
 
+@pytest.mark.parametrize(
+    "traffic",
+    [
+        # E10: a 12 s flood of 4-vCPU jobs at 18/s, then a 1-vCPU
+        # trickle to 60 s — the flood needs more than four workers, the
+        # tail wastes most of a static fleet.
+        dict(flood_s=12.0, tail_s=60.0, heavy_rate=18.0, light_rate=2.0),
+        # The same shape at `repro elasticity --quick` scale (~130 jobs).
+        dict(flood_s=6.0, tail_s=25.0, heavy_rate=12.0, light_rate=2.0),
+    ],
+    ids=["e10", "quick"],
+)
+def test_burst_then_tail_elastic_is_cheaper_than_static_4_at_no_worse_p99(traffic):
+    from repro.experiments.exp_elastic import run_scenarios
+
+    outcomes = run_scenarios(**traffic)
+    static, elastic = outcomes["static-4"], outcomes["elastic"]
+    for summary in (static, elastic):
+        assert summary["counts"]["completed"] == summary["jobs"]
+    assert elastic["jobs"] == static["jobs"]
+    assert elastic["node_seconds"] < static["node_seconds"]
+    assert elastic["p99_queue_s"] <= static["p99_queue_s"]
+    scaler = elastic["elastic"]
+    assert scaler["scale_ups"] > 0 and scaler["scale_downs"] > 0
+    assert scaler["peak_nodes"] > 4, "the flood never out-scaled static-4"
+
+
 def test_spec_string_accepted_directly():
     service = JobService(
         JobsConfig(enabled=True),

@@ -1,11 +1,13 @@
 """Tests for the experiment harness at reduced scales.
 
 Full paper-scale reproductions (and their qualitative-shape
-assertions) live in benchmarks/; these tests exercise the harness
-plumbing and the mechanisms at sizes that run in seconds.
+assertions) live in ``test_paper_shape.py``; these tests exercise the
+harness plumbing and the mechanisms at sizes that run in seconds.
 """
 
+import pytest
 
+from repro.cli import QUICK_EXPERIMENTS
 from repro.experiments.exp_language import run_table1
 from repro.experiments.exp_modularity import run_fig12a, run_fig12b
 from repro.experiments.exp_scaling import (
@@ -110,3 +112,20 @@ def test_reports_carry_paper_values_at_paper_scales():
     for row in report.rows:
         assert row.paper is not None
         assert row.relative_error is not None
+
+
+@pytest.mark.parametrize(
+    "experiment_id", ["recovery", "scheduling", "memory", "caching", "scenarios"]
+)
+def test_self_asserting_extension_experiment_quick(experiment_id):
+    """These experiments raise ``ExperimentError``/``FaultError`` on a
+    broken invariant (output differs from the clean run, the dormant
+    run survives the RAM clamp, a cold cache charges time, paradigms
+    disagree on rows), so completing is the check.  ``fairshare`` and
+    ``elasticity`` run through the CLI in ``tests/{jobs,elastic}``."""
+    report = QUICK_EXPERIMENTS[experiment_id]()
+    assert report.experiment_id == experiment_id
+    assert report.rows and report.notes
+    for row in report.rows:
+        if row.series.endswith("overhead"):  # recovery / spilling cost
+            assert row.measured >= 0.0, row

@@ -2,8 +2,8 @@
 
 The acceptance bar: 25 distinct seeds must each produce a document
 that validates, compiles to both paradigms and collects identical row
-multisets — the same contract the ``gen-smoke`` CI job and
-``BENCH_scenarios.json`` enforce.
+multisets — the same contract the ``cli-smoke`` CI job's
+``repro gen count=10`` step enforces.
 """
 
 import pytest

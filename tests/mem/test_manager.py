@@ -1,4 +1,5 @@
-"""Unit tests for the memory manager, the spec parser and the install API."""
+"""Unit tests for the memory manager, the spec parser and the install
+API, then a paper task walked down a RAM ladder end to end."""
 
 from dataclasses import replace
 
@@ -6,7 +7,9 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.config import GIB, KIB, MIB, MemoryConfig, default_config
+from repro.datasets import generate_fsqa, generate_maccrobat
 from repro.errors import InsufficientResources, MemSpecError
+from repro.experiments.exp_memory import shrunken_ram_bytes
 from repro.mem import (
     MemoryManager,
     current_memory_config,
@@ -19,6 +22,8 @@ from repro.mem import (
     uninstall_memory,
 )
 from repro.sim import Environment
+from repro.tasks.dice import run_dice_script
+from repro.tasks.gotta import run_gotta_script
 
 NODE = "worker-0"
 
@@ -348,3 +353,58 @@ def test_manager_requires_known_nodes():
     manager = MemoryManager(cluster, MemoryConfig(enabled=True))
     with pytest.raises(UnknownNode, match="no-such-node"):
         next(manager.allocate("no-such-node", 1, key="x"))
+
+
+# -- end to end: a paper task on a RAM ladder ---------------------------------
+
+
+def probe(run_fn):
+    """Clean run -> the cluster, carrying each node's RAM high-water marks."""
+    cluster = build_cluster(Environment())
+    run_fn(cluster)
+    return cluster
+
+
+def pressure_outcome(run_fn, ram, enabled):
+    """One ladder cell: (status, elapsed, spills, peak RSS)."""
+    cluster = make_cluster(ram=ram, enabled=enabled)
+    try:
+        run = run_fn(cluster)
+    except InsufficientResources:
+        return "died", None, None, None
+    peak = max(node.ram_peak for node in cluster._nodes.values())
+    return "ok", run.elapsed_s, cluster.memory.spill_count, peak
+
+
+def test_pressured_run_is_deterministic():
+    """Same memory config, same workload -> bit-identical timeline."""
+    paragraphs = generate_fsqa(num_paragraphs=1, seed=17)
+
+    def run_fn(cluster):
+        return run_gotta_script(cluster, paragraphs, num_cpus=4)
+
+    ram = shrunken_ram_bytes(probe(run_fn))
+    first = pressure_outcome(run_fn, ram, enabled=True)
+    assert pressure_outcome(run_fn, ram, enabled=True) == first
+    assert first[0] == "ok" and first[2] > 0
+
+
+def test_dice_ram_ladder_dormant_dies_spill_completes():
+    """From ample RAM down to the largest single allocation (the hard
+    floor): dormant dies below the peak, spilling completes everywhere."""
+    reports = generate_maccrobat(num_docs=40, seed=7)
+
+    def run_fn(cluster):
+        return run_dice_script(cluster, reports, num_cpus=4)
+
+    clean = probe(run_fn)
+    ladder = {
+        "ample": None,
+        "peak": max(node.ram_peak for node in clean._nodes.values()),
+        "midpoint": shrunken_ram_bytes(clean),
+        "floor": max(node.largest_alloc for node in clean._nodes.values()),
+    }
+    assert pressure_outcome(run_fn, None, enabled=False)[0] == "ok"
+    assert pressure_outcome(run_fn, ladder["midpoint"], enabled=False)[0] == "died"
+    for rung, ram in ladder.items():
+        assert pressure_outcome(run_fn, ram, enabled=True)[0] == "ok", rung

@@ -9,14 +9,16 @@ byte and core it touches.
 
 import random
 
+from contextlib import suppress
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.workflow.engine as wf_engine
 
 from repro.cluster import build_cluster
+from repro.errors import InjectedFault
 from repro.faults import FaultSchedule, faults_injected
 from repro.obs import tracing
 from repro.rayx import run_script
@@ -76,7 +78,10 @@ def script_run():
         return values
 
     cluster = build_cluster(Environment())
-    run_script(cluster, driver, num_cpus=2)
+    # A schedule may legitimately exhaust ``max_task_retries``; the
+    # failed run must hand back every byte and core all the same.
+    with suppress(InjectedFault):
+        run_script(cluster, driver, num_cpus=2)
     return cluster
 
 
@@ -100,13 +105,21 @@ def workflow_run():
             stores.append(self)
 
     cluster = build_cluster(Environment())
-    with mock.patch.object(wf_engine, "Store", TrackingStore):
+    with mock.patch.object(wf_engine, "Store", TrackingStore), suppress(InjectedFault):
         run_workflow(cluster, wf)
     return cluster, stores
 
 
 @settings(max_examples=25, deadline=None)
 @given(schedule=schedules)
+@example(
+    # The worker-0 outage eats three attempts of one task and the three
+    # task faults the rest: ``max_task_retries`` runs out and the driver
+    # sees InjectedFault.
+    schedule=FaultSchedule.generate(
+        seed=956, horizon_s=8.0, tasks=3, operators=2, nodes=1, links=0, replicas=0
+    )
+)
 def test_script_run_releases_all_resources(schedule):
     if schedule is None:
         assert_resources_released(script_run())

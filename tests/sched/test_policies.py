@@ -1,9 +1,13 @@
-"""Unit tests for the placement-policy catalogue."""
+"""The placement-policy catalogue: unit tests on fakes, then the
+policies end to end on the two model-heavy script tasks."""
 
 import pytest
 
 from repro.cluster import build_cluster
+from repro.datasets import generate_fsqa
 from repro.errors import UnknownPolicy
+from repro.experiments.harness import cached_kge_dataset
+from repro.obs import Tracer, tracing
 from repro.sched import (
     DEFAULT_POLICY,
     POLICIES,
@@ -11,9 +15,13 @@ from repro.sched import (
     Scheduler,
     make_policy,
     policy_catalogue,
+    scheduling,
     valid_policy,
 )
 from repro.sim import Environment
+from repro.tasks import fresh_cluster
+from repro.tasks.gotta import run_gotta_script
+from repro.tasks.kge import run_kge_script
 
 
 class FakeFaults:
@@ -293,3 +301,58 @@ def test_drf_dominant_share_weighs_cpu_against_ram():
 def test_drf_skips_down_nodes():
     sched = make_scheduler("drf", down={"worker-0"})
     assert sched.place(PlacementRequest(kind="job")).name == "worker-1"
+
+
+# -- end to end: the model-heavy script tasks, four-way parallel -------------
+
+
+def _model_task(task):
+    if task == "kge":  # 375 MB model
+        dataset = cached_kge_dataset(1500, universe_size=4000)
+        return lambda tracer: run_kge_script(
+            fresh_cluster(tracer=tracer), dataset, num_cpus=4
+        )
+    paragraphs = generate_fsqa(num_paragraphs=4, seed=17)  # 1.59 GB model
+    return lambda tracer: run_gotta_script(
+        fresh_cluster(tracer=tracer), paragraphs, num_cpus=4
+    )
+
+
+def _transfer_telemetry(policy, run_fn):
+    """(transfer seconds, transfer count, output rows, elapsed)."""
+    tracer = Tracer()
+    with scheduling(policy), tracing(tracer):
+        run = run_fn(tracer)
+    return (
+        tracer.metrics.total("objectstore.transfer.seconds"),
+        tracer.metrics.total("objectstore.transfer.count"),
+        sorted(tuple(row.values) for row in run.output.rows),
+        run.elapsed_s,
+    )
+
+
+@pytest.mark.parametrize("task", ["kge", "gotta"])
+def test_locality_reduces_model_transfer_time(task):
+    """locality moves tasks to the model; round_robin moves the model.
+
+    Under ``round_robin`` the 4-way task fan-out pulls a model replica
+    to every worker (4 inter-node transfers); under ``locality`` the
+    burst converges on one node and the object store's in-flight dedup
+    collapses the fetches into a single transfer.
+    """
+    run_fn = _model_task(task)
+    rr_s, rr_n, rr_rows, _ = _transfer_telemetry("round_robin", run_fn)
+    loc_s, loc_n, loc_rows, _ = _transfer_telemetry("locality", run_fn)
+    assert loc_rows == rr_rows, "locality changed the output"
+    assert rr_n > 0, "round_robin performed no transfers"
+    assert loc_n < rr_n
+    assert loc_s < rr_s
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_policy_timeline_is_deterministic(policy):
+    """Same policy, same workload -> bit-identical timeline."""
+    for task in ("kge", "gotta"):
+        run_fn = _model_task(task)
+        first = _transfer_telemetry(policy, run_fn)
+        assert _transfer_telemetry(policy, run_fn) == first, task
