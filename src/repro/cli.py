@@ -75,8 +75,9 @@ unknown operator types, dangling links, cycles — and reports both
 compilation targets (pipelined workflow plan and Ray-like script plan).
 ``--workflow FILE`` *runs* a self-contained spec (one without
 ``$param`` bindings) through both paradigms and diffs the collected
-rows.  Bad specs exit 2 with the grammar on stderr, like every other
-spec surface.
+rows; it takes the place of the experiments, so every layer flag and
+``--trace`` apply to it.  Bad specs exit 2 with the grammar on stderr,
+like every other spec surface.
 
 Workload generation (``repro.gen``)::
 
@@ -180,6 +181,7 @@ from repro.jobs.spec import JOBS_GRAMMAR
 from repro.mem import describe_memory, memory_managed, parse_mem_spec
 from repro.mem.spec import MEM_GRAMMAR
 from repro.obs import format_breakdown, tracing, write_chrome_trace
+from repro.paradigm import diff_rows, run_both
 from repro.sched import policy_catalogue, scheduling, valid_policy
 
 __all__ = ["main", "QUICK_EXPERIMENTS"]
@@ -376,20 +378,6 @@ def _run_traffic(config: JobsConfig) -> int:
     return 0
 
 
-def _register_task_operator_types() -> None:
-    """Import task workflow modules that register custom spec types.
-
-    ``repro.tasks`` deliberately avoids importing its subpackages, so
-    the CLI pulls in the two modules whose operators
-    (``kge_stage``, ``wef_ensemble_train``) task specs reference, plus
-    the generated-family operators (``micro_batch_source``,
-    ``raster_source``) so emitted ``repro gen`` documents compile.
-    """
-    import repro.gen.operators  # noqa: F401
-    import repro.tasks.kge.workflow  # noqa: F401
-    import repro.tasks.wef.workflow  # noqa: F401
-
-
 def _gen_emit_path(base: str, seed: int, multiple: bool) -> str:
     if not multiple:
         return base
@@ -397,38 +385,8 @@ def _gen_emit_path(base: str, seed: int, multiple: bool) -> str:
     return str(p.with_name(f"{p.stem}-{seed}{p.suffix or '.json'}"))
 
 
-def _run_both_paradigms(spec, plan):
-    """Run a parsed spec under both paradigms and diff the sink rows.
-
-    Returns the workflow result, the cluster the script ``plan`` ran on
-    (its clock is the script paradigm's virtual time) and one
-    ``(sink id, workflow rows, script rows, identical)`` verdict per
-    sink, rows compared as multisets.
-    """
-    from repro.cluster import build_cluster
-    from repro.sim import Environment
-    from repro.workflow import run_workflow
-    from repro.workflow.spec import build_workflow
-
-    def multiset(table):
-        return sorted(tuple(map(str, row.values)) for row in table)
-
-    result = run_workflow(build_cluster(Environment()), build_workflow(spec))
-    script_cluster = build_cluster(Environment())
-    script_tables = plan.run(cluster=script_cluster)
-    verdicts = []
-    for sink_id, table in sorted(script_tables.items()):
-        engine_rows = multiset(result.results[sink_id])
-        script_rows = multiset(table)
-        verdicts.append(
-            (sink_id, len(engine_rows), len(script_rows), engine_rows == script_rows)
-        )
-    return result, script_cluster, verdicts
-
-
 def _handle_gen(spec: Optional[str]) -> int:
     """Generate seeded workloads; validate, compile, run, diff, emit."""
-    _register_task_operator_types()
     from dataclasses import replace
 
     from repro.gen import (
@@ -464,24 +422,25 @@ def _handle_gen(spec: Optional[str]) -> int:
             except OSError as exc:
                 raise GenSpecError(f"emit: cannot write {path}: {exc}") from exc
             print(f"  seed {seed}: wrote {path}")
-        plan = compile_script_plan(build_workflow(parsed))
         head = (
             f"  seed {seed}: {parsed.name!r} "
             f"{len(parsed.operators)} operators"
         )
         if not request.run:
+            plan = compile_script_plan(build_workflow(parsed))
             print(
                 f"{head} -- validated, both paradigms compile "
                 f"({plan.num_tasks} script tasks)"
             )
             continue
-        result, script_cluster, verdicts = _run_both_paradigms(parsed, plan)
-        identical = all(match for *_, match in verdicts)
+        workflow, script = run_both(parsed)
+        diffs = diff_rows(workflow, script)
+        identical = all(diff.identical for diff in diffs)
         mismatches += 0 if identical else 1
         print(
-            f"{head} -- workflow {result.elapsed_s:.3f}s, "
-            f"script {script_cluster.env.now:.3f}s, "
-            f"{sum(rows for _, rows, _, _ in verdicts)} rows "
+            f"{head} -- workflow {workflow.elapsed_s:.3f}s, "
+            f"script {script.elapsed_s:.3f}s, "
+            f"{sum(diff.left_rows for diff in diffs)} rows "
             f"{'identical' if identical else 'MISMATCH'}"
         )
     if mismatches:
@@ -496,7 +455,6 @@ def _handle_gen(spec: Optional[str]) -> int:
 
 def _handle_compile(source: Optional[str]) -> int:
     """Validate one spec file; report both compilation targets."""
-    _register_task_operator_types()
     from collections import Counter
 
     from repro.rayx.compile import compile_script_plan
@@ -533,9 +491,7 @@ def _handle_compile(source: Optional[str]) -> int:
 
 def _run_workflow_file(path: str) -> int:
     """Run a self-contained spec through both paradigms; diff rows."""
-    _register_task_operator_types()
-    from repro.rayx.compile import compile_script_plan
-    from repro.workflow.spec import build_workflow, read_spec
+    from repro.workflow.spec import read_spec
 
     spec = read_spec(path)
     params = spec.params()
@@ -545,27 +501,27 @@ def _run_workflow_file(path: str) -> int:
             f"self-contained specs run from the command line "
             f"(inspect with 'repro compile {path}')"
         )
-    plan = compile_script_plan(build_workflow(spec))
-    result, script_cluster, verdicts = _run_both_paradigms(spec, plan)
+    workflow, script = run_both(spec)
+    diffs = diff_rows(workflow, script)
     print(
-        f"workflow {spec.name!r}: {plan.workflow.num_operators} operators, "
-        f"{len(plan.workflow.links)} links"
+        f"workflow {spec.name!r}: {len(spec.operators)} operators, "
+        f"{len(spec.links)} links"
     )
     print(
-        f"  workflow paradigm: {result.elapsed_s:.3f}s virtual "
-        f"({result.num_worker_instances} worker instances)"
+        f"  workflow paradigm: {workflow.elapsed_s:.3f}s virtual "
+        f"({workflow.units} worker instances)"
     )
     print(
-        f"  script paradigm:   {script_cluster.env.now:.3f}s virtual "
-        f"({plan.num_tasks} tasks)"
+        f"  script paradigm:   {script.elapsed_s:.3f}s virtual "
+        f"({script.units} tasks)"
     )
-    for sink_id, engine_rows, script_rows, match in verdicts:
+    for diff in diffs:
         print(
-            f"  sink {sink_id!r}: {engine_rows} rows (workflow) vs "
-            f"{script_rows} rows (script) -- "
-            f"{'identical' if match else 'MISMATCH'}"
+            f"  sink {diff.sink_id!r}: {diff.left_rows} rows (workflow) vs "
+            f"{diff.right_rows} rows (script) -- "
+            f"{'identical' if diff.identical else 'MISMATCH'}"
         )
-    if not all(match for *_, match in verdicts):
+    if not all(diff.identical for diff in diffs):
         print(
             f"repro: --workflow: paradigms disagree on {path}",
             file=sys.stderr,
@@ -663,7 +619,7 @@ SUBCOMMANDS = {
             summary=_cache_summary,
         ),
         # --workflow FILE runs instead of installing, so the row has no
-        # parse/scope; main() handles it before the layer flags.
+        # parse/scope; main() runs it where the experiments would run.
         Subcommand(
             "compile", "required", _handle_compile,
             (WorkflowSpecError, InvalidWorkflow), WORKFLOW_SPEC_HELP,
@@ -823,42 +779,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(name)
         return 0
     names = list(args.experiments)
-    elastic = SUBCOMMANDS["elastic"]
-    layers = [
-        sub
-        for sub in SUBCOMMANDS.values()
-        if sub.parse is not None and sub is not elastic
-    ]
+    layers = [sub for sub in SUBCOMMANDS.values() if sub.parse is not None]
+    # A bare subcommand reads its own flag as its spec ('repro mem --mem
+    # SPEC', errors under its own name), so that row is not installed.
+    own = SUBCOMMANDS.get(names[0]) if len(names) == 1 else None
     installed: Dict[str, Any] = {}
     with ExitStack() as stack:
-        # --elastic alone is installed before subcommand dispatch, so it
-        # composes with 'repro jobs SPEC': the traffic run resolves the
-        # installed config when it builds its JobService.
-        if not _install_flags([elastic], args, stack, installed):
+        # Installed before anything is dispatched, so every layer flag
+        # composes with subcommands and --workflow ('repro jobs SPEC
+        # --elastic ...' autoscales the traffic run) and a bad one exits 2.
+        rows = [sub for sub in layers if sub is not own]
+        if not _install_flags(rows, args, stack, installed):
             return 2
         code = _dispatch_subcommand(names, args)
         if code is not None:
             return code
-        if args.workflow is not None:
-            try:
-                return _run_workflow_file(args.workflow)
-            except (WorkflowSpecError, InvalidWorkflow) as exc:
-                print(
-                    _spec_error("--workflow", exc, WORKFLOW_SPEC_HELP),
-                    file=sys.stderr,
-                )
-                return 2
-        if not _install_flags(layers, args, stack, installed):
-            return 2
         trace_mode = bool(names) and names[0] == "trace"
         if trace_mode:
             names = names[1:]
         trace_mode = trace_mode or args.trace is not None
-        names = names or sorted(registry)
-        unknown = [name for name in names if name not in registry]
-        if unknown:
-            print(_unknown_experiments_message(unknown, registry), file=sys.stderr)
-            return 2
+        if args.workflow is None:
+            names = names or sorted(registry)
+            unknown = [name for name in names if name not in registry]
+            if unknown:
+                print(_unknown_experiments_message(unknown, registry), file=sys.stderr)
+                return 2
         if args.trace is not None:
             # Fail fast on an unwritable target instead of crashing after
             # the experiments have already run.
@@ -870,7 +815,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
                 return 2
         tracer = stack.enter_context(tracing()) if trace_mode else None
-        code = _run_experiments(names, registry, installed.get("jobs"))
+        if args.workflow is None:
+            code = _run_experiments(names, registry, installed.get("jobs"))
+        else:
+            try:
+                code = _run_workflow_file(args.workflow)
+            except (WorkflowSpecError, InvalidWorkflow) as exc:
+                print(_spec_error("--workflow", exc, WORKFLOW_SPEC_HELP), file=sys.stderr)
+                return 2
     if tracer is not None:
         print(format_breakdown(tracer))
     for sub in layers:

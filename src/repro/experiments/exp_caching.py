@@ -32,7 +32,6 @@ from repro.errors import ExperimentError
 from repro.experiments.harness import cached_kge_dataset
 from repro.metrics import ExperimentReport
 from repro.tasks import fresh_cluster
-from repro.tasks.base import TaskRun
 from repro.tasks.dice.script import run_dice_script
 from repro.tasks.dice.workflow import run_dice_workflow
 from repro.tasks.gotta.script import run_gotta_script
@@ -43,10 +42,6 @@ from repro.tasks.wef.script import run_wef_script
 from repro.tasks.wef.workflow import run_wef_workflow
 
 __all__ = ["run_caching"]
-
-
-def _output_rows(run: TaskRun) -> List[Tuple]:
-    return sorted(tuple(row.values) for row in run.output.rows)
 
 
 def run_caching(
@@ -108,7 +103,7 @@ def run_caching(
                 f"{case}: warm run recorded no cache hits — the lineage "
                 "fingerprints of identical submissions diverged"
             )
-        if _output_rows(warm) != _output_rows(dormant):
+        if warm.output.multiset() != dormant.output.multiset():
             raise ExperimentError(
                 f"{case}: warm run produced different output than the "
                 "dormant run — a cache hit replayed the wrong result"

@@ -36,17 +36,12 @@ from repro.errors import ExperimentError, InsufficientResources
 from repro.experiments.harness import cached_kge_dataset
 from repro.metrics import ExperimentReport
 from repro.tasks import fresh_cluster
-from repro.tasks.base import TaskRun
 from repro.tasks.dice.script import run_dice_script
 from repro.tasks.gotta.script import run_gotta_script
 from repro.tasks.kge.script import run_kge_script
 from repro.tasks.wef.script import run_wef_script
 
 __all__ = ["run_memory", "shrunken_ram_bytes"]
-
-
-def _output_rows(run: TaskRun) -> List[Tuple]:
-    return sorted(tuple(row.values) for row in run.output.rows)
 
 
 def shrunken_ram_bytes(cluster) -> int:
@@ -124,7 +119,7 @@ def run_memory(
                 f"{task}: pressured run on {ram} bytes/node recorded no "
                 "spills — the clamp did not bite"
             )
-        if _output_rows(pressured) != _output_rows(clean):
+        if pressured.output.multiset() != clean.output.multiset():
             raise ExperimentError(
                 f"{task}: pressured run produced different output than the "
                 "clean run — spilling corrupted the result"

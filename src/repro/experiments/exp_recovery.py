@@ -19,22 +19,15 @@ times are virtual and, for a fixed seed, bit-reproducible.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.datasets import generate_fsqa, generate_maccrobat
 from repro.errors import FaultError
 from repro.faults import FaultSchedule, faults_injected
 from repro.metrics import ExperimentReport
 from repro.tasks import fresh_cluster
-from repro.tasks.base import TaskRun
 from repro.tasks.dice import run_dice_script, run_dice_workflow
 from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
 
 __all__ = ["run_recovery"]
-
-
-def _output_rows(run: TaskRun) -> List[Tuple]:
-    return sorted(tuple(row.values) for row in run.output.rows)
 
 
 def run_recovery(
@@ -96,7 +89,7 @@ def run_recovery(
         )
         with faults_injected(schedule) as injector:
             faulted = run_fn()
-        if _output_rows(faulted) != _output_rows(probe):
+        if faulted.output.multiset() != probe.output.multiset():
             raise FaultError(
                 f"{task}/{paradigm}: fault-injected run produced different "
                 "output than the clean run — recovery corrupted the result"

@@ -24,10 +24,11 @@ canary: every seed must produce identical rows too.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.errors import ExperimentError
 from repro.metrics import ExperimentReport
+from repro.paradigm import diff_rows, run_both
 
 __all__ = ["run_scenarios"]
 
@@ -37,7 +38,7 @@ def run_scenarios(
 ) -> ExperimentReport:
     """Per-family paradigm gap on generated workloads (E11)."""
     # Local import keeps repro.gen dormant for every other experiment.
-    from repro.gen import FAMILIES, run_family
+    from repro.gen import FAMILIES, family_spec
 
     report = ExperimentReport(
         "scenarios",
@@ -46,22 +47,19 @@ def run_scenarios(
         x_label="family",
     )
     for family in FAMILIES:
-        runs = {
-            paradigm: run_family(family, seed=0, scale=scale, paradigm=paradigm)
-            for paradigm in ("workflow", "script")
-        }
-        if runs["workflow"].rows != runs["script"].rows:
+        workflow, script = runs = run_both(family_spec(family, seed=0, scale=scale))
+        if workflow.rows != script.rows:
             raise ExperimentError(
                 f"{family}: paradigms disagree on the result rows "
-                f"({len(runs['workflow'].rows)} workflow vs "
-                f"{len(runs['script'].rows)} script)"
+                f"({len(workflow.rows)} workflow vs "
+                f"{len(script.rows)} script)"
             )
-        for paradigm, run in runs.items():
-            report.add(paradigm, family, run.elapsed_s)
-        gap = runs["workflow"].elapsed_s / runs["script"].elapsed_s
+        for run in runs:
+            report.add(run.paradigm, family, run.elapsed_s)
+        gap = workflow.elapsed_s / script.elapsed_s
         report.add("workflow/script ratio", family, gap, unit="x")
         report.notes.append(
-            f"{family}: {len(runs['workflow'].rows)} rows identical across "
+            f"{family}: {len(workflow.rows)} rows identical across "
             f"paradigms; gap {gap:.2f}x"
         )
     report.notes.append(
@@ -75,29 +73,14 @@ def run_scenarios(
 
 def _random_canary(seeds: Sequence[int]) -> str:
     """Run a few random DAGs through both paradigms; all must agree."""
-    from repro.cluster import build_cluster
     from repro.gen import random_spec
-    from repro.rayx.compile import compile_script_plan
-    from repro.sim import Environment
-    from repro.workflow import run_workflow
-    from repro.workflow.spec import WorkflowSpec, build_workflow
-
-    import repro.gen.operators  # noqa: F401  (registers custom types)
-
-    def multiset(table) -> Tuple[Tuple[str, ...], ...]:
-        return tuple(sorted(tuple(map(str, row.values)) for row in table))
 
     for seed in seeds:
-        spec = WorkflowSpec.from_json(random_spec(seed))
-        result = run_workflow(build_cluster(Environment()), build_workflow(spec))
-        tables = compile_script_plan(build_workflow(spec)).run(
-            cluster=build_cluster(Environment())
-        )
-        for sink_id, table in tables.items():
-            if multiset(result.results[sink_id]) != multiset(table):
+        for diff in diff_rows(*run_both(random_spec(seed))):
+            if not diff.identical:
                 raise ExperimentError(
                     f"random spec seed={seed}: paradigms disagree at "
-                    f"sink {sink_id!r}"
+                    f"sink {diff.sink_id!r}"
                 )
     return (
         f"random-DAG canary: {len(list(seeds))} seeded specs produced "

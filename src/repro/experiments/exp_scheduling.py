@@ -21,7 +21,7 @@ stays put once deployed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.datasets import generate_fsqa
 from repro.errors import ExperimentError
@@ -29,15 +29,10 @@ from repro.experiments.harness import cached_kge_dataset
 from repro.metrics import ExperimentReport
 from repro.sched import POLICIES, scheduling
 from repro.tasks import fresh_cluster
-from repro.tasks.base import TaskRun
 from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
 from repro.tasks.kge import run_kge_script, run_kge_workflow
 
 __all__ = ["run_scheduling"]
-
-
-def _output_rows(run: TaskRun) -> List[Tuple]:
-    return sorted(tuple(row.values) for row in run.output.rows)
 
 
 def run_scheduling(
@@ -86,7 +81,7 @@ def run_scheduling(
         for policy in policies:
             with scheduling(policy):
                 run = run_fn()
-            rows = _output_rows(run)
+            rows = run.output.multiset()
             if reference is None:
                 reference = rows
             elif rows != reference:

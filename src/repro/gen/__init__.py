@@ -12,8 +12,8 @@ compiles to *both* paradigms like any hand-written spec.
   ``smallsteps``, ``raster``) exercising paradigm differences the four
   paper tasks don't reach.
 * :mod:`operators` — the custom spec types the families reference
-  (``micro_batch_source``, ``raster_source``); importing this package
-  registers them.
+  (``micro_batch_source``, ``raster_source``); the operator registry
+  imports it the first time a spec names one.
 * :mod:`spec` — the ``repro gen`` CLI grammar.
 
 Dormant by default: nothing in the engines imports this package; it
@@ -23,7 +23,6 @@ E11, the property suites).
 
 from repro.gen.families import (
     FAMILIES,
-    FamilyRun,
     family_catalogue,
     family_spec,
     run_family,
@@ -34,7 +33,6 @@ from repro.gen.spec import GenRequest, describe_gen, parse_gen_spec
 __all__ = [
     "CATEGORIES",
     "FAMILIES",
-    "FamilyRun",
     "GenConfig",
     "GenRequest",
     "describe_gen",

@@ -36,17 +36,15 @@ multisets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
-import repro.gen.operators  # noqa: F401  (registers the custom types)
 from repro.errors import GenSpecError
 from repro.gen.generator import _records
+from repro.paradigm import PARADIGMS, SpecRun, run_spec
 from repro.workflow.spec.model import SPEC_VERSION
 
 __all__ = [
     "FAMILIES",
-    "FamilyRun",
     "family_catalogue",
     "family_spec",
     "run_family",
@@ -333,59 +331,15 @@ def family_catalogue() -> str:
     )
 
 
-@dataclass(frozen=True)
-class FamilyRun:
-    """One paradigm execution of one family document."""
-
-    family: str
-    paradigm: str
-    elapsed_s: float
-    #: Sorted multiset of stringified sink rows (paradigm-comparable).
-    rows: Tuple[Tuple[str, ...], ...]
-
-
-def _row_multiset(table) -> Tuple[Tuple[str, ...], ...]:
-    return tuple(sorted(tuple(map(str, row.values)) for row in table))
-
-
 def run_family(
     name: str,
     seed: int = 0,
     scale: float = 1.0,
     paradigm: str = "workflow",
     cluster=None,
-) -> FamilyRun:
+) -> SpecRun:
     """Run family ``name`` under one paradigm on a fresh (or given)
-    cluster; returns elapsed virtual time and the sink row multiset."""
-    from repro.cluster import build_cluster
-    from repro.sim import Environment
-    from repro.workflow import run_workflow
-    from repro.workflow.spec import build_workflow
-    from repro.workflow.spec.model import WorkflowSpec
-
-    doc = family_spec(name, seed=seed, scale=scale)
-    spec = WorkflowSpec.from_json(doc)
-    if paradigm == "workflow":
-        cluster = cluster or build_cluster(Environment())
-        result = run_workflow(cluster, build_workflow(spec))
-        return FamilyRun(
-            family=name,
-            paradigm=paradigm,
-            elapsed_s=result.elapsed_s,
-            rows=_row_multiset(result.table(SINK_ID)),
-        )
-    if paradigm == "script":
-        from repro.rayx.compile import compile_script_plan
-
-        cluster = cluster or build_cluster(Environment())
-        started = cluster.env.now
-        tables = compile_script_plan(spec).run(cluster=cluster)
-        return FamilyRun(
-            family=name,
-            paradigm=paradigm,
-            elapsed_s=cluster.env.now - started,
-            rows=_row_multiset(tables[SINK_ID]),
-        )
-    raise GenSpecError(
-        f"unknown paradigm {paradigm!r} (have: script, workflow)"
-    )
+    cluster; the run's ``rows`` are the sink row multiset."""
+    if paradigm not in PARADIGMS:
+        raise GenSpecError(f"unknown paradigm {paradigm!r} (have: script, workflow)")
+    return run_spec(family_spec(name, seed=seed, scale=scale), paradigm, cluster=cluster)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
+from typing import Tuple as PyTuple
 
 from repro.errors import SchemaError
 from repro.relational.schema import Field, FieldType, Schema
@@ -61,6 +62,12 @@ class Table:
             and self.schema == other.schema
             and self.rows == other.rows
         )
+
+    def multiset(self) -> List[PyTuple[str, ...]]:
+        """Rows as a sorted list of stringified value tuples: the one
+        definition of "same rows" — order-free, and total where raw
+        values are not (``None`` next to a number, ``any`` columns)."""
+        return sorted(tuple(map(str, row.values)) for row in self.rows)
 
     def is_empty(self) -> bool:
         return not self.rows

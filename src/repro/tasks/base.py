@@ -23,6 +23,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.cluster import Cluster, build_cluster
 from repro.config import ReproConfig, default_config
 from repro.obs.tracer import Tracer
+from repro.paradigm import PARADIGM_SCRIPT, PARADIGM_WORKFLOW
 from repro.relational import Table
 from repro.sim import Environment
 from repro.workflow.spec import WorkflowSpec, read_spec
@@ -54,9 +55,6 @@ def task_spec(
     if path.is_file():
         return read_spec(path)
     return WorkflowSpec.from_json(fallback())
-
-PARADIGM_SCRIPT = "script"
-PARADIGM_WORKFLOW = "workflow"
 
 
 @dataclass

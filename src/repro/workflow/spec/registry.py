@@ -5,7 +5,9 @@ Maps the grammar's operator types onto the existing
 maps palette entries onto operator implementations.  Task packages may
 register their own types (the KGE stage operator and the WEF ensemble
 trainer do) so domain operators are spec-addressable without living in
-the core palette.
+the core palette; the types this repository ships outside the palette
+are listed in ``_ON_DEMAND`` and load on first use, so no caller has to
+import their module for its side effect.
 
 A factory is called as ``factory(operator_id, **config)`` with the
 config already resolved by the loader; generic keys (``language``,
@@ -14,6 +16,7 @@ config already resolved by the loader; generic keys (``language``,
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, Dict, List
 
 from repro.errors import WorkflowSpecError
@@ -51,6 +54,15 @@ OperatorFactory = Callable[..., LogicalOperator]
 
 _REGISTRY: Dict[str, OperatorFactory] = {}
 
+#: Type name -> module that registers it when imported, so the task
+#: packages and ``repro.gen`` load only when a spec names their operator.
+_ON_DEMAND: Dict[str, str] = {
+    "kge_stage": "repro.tasks.kge.workflow",
+    "wef_ensemble_train": "repro.tasks.wef.workflow",
+    "micro_batch_source": "repro.gen.operators",
+    "raster_source": "repro.gen.operators",
+}
+
 
 def register_operator_type(
     name: str, factory: OperatorFactory, replace: bool = False
@@ -67,6 +79,8 @@ def register_operator_type(
 
 def operator_factory(name: str) -> OperatorFactory:
     """Look up a registered factory; unknown types name the catalogue."""
+    if name not in _REGISTRY and name in _ON_DEMAND:
+        import_module(_ON_DEMAND[name])
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -77,8 +91,8 @@ def operator_factory(name: str) -> OperatorFactory:
 
 
 def operator_types() -> List[str]:
-    """Sorted names of every registered operator type."""
-    return sorted(_REGISTRY)
+    """Sorted names of every operator type a spec may use."""
+    return sorted(_REGISTRY.keys() | _ON_DEMAND.keys())
 
 
 def _group_by(operator_id: str, aggregation, **config) -> GroupByOperator:

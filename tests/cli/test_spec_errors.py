@@ -8,9 +8,15 @@ the user gets exit code 2 plus the spec grammar (or the policy
 catalogue) so the fix is on screen.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from repro.cache import current_cache
 from repro.cli import FAULT_SPEC_HINT, SUBCOMMANDS, main
+from repro.faults import current_injector
+from repro.mem import current_memory_config
 
 #: The table rows whose flag resolves a value before anything runs.
 LAYERS = [sub for sub in SUBCOMMANDS.values() if sub.parse is not None]
@@ -51,6 +57,12 @@ GOOD_SPECS = [
 ]
 
 
+#: What a layer flag may sit next to instead of experiment names: the
+#: spec runner and the subcommands that execute something.
+DEMO = Path(__file__).resolve().parents[2] / "examples" / "workflows" / "demo.json"
+RUN_TARGETS = [("--workflow", str(DEMO)), ("gen", "count=1"), ("jobs", "on,horizon=2")]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -83,6 +95,42 @@ def test_bad_option_spec_exits_2_with_grammar(capsys, option, spec, hint):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", RUN_TARGETS, ids=lambda target: target[0])
+@pytest.mark.parametrize("sub", LAYERS, ids=lambda sub: sub.flag)
+def test_bad_option_next_to_a_run_target_exits_2_before_it_runs(capsys, sub, target):
+    """Used to be dropped unread: ``--workflow FILE --mem banana`` ran
+    the file and exited 0."""
+    option, spec = f"--{sub.flag}", BAD_SPECS[sub.name][0]
+    code, out, err = run_cli(capsys, *target, option, spec)
+    assert code == 2
+    assert out == ""
+    assert f"repro: {option}:" in err
+    assert sub.help_text in err
+
+
+def test_layer_flags_are_installed_while_a_subcommand_runs(capsys, monkeypatch):
+    seen = {}
+
+    def spy(spec):
+        seen.update(
+            cache=current_cache(),
+            memory=current_memory_config(),
+            injector=current_injector(),
+        )
+        return 0
+
+    monkeypatch.setitem(SUBCOMMANDS, "gen", replace(SUBCOMMANDS["gen"], handler=spy))
+    code, out, err = run_cli(
+        capsys, "gen", "count=1",
+        "--cache", "on", "--mem", "on,ram=2gib", "--faults", "seed=1,tasks=1",
+    )
+    assert (code, err) == (0, "")
+    assert seen["cache"] is not None and seen["cache"] is not current_cache()
+    assert seen["memory"].enabled
+    assert seen["injector"].schedule.seed == 1
+    assert current_memory_config() is None  # scopes closed on the way out
+
+
 def test_unknown_scheduler_exits_2_with_catalogue(capsys):
     code, out, err = run_cli(capsys, "--scheduler", "banana", "fig13d")
     assert code == 2
@@ -108,6 +156,18 @@ def test_bad_subcommand_spec_exits_2_with_grammar(capsys, subcommand, spec, hint
     assert code == 2
     assert f"repro: {subcommand}:" in err
     assert hint in err
+
+
+@pytest.mark.parametrize(
+    "sub", [sub for sub in LAYERS if sub.arity != "none"], ids=lambda sub: sub.name
+)
+def test_a_bare_subcommand_reads_its_own_flag_as_its_spec(capsys, sub):
+    """``repro mem --mem SPEC`` inspects SPEC; a bad one is the
+    subcommand's error, not the option's."""
+    code, out, err = run_cli(capsys, sub.name, f"--{sub.flag}", BAD_SPECS[sub.name][0])
+    assert code == 2
+    assert f"repro: {sub.name}:" in err
+    assert f"--{sub.flag}:" not in err.splitlines()[0]
 
 
 def test_faults_json_file_with_bad_json_exits_2(tmp_path, capsys):

@@ -108,6 +108,24 @@ def test_workflow_flag_runs_both_paradigms_and_diffs_rows(capsys):
     assert "MISMATCH" not in out
 
 
+def test_workflow_flag_runs_under_layer_flags_and_reaches_the_run_tail(
+    capsys, tmp_path
+):
+    """``--workflow`` used to return before the layer flags were even
+    parsed: no trace file, no summaries, nothing installed."""
+    trace = tmp_path / "trace.json"
+    code, out, err = run_cli(
+        capsys, "--workflow", str(EXAMPLES / "demo.json"),
+        "--trace", str(trace), "--faults", "seed=1,tasks=2", "--cache", "on",
+    )
+    assert (code, err) == (0, "")
+    assert "-- identical" in out
+    assert "rayx.task" in out  # the per-run breakdown
+    assert "faults: " in out and "cache: 0 hits, " in out
+    events = json.loads(trace.read_text(encoding="utf-8"))["traceEvents"]
+    assert any(event.get("cat") == "workflow.operator" for event in events)
+
+
 def test_workflow_flag_rejects_param_bound_specs(capsys):
     code, out, err = run_cli(capsys, "--workflow", str(EXAMPLES / "kge.json"))
     assert code == 2

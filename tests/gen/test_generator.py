@@ -8,17 +8,10 @@ multisets — the same contract the ``cli-smoke`` CI job's
 
 import pytest
 
-from repro.cluster import build_cluster
 from repro.errors import GenSpecError
 from repro.gen import GenConfig, generate_spec, random_spec
-from repro.rayx import compile_script_plan
-from repro.sim import Environment
-from repro.workflow import run_workflow
-from repro.workflow.spec import WorkflowSpec, build_workflow
-
-
-def rows_of(table):
-    return sorted(tuple(map(str, row.values)) for row in table)
+from repro.paradigm import run_both
+from repro.workflow.spec import WorkflowSpec
 
 
 def test_same_seed_same_document():
@@ -68,17 +61,8 @@ def test_bad_knobs_raise_gen_spec_error(bad):
 def test_twenty_five_seeds_validate_compile_and_row_agree():
     """The acceptance sweep: every seed, both paradigms, identical rows."""
     for seed in range(25):
-        spec = WorkflowSpec.from_json(random_spec(seed))
-        workflow_rows = rows_of(
-            run_workflow(
-                build_cluster(Environment()), build_workflow(spec)
-            ).table()
-        )
-        tables = compile_script_plan(build_workflow(spec)).run(
-            cluster=build_cluster(Environment())
-        )
-        (script_rows,) = [rows_of(table) for table in tables.values()]
-        assert script_rows == workflow_rows, f"seed {seed} disagrees"
+        workflow, script = run_both(random_spec(seed))
+        assert script.rows == workflow.rows, f"seed {seed} disagrees"
 
 
 def test_generated_documents_serialize_strictly():

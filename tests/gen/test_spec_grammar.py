@@ -1,13 +1,35 @@
 """The ``repro gen`` spec grammar: parsing, defaults, errors."""
 
+import re
+
 import pytest
 
+from repro.cli import GEN_SPEC_HELP
 from repro.errors import GenSpecError
 from repro.gen import GenConfig, GenRequest, describe_gen, parse_gen_spec
 
 
 def test_empty_spec_is_all_defaults():
     assert parse_gen_spec("") == GenRequest()
+
+
+#: ``key=... (default X)`` lines of the help block, as ``key=X`` specs.
+STATED_DEFAULTS = [
+    f"{key}={value}"
+    for key, value in re.findall(
+        r"^  (\w+)=.*\(default ([^):]+)\)$", GEN_SPEC_HELP, re.MULTILINE
+    )
+]
+
+
+@pytest.mark.parametrize("spec", STATED_DEFAULTS)
+def test_help_states_the_defaults_the_request_has(spec):
+    """Setting a key to the default its help line states changes nothing."""
+    assert parse_gen_spec(spec) == GenRequest()
+
+
+def test_the_help_states_nine_defaults():
+    assert len(STATED_DEFAULTS) == 9
 
 
 def test_full_spec_round_trips_every_field():

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.gen import GenConfig, generate_spec, random_spec
-from repro.rayx import compile_script_plan
+from repro.paradigm import run_both
 from repro.sim import Environment
 from repro.workflow import run_workflow
 from repro.workflow.optimize import optimize_workflow
@@ -41,13 +41,9 @@ KNOBS = st.fixed_dictionaries(
 )
 
 
-def rows_of(table):
-    return sorted(tuple(map(str, row.values)) for row in table)
-
-
 def engine_rows(workflow):
     result = run_workflow(build_cluster(Environment()), workflow)
-    return rows_of(result.table())
+    return result.table().multiset()
 
 
 @given(seed=SEEDS)
@@ -83,12 +79,8 @@ def test_optimizer_preserves_rows(seed):
 @given(seed=SEEDS)
 @settings(max_examples=8, deadline=None)
 def test_both_paradigms_collect_identical_rows(seed):
-    doc = random_spec(seed)
-    spec = WorkflowSpec.from_json(doc)
-    baseline = engine_rows(build_workflow(spec))
-    tables = compile_script_plan(spec).run()
-    (sink_rows,) = [rows_of(table) for table in tables.values()]
-    assert sink_rows == baseline
+    workflow, script = run_both(random_spec(seed))
+    assert script.rows == workflow.rows
 
 
 @given(seed=SEEDS, fault_seed=st.integers(min_value=0, max_value=99))

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.errors import InvalidWorkflow, WorkflowSpecError
+from repro.paradigm import run_both
 from repro.rayx import ScriptPlan, compile_script_plan
 from repro.relational import FieldType, Schema, Table
 from repro.sim import Environment
@@ -22,7 +23,7 @@ from repro.workflow.operators import (
     TableSource,
 )
 from repro.workflow.optimize import optimize_workflow
-from repro.workflow.spec import WorkflowSpec, build_workflow
+from repro.workflow.spec import WorkflowSpec
 from repro.relational import column_greater
 
 SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
@@ -61,10 +62,6 @@ def bindings(rows=120):
     return {"rows": Table.from_rows(SCHEMA, [[i, i / 40] for i in range(rows)])}
 
 
-def rows_of(table):
-    return sorted(tuple(map(str, row.values)) for row in table)
-
-
 def test_plan_lists_one_task_per_operator_worker():
     plan = compile_script_plan(WorkflowSpec.from_json(spec_doc()), bindings())
     assert isinstance(plan, ScriptPlan)
@@ -77,14 +74,10 @@ def test_plan_lists_one_task_per_operator_worker():
 
 
 def test_script_rows_match_engine_rows():
-    spec = WorkflowSpec.from_json(spec_doc())
-    engine = run_workflow(
-        build_cluster(Environment()), build_workflow(spec, bindings())
-    )
-    script_cluster = build_cluster(Environment())
-    tables = compile_script_plan(spec, bindings()).run(cluster=script_cluster)
-    assert rows_of(tables["view"]) == rows_of(engine.table())
-    assert script_cluster.env.now > 0
+    workflow, script = run_both(spec_doc(), bindings())
+    assert script.rows == workflow.rows
+    assert len(workflow.rows) > 0
+    assert script.elapsed_s > 0
 
 
 def test_hash_partitioned_join_matches_engine():
@@ -107,8 +100,8 @@ def test_hash_partitioned_join_matches_engine():
 
     engine = run_workflow(build_cluster(Environment()), make())
     tables = compile_script_plan(make()).run()
-    assert rows_of(tables["out"]) == rows_of(engine.table())
-    assert len(rows_of(tables["out"])) == 30
+    assert tables["out"].multiset() == engine.table().multiset()
+    assert len(tables["out"]) == 30
 
 
 def test_optimized_workflow_compiles_to_fewer_tasks():
@@ -133,7 +126,7 @@ def test_optimized_workflow_compiles_to_fewer_tasks():
     fused = compile_script_plan(optimize_workflow(wf2))
 
     assert fused.num_tasks < plain.num_tasks
-    assert rows_of(plain.run()["view"]) == rows_of(fused.run()["view"])
+    assert plain.run()["view"].multiset() == fused.run()["view"].multiset()
 
 
 def test_compile_validates_like_the_gui():

@@ -13,13 +13,9 @@ from repro.tasks.dice import (
 REPORTS = generate_maccrobat(num_docs=12, seed=7)
 
 
-def row_set(table):
-    return sorted(tuple(map(str, row.values)) for row in table)
-
-
 @pytest.fixture(scope="module")
 def oracle():
-    return row_set(reference_dice(REPORTS))
+    return reference_dice(REPORTS).multiset()
 
 
 def test_reference_has_expected_shape(oracle):
@@ -49,20 +45,20 @@ def test_filter_drops_modifier_events():
 
 def test_script_matches_oracle(oracle):
     run = run_dice_script(fresh_cluster(), REPORTS)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
     assert run.paradigm == "script"
     assert run.elapsed_s > 0
 
 
 def test_workflow_matches_oracle(oracle):
     run = run_dice_workflow(fresh_cluster(), REPORTS)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
     assert run.paradigm == "workflow"
 
 
 def test_relational_workflow_matches_oracle(oracle):
     run = run_dice_workflow(fresh_cluster(), REPORTS, style="relational")
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
 
 
 def test_unknown_style_rejected():
@@ -72,12 +68,12 @@ def test_unknown_style_rejected():
 
 def test_multiworker_script_matches_oracle(oracle):
     run = run_dice_script(fresh_cluster(), REPORTS, num_cpus=3)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
 
 
 def test_multiworker_workflow_matches_oracle(oracle):
     run = run_dice_workflow(fresh_cluster(), REPORTS, num_workers=2)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
 
 
 def test_workflow_beats_script_at_scale():

@@ -14,13 +14,9 @@ from repro.tasks.gotta import (
 PARAGRAPHS = generate_fsqa(num_paragraphs=4, seed=17)
 
 
-def row_set(table):
-    return sorted(tuple(map(str, row.values)) for row in table)
-
-
 @pytest.fixture(scope="module")
 def oracle():
-    return row_set(reference_gotta(PARAGRAPHS))
+    return reference_gotta(PARAGRAPHS).multiset()
 
 
 def test_reference_exact_match_is_perfect():
@@ -29,13 +25,13 @@ def test_reference_exact_match_is_perfect():
 
 def test_script_matches_oracle(oracle):
     run = run_gotta_script(fresh_cluster(), PARAGRAPHS)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
     assert run.extras["exact_match"] == 1.0
 
 
 def test_workflow_matches_oracle(oracle):
     run = run_gotta_workflow(fresh_cluster(), PARAGRAPHS)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
     assert run.extras["exact_match"] == 1.0
 
 
@@ -71,8 +67,8 @@ def test_script_gap_narrows_with_workers():
 def test_multiworker_outputs_unchanged(oracle):
     script = run_gotta_script(fresh_cluster(), PARAGRAPHS, num_cpus=4)
     workflow = run_gotta_workflow(fresh_cluster(), PARAGRAPHS, num_workers=4)
-    assert row_set(script.output) == oracle
-    assert row_set(workflow.output) == oracle
+    assert script.output.multiset() == oracle
+    assert workflow.output.multiset() == oracle
 
 
 def test_sublinear_growth_from_model_fixed_costs():

@@ -17,13 +17,9 @@ from repro.tasks.kge import (
 DATASET = make_kge_dataset(num_candidates=800, universe_size=3000)
 
 
-def row_set(table):
-    return sorted(tuple(map(str, row.values)) for row in table)
-
-
 @pytest.fixture(scope="module")
 def oracle():
-    return row_set(reference_kge(DATASET))
+    return reference_kge(DATASET).multiset()
 
 
 def test_reference_shape(oracle):
@@ -44,18 +40,18 @@ def test_reverse_lookup_recovers_products():
 
 def test_script_matches_oracle(oracle):
     run = run_kge_script(fresh_cluster(), DATASET)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
 
 
 def test_workflow_matches_oracle(oracle):
     run = run_kge_workflow(fresh_cluster(), DATASET)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
 
 
 @pytest.mark.parametrize("k", sorted(STAGE_FUSIONS))
 def test_every_fusion_level_matches_oracle(k, oracle):
     run = run_kge_workflow(fresh_cluster(), DATASET, num_processing_ops=k)
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
     assert run.extras["num_processing_ops"] == k
 
 
@@ -63,7 +59,7 @@ def test_scala_variant_matches_oracle(oracle):
     run = run_kge_workflow(
         fresh_cluster(), DATASET, num_processing_ops=3, join_language="scala"
     )
-    assert row_set(run.output) == oracle
+    assert run.output.multiset() == oracle
     # 9 scala ops replace 1 python op: 3 + 9 - 1 processing, + src/sink.
     assert run.extras["num_operators"] == 2 + 2 + 9
 
@@ -131,8 +127,8 @@ def test_scala_advantage_shrinks_with_scale():
 def test_multiworker_matches_oracle(oracle):
     script = run_kge_script(fresh_cluster(), DATASET, num_cpus=4)
     workflow = run_kge_workflow(fresh_cluster(), DATASET, num_workers=4)
-    assert row_set(script.output) == oracle
-    assert row_set(workflow.output) == oracle
+    assert script.output.multiset() == oracle
+    assert workflow.output.multiset() == oracle
 
 
 def test_workers_scale_both_paradigms():

@@ -1,8 +1,15 @@
 """The shared layer scaffolding: ``repro.layer.Grammar`` and ``Slot``."""
 
+import re
+
 import pytest
 
+from repro.cache.spec import CACHE_GRAMMAR
+from repro.config import CacheConfig, ElasticConfig, JobsConfig, MemoryConfig
+from repro.elastic.spec import ELASTIC_GRAMMAR
+from repro.jobs.spec import JOBS_GRAMMAR
 from repro.layer import Field, Grammar, Slot, choice, finite, on_off, size
+from repro.mem.spec import MEM_GRAMMAR
 
 
 class ToySpecError(Exception):
@@ -109,6 +116,35 @@ def test_help_is_rendered_from_the_same_table():
     # every visible key the help names is one the parser accepts
     for field in TOY.fields:
         assert (f"  {field.key}=" in TOY.help()) == bool(field.metavar)
+
+
+#: ``(default X)`` in a help line; the colon form ``(default: memory
+#: policy's)`` is prose and does not match.
+STATED_DEFAULT = re.compile(r"\(default ([^)]+)\)")
+
+STATED_DEFAULTS = [
+    pytest.param(field, config, id=f"{grammar.noun}-{field.key}")
+    for grammar, config in (
+        (MEM_GRAMMAR, MemoryConfig),
+        (CACHE_GRAMMAR, CacheConfig),
+        (JOBS_GRAMMAR, JobsConfig),
+        (ELASTIC_GRAMMAR, ElasticConfig),
+    )
+    for field in grammar.fields
+    if STATED_DEFAULT.search(field.help)
+]
+
+
+@pytest.mark.parametrize("field, config", STATED_DEFAULTS)
+def test_help_states_the_default_the_config_dataclass_has(field, config):
+    """The help lines restate the dataclass defaults by hand; this is
+    what keeps the two from drifting."""
+    (stated,) = STATED_DEFAULT.findall(field.help)
+    assert field.convert(stated) == getattr(config(), field.attr)
+
+
+def test_the_stated_defaults_are_actually_being_checked():
+    assert len(STATED_DEFAULTS) >= 30
 
 
 # -- Slot ---------------------------------------------------------------------
