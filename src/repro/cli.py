@@ -141,23 +141,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
-from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.exp_language import run_table1
-from repro.experiments.exp_modularity import run_fig12a, run_fig12b
-from repro.experiments.exp_scaling import (
-    run_fig13a,
-    run_fig13b,
-    run_fig13c,
-    run_fig13d,
-)
-from repro.experiments.exp_caching import run_caching
-from repro.experiments.exp_elastic import run_elasticity
-from repro.experiments.exp_fairshare import run_fairshare
-from repro.experiments.exp_memory import run_memory
-from repro.experiments.exp_recovery import run_recovery
-from repro.experiments.exp_scenarios import run_scenarios
-from repro.experiments.exp_scheduling import run_scheduling
-from repro.experiments.exp_workers import run_fig14a, run_fig14b, run_fig14c
+from repro.experiments import ALL_EXPERIMENTS, QUICK_EXPERIMENTS
 from repro.cache import ResultCache, cached, describe_cache, parse_cache_spec
 from repro.cache.spec import CACHE_GRAMMAR
 from repro.config import CacheConfig, ElasticConfig, JobsConfig, MemoryConfig
@@ -185,39 +169,6 @@ from repro.paradigm import diff_rows, run_both
 from repro.sched import policy_catalogue, scheduling, valid_policy
 
 __all__ = ["main", "QUICK_EXPERIMENTS"]
-
-#: Reduced-scale variants (seconds instead of minutes).
-QUICK_EXPERIMENTS = {
-    "fig12a": run_fig12a,
-    "fig12b": lambda: run_fig12b(num_candidates=1500, universe_size=4000),
-    "table1": lambda: run_table1(sizes=(1500, 4000), universe_size=4000),
-    "fig13a": lambda: run_fig13a(sizes=(10, 40)),
-    "fig13b": lambda: run_fig13b(sizes=(50, 100)),
-    "fig13c": lambda: run_fig13c(sizes=(1500, 4000), universe_size=4000),
-    "fig13d": lambda: run_fig13d(sizes=(1, 4)),
-    "fig14a": lambda: run_fig14a(num_docs=40),
-    "fig14b": run_fig14b,
-    "fig14c": lambda: run_fig14c(num_candidates=4000, universe_size=4000),
-    "recovery": lambda: run_recovery(num_docs=40, num_paragraphs=1),
-    "scheduling": lambda: run_scheduling(
-        num_candidates=1500, universe_size=4000, num_paragraphs=1
-    ),
-    "memory": lambda: run_memory(
-        num_docs=40, num_paragraphs=1, num_candidates=1500,
-        universe_size=4000, num_tweets=40,
-    ),
-    "caching": lambda: run_caching(
-        num_docs=40, num_paragraphs=1, num_candidates=1500,
-        universe_size=4000, num_tweets=40,
-    ),
-    "fairshare": lambda: run_fairshare(
-        horizon_s=12.0, heavy_rate=14.0, light_rate=2.0
-    ),
-    "elasticity": lambda: run_elasticity(
-        flood_s=6.0, tail_s=25.0, heavy_rate=12.0, light_rate=2.0
-    ),
-    "scenarios": lambda: run_scenarios(scale=0.5, seeds=(0,)),
-}
 
 #: Shown by the bare ``mem`` / ``cache`` / ``jobs`` / ``elastic``
 #: subcommands alongside the default policy, and appended to their spec

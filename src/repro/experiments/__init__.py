@@ -1,26 +1,16 @@
 """Reproductions of every table and figure in the paper's evaluation.
 
-==========  ==========================================  ======================
-Experiment  Paper artifact                              Entry point
-==========  ==========================================  ======================
-E1a         Fig 12a (lines of code)                     :func:`run_fig12a`
-E1b         Fig 12b (KGE time vs #operators)            :func:`run_fig12b`
-E2          Table I (Scala vs Python operators)         :func:`run_table1`
-E3a-d       Fig 13a-d (scaling dataset size)            :func:`run_fig13a` ...
-E4a-c       Fig 14a-c (number of workers)               :func:`run_fig14a` ...
-E5          Recovery under injected faults (extension)  :func:`run_recovery`
-E6          Placement-policy comparison (extension)     :func:`run_scheduling`
-E7          Memory pressure: spill vs die (extension)   :func:`run_memory`
-E8          Result caching: cold vs warm (extension)    :func:`run_caching`
-E9          Fair-share admission: FIFO vs DRF (ext.)    :func:`run_fairshare`
-E10         Elastic autoscaling: cost vs latency (ext.) :func:`run_elasticity`
-E11         Generated-workload scenarios (extension)    :func:`run_scenarios`
-==========  ==========================================  ======================
+:data:`EXPERIMENTS` is the one table of them: id, paper artifact, entry
+point and the keyword arguments ``--quick`` runs it with.
+:data:`ALL_EXPERIMENTS`, :data:`QUICK_EXPERIMENTS` and everything the
+CLI lists or rejects are derived from it.  Each entry point returns an
+:class:`repro.metrics.ExperimentReport` holding the measured values
+side by side with the paper's, rendered by ``report.to_text()``.
 
-Each returns an :class:`repro.metrics.ExperimentReport` holding the
-measured values side by side with the paper's, rendered by
-``report.to_text()``.
 """
+
+from functools import partial
+from typing import Any, Callable, Dict, NamedTuple
 
 from repro.experiments.exp_caching import run_caching
 from repro.experiments.exp_elastic import run_elasticity
@@ -38,43 +28,69 @@ from repro.experiments.exp_scaling import (
     run_fig13d,
 )
 from repro.experiments.exp_workers import run_fig14a, run_fig14b, run_fig14c
+from repro.metrics import ExperimentReport
 
-__all__ = [
-    "run_table1",
-    "run_fig12a",
-    "run_fig12b",
-    "run_fig13a",
-    "run_fig13b",
-    "run_fig13c",
-    "run_fig13d",
-    "run_fig14a",
-    "run_fig14b",
-    "run_fig14c",
-    "run_recovery",
-    "run_scheduling",
-    "run_memory",
-    "run_caching",
-    "run_fairshare",
-    "run_elasticity",
-    "run_scenarios",
-]
 
-ALL_EXPERIMENTS = {
-    "fig12a": run_fig12a,
-    "fig12b": run_fig12b,
-    "table1": run_table1,
-    "fig13a": run_fig13a,
-    "fig13b": run_fig13b,
-    "fig13c": run_fig13c,
-    "fig13d": run_fig13d,
-    "fig14a": run_fig14a,
-    "fig14b": run_fig14b,
-    "fig14c": run_fig14c,
-    "recovery": run_recovery,
-    "scheduling": run_scheduling,
-    "memory": run_memory,
-    "caching": run_caching,
-    "fairshare": run_fairshare,
-    "elasticity": run_elasticity,
-    "scenarios": run_scenarios,
-}
+class Experiment(NamedTuple):
+    """One row of :data:`EXPERIMENTS`."""
+
+    id: str
+    label: str
+    artifact: str
+    run: Callable[..., ExperimentReport]
+    #: Reduced-scale keyword arguments (seconds instead of minutes).
+    quick: Dict[str, Any]
+
+
+EXPERIMENTS = (
+    Experiment("fig12a", "E1a", "Fig 12a (lines of code)", run_fig12a, {}),
+    Experiment("fig12b", "E1b", "Fig 12b (KGE time vs #operators)", run_fig12b,
+               dict(num_candidates=1500, universe_size=4000)),
+    Experiment("table1", "E2", "Table I (Scala vs Python operators)", run_table1,
+               dict(sizes=(1500, 4000), universe_size=4000)),
+    Experiment("fig13a", "E3a", "Fig 13a (DICE vs dataset size)", run_fig13a,
+               dict(sizes=(10, 40))),
+    Experiment("fig13b", "E3b", "Fig 13b (WEF vs dataset size)", run_fig13b,
+               dict(sizes=(50, 100))),
+    Experiment("fig13c", "E3c", "Fig 13c (KGE vs dataset size)", run_fig13c,
+               dict(sizes=(1500, 4000), universe_size=4000)),
+    Experiment("fig13d", "E3d", "Fig 13d (GOTTA vs dataset size)", run_fig13d,
+               dict(sizes=(1, 4))),
+    Experiment("fig14a", "E4a", "Fig 14a (DICE vs #workers)", run_fig14a,
+               dict(num_docs=40)),
+    Experiment("fig14b", "E4b", "Fig 14b (GOTTA vs #workers)", run_fig14b, {}),
+    Experiment("fig14c", "E4c", "Fig 14c (KGE vs #workers)", run_fig14c,
+               dict(num_candidates=4000, universe_size=4000)),
+    Experiment("recovery", "E5", "Recovery under injected faults (extension)",
+               run_recovery, dict(num_docs=40, num_paragraphs=1)),
+    Experiment("scheduling", "E6", "Placement-policy comparison (extension)",
+               run_scheduling,
+               dict(num_candidates=1500, universe_size=4000, num_paragraphs=1)),
+    Experiment("memory", "E7", "Memory pressure: spill vs die (extension)",
+               run_memory,
+               dict(num_docs=40, num_paragraphs=1, num_candidates=1500,
+                    universe_size=4000, num_tweets=40)),
+    Experiment("caching", "E8", "Result caching: cold vs warm (extension)",
+               run_caching,
+               dict(num_docs=40, num_paragraphs=1, num_candidates=1500,
+                    universe_size=4000, num_tweets=40)),
+    Experiment("fairshare", "E9", "Fair-share admission: FIFO vs DRF (ext.)",
+               run_fairshare, dict(horizon_s=12.0, heavy_rate=14.0, light_rate=2.0)),
+    Experiment("elasticity", "E10", "Elastic autoscaling: cost vs latency (ext.)",
+               run_elasticity,
+               dict(flood_s=6.0, tail_s=25.0, heavy_rate=12.0, light_rate=2.0)),
+    Experiment("scenarios", "E11", "Generated-workload scenarios (extension)",
+               run_scenarios, dict(scale=0.5, seeds=(0,))),
+)
+
+#: id -> entry point, taking that experiment's keyword arguments.
+ALL_EXPERIMENTS = {exp.id: exp.run for exp in EXPERIMENTS}
+#: id -> zero-argument reduced-scale variant (what ``--quick`` runs).
+QUICK_EXPERIMENTS = {exp.id: partial(exp.run, **exp.quick) for exp in EXPERIMENTS}
+
+__all__ = ["EXPERIMENTS", "ALL_EXPERIMENTS", "QUICK_EXPERIMENTS", "Experiment"]
+__all__ += [exp.run.__name__ for exp in EXPERIMENTS]
+
+__doc__ = (__doc__ or "") + "\n".join(
+    f"{exp.label:<5}{exp.artifact:<45}:func:`{exp.run.__name__}`" for exp in EXPERIMENTS
+)

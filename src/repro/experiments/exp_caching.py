@@ -24,24 +24,28 @@ the *end* of a pipeline whose *start* has not changed.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from functools import partial
 
 from repro.cache import ResultCache, cached
-from repro.datasets import generate_fsqa, generate_maccrobat, generate_wildfire_tweets
 from repro.errors import ExperimentError
-from repro.experiments.harness import cached_kge_dataset
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.dice.script import run_dice_script
-from repro.tasks.dice.workflow import run_dice_workflow
-from repro.tasks.gotta.script import run_gotta_script
-from repro.tasks.gotta.workflow import run_gotta_workflow
-from repro.tasks.kge.script import run_kge_script
-from repro.tasks.kge.workflow import run_kge_workflow
-from repro.tasks.wef.script import run_wef_script
-from repro.tasks.wef.workflow import run_wef_workflow
+from repro.tasks import TASKS
 
 __all__ = ["run_caching"]
+
+#: (task, paradigm, workers).  ``kge/workflow`` and ``wef/workflow``
+#: run at their default single worker (WEF's workflow has no knob);
+#: the other six run 4-way.
+CASES = (
+    ("dice", "script", 4),
+    ("dice", "workflow", 4),
+    ("gotta", "script", 4),
+    ("gotta", "workflow", 4),
+    ("kge", "script", 4),
+    ("kge", "workflow", 1),
+    ("wef", "script", 4),
+    ("wef", "workflow", 1),
+)
 
 
 def run_caching(
@@ -64,30 +68,20 @@ def run_caching(
         "pipeline replays memoized work at lookup cost",
         x_label="task/paradigm",
     )
-    reports = generate_maccrobat(num_docs=num_docs, seed=7)
-    paragraphs = generate_fsqa(num_paragraphs=num_paragraphs, seed=17)
-    dataset = cached_kge_dataset(num_candidates, universe_size=universe_size)
-    tweets = generate_wildfire_tweets(num_tweets, seed=11)
-
-    cases: List[Tuple[str, Callable]] = [
-        ("dice/script", lambda cl: run_dice_script(cl, reports, num_cpus=4)),
-        ("dice/workflow", lambda cl: run_dice_workflow(cl, reports, num_workers=4)),
-        ("gotta/script", lambda cl: run_gotta_script(cl, paragraphs, num_cpus=4)),
-        (
-            "gotta/workflow",
-            lambda cl: run_gotta_workflow(cl, paragraphs, num_workers=4),
-        ),
-        ("kge/script", lambda cl: run_kge_script(cl, dataset, num_cpus=4)),
-        ("kge/workflow", lambda cl: run_kge_workflow(cl, dataset)),
-        ("wef/script", lambda cl: run_wef_script(cl, tweets, num_cpus=4)),
-        ("wef/workflow", lambda cl: run_wef_workflow(cl, tweets)),
-    ]
-    for case, run_fn in cases:
-        dormant = run_fn(fresh_cluster())
+    data = {
+        "dice": TASKS["dice"].dataset(num_docs),
+        "gotta": TASKS["gotta"].dataset(num_paragraphs),
+        "kge": TASKS["kge"].dataset(num_candidates, universe_size),
+        "wef": TASKS["wef"].dataset(num_tweets),
+    }
+    for task, paradigm, workers in CASES:
+        case = f"{task}/{paradigm}"
+        run_fn = partial(TASKS[task].run, paradigm, data[task], workers=workers)
+        dormant = run_fn()
         cache = ResultCache("on")
         with cached(cache):
-            cold = run_fn(fresh_cluster())
-            warm = run_fn(fresh_cluster())
+            cold = run_fn()
+            warm = run_fn()
         if cold.elapsed_s != dormant.elapsed_s:
             raise ExperimentError(
                 f"{case}: cold cached run took {cold.elapsed_s}s, dormant "

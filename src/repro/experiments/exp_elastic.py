@@ -34,7 +34,7 @@ from repro.jobs import JobService
 from repro.metrics import ExperimentReport
 from repro.sim import Environment
 
-__all__ = ["run_elasticity", "run_scenarios", "ELASTIC_POLICY"]
+__all__ = ["run_elasticity", "replay_static_and_elastic", "ELASTIC_POLICY"]
 
 #: The autoscaler policy under test: aggressive enough to absorb the
 #: flood (2 nodes per decision, short cooldown), eager enough on the
@@ -58,7 +58,7 @@ def _make_cluster(num_workers: int):
     return build_cluster(Environment(), config=config)
 
 
-def run_scenarios(
+def replay_static_and_elastic(
     flood_s: float,
     tail_s: float,
     heavy_rate: float,
@@ -103,7 +103,7 @@ def run_elasticity(
         f"trickle tail ({light_rate:g}/s for {tail_s:g}s)",
         x_label="cluster",
     )
-    outcomes = run_scenarios(flood_s, tail_s, heavy_rate, light_rate)
+    outcomes = replay_static_and_elastic(flood_s, tail_s, heavy_rate, light_rate)
     for label, summary in outcomes.items():
         report.add("node-seconds", label, summary["node_seconds"], unit="s")
         report.add("p99-queue", label, summary["p99_queue_s"] or 0.0, unit="s")

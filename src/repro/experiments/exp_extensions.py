@@ -18,14 +18,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.datasets import generate_maccrobat, generate_wildfire_tweets
-from repro.experiments.harness import cached_kge_dataset
+from repro.experiments.harness import paradigm_sweep
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.dice import run_dice_script, run_dice_workflow
-from repro.tasks.kge import run_kge_script, run_kge_workflow
+from repro.tasks import PARADIGM_SCRIPT, TASKS, fresh_cluster
 from repro.tasks.wef.distributed import run_wef_distributed
-from repro.tasks.wef.script import run_wef_script
 
 __all__ = [
     "run_wef_workers_extension",
@@ -43,8 +39,9 @@ def run_wef_workers_extension(
         f"WEF distributed training vs #workers ({num_tweets} tweets)",
         x_label="workers",
     )
-    tweets = generate_wildfire_tweets(num_tweets, seed=11)
-    sequential = run_wef_script(fresh_cluster(), tweets)
+    wef = TASKS["wef"]
+    tweets = wef.dataset(num_tweets)
+    sequential = wef.run(PARADIGM_SCRIPT, tweets)
     report.add("sequential (paper's setting)", 1, sequential.elapsed_s)
     for count in workers or (1, 2, 4):
         distributed = run_wef_distributed(fresh_cluster(), tweets, num_cpus=count)
@@ -66,12 +63,10 @@ def run_dice_extended_scaling(
         "DICE execution time beyond the paper's 200-pair corpus",
         x_label="file pairs",
     )
-    for size in sizes or (200, 400, 800):
-        reports = generate_maccrobat(num_docs=size, seed=7)
-        script = run_dice_script(fresh_cluster(), reports)
-        report.add("script", size, script.elapsed_s)
-        workflow = run_dice_workflow(fresh_cluster(), reports)
-        report.add("workflow", size, workflow.elapsed_s)
+    dice = TASKS["dice"]
+    paradigm_sweep(
+        report, dice, ((size, dice.dataset(size), 1) for size in sizes or (200, 400, 800))
+    )
     report.notes.append(
         "both curves stay linear, so the paradigms' ratio converges to the "
         "ratio of their marginal costs (~2.2x)"
@@ -90,12 +85,11 @@ def run_kge_small_scale_workers(
         f"KGE vs #workers at the small scale ({num_candidates} products)",
         x_label="workers",
     )
-    dataset = cached_kge_dataset(num_candidates, universe_size)
-    for count in workers or (1, 2, 4):
-        script = run_kge_script(fresh_cluster(), dataset, num_cpus=count)
-        report.add("script", count, script.elapsed_s)
-        workflow = run_kge_workflow(fresh_cluster(), dataset, num_workers=count)
-        report.add("workflow", count, workflow.elapsed_s)
+    kge = TASKS["kge"]
+    dataset = kge.dataset(num_candidates, universe_size)
+    paradigm_sweep(
+        report, kge, ((count, dataset, count) for count in workers or (1, 2, 4))
+    )
     report.notes.append(
         "the workflow's fixed table-install does not parallelize, so its "
         "relative deficit grows as workers shrink the per-tuple work"

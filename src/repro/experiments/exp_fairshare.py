@@ -36,6 +36,8 @@ __all__ = ["run_fairshare"]
 #: Tenants of the asymmetric workload.
 HEAVY = "team-heavy/flood"
 LIGHT = "team-light/trickle"
+#: Each tenant's traffic-stream seed (independent streams, merged).
+STREAM_SEEDS = {HEAVY: 11, LIGHT: 23}
 
 
 def _streams(
@@ -51,7 +53,7 @@ def _streams(
     """
     heavy = TrafficGenerator(
         JobsConfig(
-            seed=11,
+            seed=STREAM_SEEDS[HEAVY],
             rate_per_s=heavy_rate,
             horizon_s=horizon_s,
             tenants=1,
@@ -62,7 +64,7 @@ def _streams(
     ).arrivals()
     light = TrafficGenerator(
         JobsConfig(
-            seed=23,
+            seed=STREAM_SEEDS[LIGHT],
             rate_per_s=light_rate,
             horizon_s=(
                 light_horizon_s if light_horizon_s is not None else horizon_s

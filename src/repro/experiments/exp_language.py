@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.harness import KGE_LARGE, cached_kge_dataset, kge_paper_scales
+from repro.experiments.harness import KGE_LARGE, KGE_SMALL
 from repro.experiments.paper_values import TABLE1_LANGUAGE
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.kge.workflow import run_kge_workflow
+from repro.tasks import PARADIGM_WORKFLOW, TASKS
 
 __all__ = ["run_table1"]
 
@@ -27,19 +26,17 @@ def run_table1(
         "KGE execution time: Scala-based vs Python-based join operators",
         x_label="products",
     )
-    for size in sizes or kge_paper_scales():
-        dataset = cached_kge_dataset(size, universe_size)
+    kge = TASKS["kge"]
+    for size in sizes or (KGE_SMALL, KGE_LARGE):
+        dataset = kge.dataset(size, universe_size)
         paper = TABLE1_LANGUAGE.get(size, {})
-        scala = run_kge_workflow(
-            fresh_cluster(), dataset, num_processing_ops=3, join_language="scala"
-        )
-        report.add("scala-operators", size, scala.elapsed_s, paper=paper.get("scala"))
-        python = run_kge_workflow(
-            fresh_cluster(), dataset, num_processing_ops=3, join_language="python"
-        )
-        report.add(
-            "python-operators", size, python.elapsed_s, paper=paper.get("python")
-        )
+        for language in ("scala", "python"):
+            run = kge.run(
+                PARADIGM_WORKFLOW, dataset, num_processing_ops=3, join_language=language
+            )
+            report.add(
+                f"{language}-operators", size, run.elapsed_s, paper=paper.get(language)
+            )
     report.notes.append(
         "expected shape: Scala faster at the small scale; the advantage "
         "collapses to ~1% at the large scale (fixed table-install saving "

@@ -28,18 +28,12 @@ bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Tuple
+from functools import partial
 
 from repro.config import MemoryConfig, default_config
-from repro.datasets import generate_fsqa, generate_maccrobat, generate_wildfire_tweets
 from repro.errors import ExperimentError, InsufficientResources
-from repro.experiments.harness import cached_kge_dataset
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.dice.script import run_dice_script
-from repro.tasks.gotta.script import run_gotta_script
-from repro.tasks.kge.script import run_kge_script
-from repro.tasks.wef.script import run_wef_script
+from repro.tasks import PARADIGM_SCRIPT, TASKS, fresh_cluster
 
 __all__ = ["run_memory", "shrunken_ram_bytes"]
 
@@ -77,28 +71,24 @@ def run_memory(
         "seed's hard failure (script paradigm, 4 CPUs)",
         x_label="task",
     )
-    reports = generate_maccrobat(num_docs=num_docs, seed=7)
-    paragraphs = generate_fsqa(num_paragraphs=num_paragraphs, seed=17)
-    dataset = cached_kge_dataset(num_candidates, universe_size=universe_size)
-    tweets = generate_wildfire_tweets(num_tweets, seed=11)
-
-    cases: List[Tuple[str, Callable]] = [
-        ("dice", lambda cl: run_dice_script(cl, reports, num_cpus=4)),
-        ("gotta", lambda cl: run_gotta_script(cl, paragraphs, num_cpus=4)),
-        ("kge", lambda cl: run_kge_script(cl, dataset, num_cpus=4)),
-        ("wef", lambda cl: run_wef_script(cl, tweets, num_cpus=4)),
-    ]
-    for task, run_fn in cases:
+    data = {
+        "dice": TASKS["dice"].dataset(num_docs),
+        "gotta": TASKS["gotta"].dataset(num_paragraphs),
+        "kge": TASKS["kge"].dataset(num_candidates, universe_size),
+        "wef": TASKS["wef"].dataset(num_tweets),
+    }
+    for task, dataset in data.items():
+        run_on = partial(TASKS[task].run, PARADIGM_SCRIPT, dataset, workers=4)
         # The clean run doubles as the RAM probe.
         clean_cluster = fresh_cluster()
-        clean = run_fn(clean_cluster)
+        clean = run_on(cluster=clean_cluster)
         ram = shrunken_ram_bytes(clean_cluster)
 
         dormant = replace(
             default_config(), memory=MemoryConfig(node_ram_bytes=ram)
         )
         try:
-            run_fn(fresh_cluster(dormant))
+            run_on(cluster=fresh_cluster(dormant))
         except InsufficientResources:
             pass
         else:
@@ -112,7 +102,7 @@ def run_memory(
             memory=MemoryConfig(enabled=True, node_ram_bytes=ram),
         )
         pressured_cluster = fresh_cluster(policy)
-        pressured = run_fn(pressured_cluster)
+        pressured = run_on(cluster=pressured_cluster)
         memory = pressured_cluster.memory
         if memory.spill_count == 0:
             raise ExperimentError(

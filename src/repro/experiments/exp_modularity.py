@@ -13,23 +13,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.experiments.harness import KGE_LARGE, KGE_SMALL, cached_kge_dataset
+from repro.experiments.harness import KGE_LARGE, KGE_SMALL
 from repro.experiments.paper_values import FIG12A_LOC, FIG12B_KGE_OPERATORS
 from repro.metrics import ExperimentReport, count_module_loc
-from repro.tasks import fresh_cluster
-from repro.tasks.kge.script import run_kge_script
-from repro.tasks.kge.workflow import STAGE_FUSIONS, run_kge_workflow
+from repro.tasks import PARADIGM_SCRIPT, PARADIGM_WORKFLOW, TASKS
+from repro.tasks.kge.workflow import STAGE_FUSIONS
 
 __all__ = ["run_fig12a", "run_fig12b"]
-
-_TASKS = ("dice", "wef", "gotta", "kge")
-
-
-def _implementation_loc(task: str, paradigm_module: str) -> int:
-    """LoC of one implementation: its module plus the shared task logic."""
-    return count_module_loc(f"repro.tasks.{task}.{paradigm_module}") + count_module_loc(
-        f"repro.tasks.{task}.common"
-    )
 
 
 def run_fig12a() -> ExperimentReport:
@@ -46,21 +36,17 @@ def run_fig12a() -> ExperimentReport:
         "Lines of code per task implementation",
         x_label="task",
     )
-    for task in _TASKS:
-        report.add(
-            "script",
-            task,
-            _implementation_loc(task, "script"),
-            paper=FIG12A_LOC[task]["script"],
-            unit="loc",
-        )
-        report.add(
-            "workflow",
-            task,
-            _implementation_loc(task, "workflow"),
-            paper=FIG12A_LOC[task]["workflow"],
-            unit="loc",
-        )
+    for name, task in TASKS.items():
+        common = count_module_loc(f"repro.tasks.{name}.common")
+        for paradigm in (PARADIGM_SCRIPT, PARADIGM_WORKFLOW):
+            runner, _ = task.sides[paradigm]
+            report.add(
+                paradigm,
+                name,
+                count_module_loc(runner.__module__) + common,
+                paper=FIG12A_LOC[name][paradigm],
+                unit="loc",
+            )
     report.notes.append(
         "measured = logical lines of this repository's implementations "
         "(paradigm module + shared common.py); paper = the authors' "
@@ -80,15 +66,16 @@ def run_fig12b(
         f"KGE execution time vs #operators ({num_candidates} products, 1 worker)",
         x_label="#operators",
     )
-    dataset = cached_kge_dataset(num_candidates, universe_size)
+    kge = TASKS["kge"]
+    dataset = kge.dataset(num_candidates, universe_size)
     for count in operator_counts or sorted(STAGE_FUSIONS):
-        run = run_kge_workflow(fresh_cluster(), dataset, num_processing_ops=count)
+        run = kge.run(PARADIGM_WORKFLOW, dataset, num_processing_ops=count)
         report.add(
             "workflow",
             count,
             run.elapsed_s,
             paper=FIG12B_KGE_OPERATORS.get(count),
         )
-    script = run_kge_script(fresh_cluster(), dataset)
+    script = kge.run(PARADIGM_SCRIPT, dataset)
     report.add("script (reference)", "-", script.elapsed_s, paper=90.69)
     return report

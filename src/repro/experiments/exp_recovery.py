@@ -19,15 +19,22 @@ times are virtual and, for a fixed seed, bit-reproducible.
 
 from __future__ import annotations
 
-from repro.datasets import generate_fsqa, generate_maccrobat
+from functools import partial
+
 from repro.errors import FaultError
 from repro.faults import FaultSchedule, faults_injected
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.dice import run_dice_script, run_dice_workflow
-from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
+from repro.tasks import TASKS
 
 __all__ = ["run_recovery"]
+
+#: (task, paradigm, workers, fault kinds) — see :func:`run_recovery`.
+CASES = (
+    ("dice", "script", 4, dict(tasks=2, nodes=1, links=1, replicas=1)),
+    ("dice", "workflow", 1, dict(operators=3, links=1)),
+    ("gotta", "script", 4, dict(tasks=1, nodes=1, replicas=2)),
+    ("gotta", "workflow", 1, dict(operators=2, links=1)),
+)
 
 
 def run_recovery(
@@ -48,36 +55,12 @@ def run_recovery(
         f"{num_docs} file pairs / {num_paragraphs} paragraphs)",
         x_label="task",
     )
-    reports = generate_maccrobat(num_docs=num_docs, seed=7)
-    paragraphs = generate_fsqa(num_paragraphs=num_paragraphs, seed=17)
-
-    cases = [
-        (
-            "dice",
-            "script",
-            lambda: run_dice_script(fresh_cluster(), reports, num_cpus=4),
-            dict(tasks=2, nodes=1, links=1, replicas=1),
-        ),
-        (
-            "dice",
-            "workflow",
-            lambda: run_dice_workflow(fresh_cluster(), reports),
-            dict(operators=3, links=1),
-        ),
-        (
-            "gotta",
-            "script",
-            lambda: run_gotta_script(fresh_cluster(), paragraphs, num_cpus=4),
-            dict(tasks=1, nodes=1, replicas=2),
-        ),
-        (
-            "gotta",
-            "workflow",
-            lambda: run_gotta_workflow(fresh_cluster(), paragraphs),
-            dict(operators=2, links=1),
-        ),
-    ]
-    for task, paradigm, run_fn, kinds in cases:
+    data = {
+        "dice": TASKS["dice"].dataset(num_docs),
+        "gotta": TASKS["gotta"].dataset(num_paragraphs),
+    }
+    for task, paradigm, workers, kinds in CASES:
+        run_fn = partial(TASKS[task].run, paradigm, data[task], workers=workers)
         # One clean run doubles as the horizon probe (faults must land
         # while the run is in flight) and the baseline measurement.
         probe = run_fn()

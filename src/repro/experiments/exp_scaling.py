@@ -7,82 +7,60 @@ input grows.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from repro.datasets import generate_fsqa, generate_maccrobat, generate_wildfire_tweets
-from repro.experiments.harness import KGE_LARGE, cached_kge_dataset, kge_paper_scales
+from repro.experiments.harness import KGE_LARGE, KGE_SMALL, paradigm_sweep
 from repro.experiments.paper_values import FIG13_SCALING
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.dice import run_dice_script, run_dice_workflow
-from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
-from repro.tasks.kge import run_kge_script, run_kge_workflow
-from repro.tasks.wef import run_wef_script, run_wef_workflow
+from repro.tasks import TASKS
 
 __all__ = ["run_fig13a", "run_fig13b", "run_fig13c", "run_fig13d"]
 
 
-def run_fig13a(sizes: Optional[Sequence[int]] = None) -> ExperimentReport:
-    """DICE: 10-200 file pairs."""
+def _scaling(
+    exp_id: str, task_name: str, x_label: str, datasets: Iterable[Tuple[int, Any]]
+) -> ExperimentReport:
+    """One panel: both paradigms, single worker, at every ``(size, data)``."""
     report = ExperimentReport(
-        "fig13a", "DICE execution time vs dataset size", x_label="file pairs"
+        exp_id,
+        f"{task_name.upper()} execution time vs dataset size",
+        x_label=x_label,
     )
-    paper = FIG13_SCALING["dice"]
-    for size in sizes or (10, 50, 100, 200):
-        reports = generate_maccrobat(num_docs=size, seed=7)
-        script = run_dice_script(fresh_cluster(), reports)
-        report.add("script", size, script.elapsed_s, paper["script"].get(size))
-        workflow = run_dice_workflow(fresh_cluster(), reports)
-        report.add("workflow", size, workflow.elapsed_s, paper["workflow"].get(size))
-    return report
+    points = ((size, data, 1) for size, data in datasets)
+    return paradigm_sweep(report, TASKS[task_name], points, FIG13_SCALING[task_name])
+
+
+def _prefixes(task_name: str, sizes: Sequence[int]) -> Iterable[Tuple[int, Any]]:
+    """Each size as a prefix of the largest size's corpus."""
+    corpus = TASKS[task_name].dataset(max(sizes))
+    return ((size, corpus[:size]) for size in sizes)
+
+
+def run_fig13a(sizes: Optional[Sequence[int]] = None) -> ExperimentReport:
+    """DICE: 10-200 file pairs, a corpus generated per size."""
+    generate = TASKS["dice"].dataset
+    datasets = ((size, generate(size)) for size in sizes or (10, 50, 100, 200))
+    return _scaling("fig13a", "dice", "file pairs", datasets)
 
 
 def run_fig13b(sizes: Optional[Sequence[int]] = None) -> ExperimentReport:
     """WEF: 200-400 labeled tweets."""
-    report = ExperimentReport(
-        "fig13b", "WEF execution time vs dataset size", x_label="tweets"
-    )
-    paper = FIG13_SCALING["wef"]
-    sizes = tuple(sizes or (200, 300, 400))
-    tweets = generate_wildfire_tweets(max(sizes), seed=11)
-    for size in sizes:
-        subset = tweets[:size]
-        script = run_wef_script(fresh_cluster(), subset)
-        report.add("script", size, script.elapsed_s, paper["script"].get(size))
-        workflow = run_wef_workflow(fresh_cluster(), subset)
-        report.add("workflow", size, workflow.elapsed_s, paper["workflow"].get(size))
-    return report
+    datasets = _prefixes("wef", tuple(sizes or (200, 300, 400)))
+    return _scaling("fig13b", "wef", "tweets", datasets)
 
 
 def run_fig13c(
     sizes: Optional[Sequence[int]] = None, universe_size: int = KGE_LARGE
 ) -> ExperimentReport:
     """KGE: 6.8k and 68k candidate products."""
-    report = ExperimentReport(
-        "fig13c", "KGE execution time vs dataset size", x_label="products"
+    cached = TASKS["kge"].dataset
+    datasets = (
+        (size, cached(size, universe_size)) for size in sizes or (KGE_SMALL, KGE_LARGE)
     )
-    paper = FIG13_SCALING["kge"]
-    for size in sizes or kge_paper_scales():
-        dataset = cached_kge_dataset(size, universe_size)
-        script = run_kge_script(fresh_cluster(), dataset)
-        report.add("script", size, script.elapsed_s, paper["script"].get(size))
-        workflow = run_kge_workflow(fresh_cluster(), dataset)
-        report.add("workflow", size, workflow.elapsed_s, paper["workflow"].get(size))
-    return report
+    return _scaling("fig13c", "kge", "products", datasets)
 
 
 def run_fig13d(sizes: Optional[Sequence[int]] = None) -> ExperimentReport:
     """GOTTA: 1, 4 and 16 paragraphs."""
-    report = ExperimentReport(
-        "fig13d", "GOTTA execution time vs dataset size", x_label="paragraphs"
-    )
-    paper = FIG13_SCALING["gotta"]
-    sizes = tuple(sizes or (1, 4, 16))
-    paragraphs = generate_fsqa(num_paragraphs=max(sizes), seed=17)
-    for size in sizes:
-        subset = paragraphs[:size]
-        script = run_gotta_script(fresh_cluster(), subset)
-        report.add("script", size, script.elapsed_s, paper["script"].get(size))
-        workflow = run_gotta_workflow(fresh_cluster(), subset)
-        report.add("workflow", size, workflow.elapsed_s, paper["workflow"].get(size))
-    return report
+    datasets = _prefixes("gotta", tuple(sizes or (1, 4, 16)))
+    return _scaling("fig13d", "gotta", "paragraphs", datasets)

@@ -21,16 +21,13 @@ stays put once deployed.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Optional, Sequence
 
-from repro.datasets import generate_fsqa
 from repro.errors import ExperimentError
-from repro.experiments.harness import cached_kge_dataset
 from repro.metrics import ExperimentReport
 from repro.sched import POLICIES, scheduling
-from repro.tasks import fresh_cluster
-from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
-from repro.tasks.kge import run_kge_script, run_kge_workflow
+from repro.tasks import PARADIGM_SCRIPT, PARADIGM_WORKFLOW, TASKS
 
 __all__ = ["run_scheduling"]
 
@@ -54,33 +51,17 @@ def run_scheduling(
         f"({num_paragraphs} paragraphs), 4-way parallel",
         x_label="policy",
     )
-    dataset = cached_kge_dataset(num_candidates, universe_size=universe_size)
-    paragraphs = generate_fsqa(num_paragraphs=num_paragraphs, seed=17)
-
-    cases = [
-        (
-            "kge/script",
-            lambda: run_kge_script(fresh_cluster(), dataset, num_cpus=4),
-        ),
-        (
-            "kge/workflow",
-            lambda: run_kge_workflow(fresh_cluster(), dataset, num_workers=4),
-        ),
-        (
-            "gotta/script",
-            lambda: run_gotta_script(fresh_cluster(), paragraphs, num_cpus=4),
-        ),
-        (
-            "gotta/workflow",
-            lambda: run_gotta_workflow(fresh_cluster(), paragraphs, num_workers=4),
-        ),
-    ]
-    for series, run_fn in cases:
+    data = {
+        "kge": TASKS["kge"].dataset(num_candidates, universe_size),
+        "gotta": TASKS["gotta"].dataset(num_paragraphs),
+    }
+    for task, paradigm in product(data, (PARADIGM_SCRIPT, PARADIGM_WORKFLOW)):
+        series = f"{task}/{paradigm}"
         reference = None
         timings = {}
         for policy in policies:
             with scheduling(policy):
-                run = run_fn()
+                run = TASKS[task].run(paradigm, data[task], workers=4)
             rows = run.output.multiset()
             if reference is None:
                 reference = rows

@@ -7,58 +7,45 @@ become a distributed-training task).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
-from repro.datasets import generate_fsqa, generate_maccrobat
-from repro.experiments.harness import KGE_LARGE, cached_kge_dataset
+from repro.experiments.harness import KGE_LARGE, paradigm_sweep
 from repro.experiments.paper_values import FIG14_WORKERS
 from repro.metrics import ExperimentReport
-from repro.tasks import fresh_cluster
-from repro.tasks.dice import run_dice_script, run_dice_workflow
-from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
-from repro.tasks.kge import run_kge_script, run_kge_workflow
+from repro.tasks import TASKS
 
 __all__ = ["run_fig14a", "run_fig14b", "run_fig14c"]
 
-_DEFAULT_WORKERS = (1, 2, 4)
+
+def _workers(
+    exp_id: str, task_name: str, scale: str, data: Any, workers: Optional[Sequence[int]]
+) -> ExperimentReport:
+    """One panel: both paradigms on one dataset at every worker count."""
+    report = ExperimentReport(
+        exp_id,
+        f"{task_name.upper()} execution time vs #workers ({scale})",
+        x_label="workers",
+    )
+    points = ((count, data, count) for count in workers or (1, 2, 4))
+    return paradigm_sweep(report, TASKS[task_name], points, FIG14_WORKERS[task_name])
 
 
 def run_fig14a(
     workers: Optional[Sequence[int]] = None, num_docs: int = 200
 ) -> ExperimentReport:
     """DICE at 200 file pairs, 1/2/4 workers."""
-    report = ExperimentReport(
-        "fig14a",
-        f"DICE execution time vs #workers ({num_docs} file pairs)",
-        x_label="workers",
-    )
-    paper = FIG14_WORKERS["dice"]
-    reports = generate_maccrobat(num_docs=num_docs, seed=7)
-    for count in workers or _DEFAULT_WORKERS:
-        script = run_dice_script(fresh_cluster(), reports, num_cpus=count)
-        report.add("script", count, script.elapsed_s, paper["script"].get(count))
-        workflow = run_dice_workflow(fresh_cluster(), reports, num_workers=count)
-        report.add("workflow", count, workflow.elapsed_s, paper["workflow"].get(count))
-    return report
+    reports = TASKS["dice"].dataset(num_docs)
+    return _workers("fig14a", "dice", f"{num_docs} file pairs", reports, workers)
 
 
 def run_fig14b(
     workers: Optional[Sequence[int]] = None, num_paragraphs: int = 4
 ) -> ExperimentReport:
     """GOTTA at 4 paragraphs, 1/2/4 workers."""
-    report = ExperimentReport(
-        "fig14b",
-        f"GOTTA execution time vs #workers ({num_paragraphs} paragraphs)",
-        x_label="workers",
+    paragraphs = TASKS["gotta"].dataset(num_paragraphs)
+    return _workers(
+        "fig14b", "gotta", f"{num_paragraphs} paragraphs", paragraphs, workers
     )
-    paper = FIG14_WORKERS["gotta"]
-    paragraphs = generate_fsqa(num_paragraphs=num_paragraphs, seed=17)
-    for count in workers or _DEFAULT_WORKERS:
-        script = run_gotta_script(fresh_cluster(), paragraphs, num_cpus=count)
-        report.add("script", count, script.elapsed_s, paper["script"].get(count))
-        workflow = run_gotta_workflow(fresh_cluster(), paragraphs, num_workers=count)
-        report.add("workflow", count, workflow.elapsed_s, paper["workflow"].get(count))
-    return report
 
 
 def run_fig14c(
@@ -67,16 +54,5 @@ def run_fig14c(
     universe_size: int = KGE_LARGE,
 ) -> ExperimentReport:
     """KGE at 68k products, 1/2/4 workers."""
-    report = ExperimentReport(
-        "fig14c",
-        f"KGE execution time vs #workers ({num_candidates} products)",
-        x_label="workers",
-    )
-    paper = FIG14_WORKERS["kge"]
-    dataset = cached_kge_dataset(num_candidates, universe_size)
-    for count in workers or _DEFAULT_WORKERS:
-        script = run_kge_script(fresh_cluster(), dataset, num_cpus=count)
-        report.add("script", count, script.elapsed_s, paper["script"].get(count))
-        workflow = run_kge_workflow(fresh_cluster(), dataset, num_workers=count)
-        report.add("workflow", count, workflow.elapsed_s, paper["workflow"].get(count))
-    return report
+    dataset = TASKS["kge"].dataset(num_candidates, universe_size)
+    return _workers("fig14c", "kge", f"{num_candidates} products", dataset, workers)

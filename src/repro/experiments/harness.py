@@ -2,60 +2,28 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.obs import Tracer, format_breakdown, tracing
-from repro.tasks.kge.common import KgeDataset, make_kge_dataset
+from repro.metrics import ExperimentReport
+from repro.tasks import PARADIGM_SCRIPT, PARADIGM_WORKFLOW, PaperTask
+from repro.tasks.table import KGE_LARGE, KGE_SMALL, cached_kge_dataset
 
-__all__ = [
-    "cached_kge_dataset",
-    "kge_paper_scales",
-    "run_traced",
-    "experiment_breakdown",
-]
-
-#: The paper's two KGE candidate-set sizes.
-KGE_SMALL = 6800
-KGE_LARGE = 68000
+__all__ = ["KGE_LARGE", "KGE_SMALL", "cached_kge_dataset", "paradigm_sweep"]
 
 
-@lru_cache(maxsize=4)
-def cached_kge_dataset(
-    num_candidates: int, universe_size: int = KGE_LARGE
-) -> KgeDataset:
-    """Build (once) and reuse a KGE dataset.
-
-    Runs never mutate the dataset, so sharing it across the modularity,
-    language and scaling experiments is safe and saves the ~2 s
-    universe+model construction per call.
-    """
-    return make_kge_dataset(num_candidates, universe_size=universe_size)
-
-
-def kge_paper_scales() -> Tuple[int, int]:
-    """(6.8k, 68k) — the paper's KGE dataset sizes."""
-    return KGE_SMALL, KGE_LARGE
-
-
-def run_traced(
-    experiment_fn: Callable[[], "object"], tracer: Optional[Tracer] = None
-) -> Tuple["object", Tracer]:
-    """Run one experiment with an observability tracer installed.
-
-    Every cluster the experiment builds records into the tracer as a
-    separate labelled run (``gotta/script``, ``gotta/workflow``, ...),
-    so the per-figure time breakdown splits each paradigm's virtual
-    time by mechanism — e.g. Fig 13d's GOTTA script time into
-    object-store put/get versus model compute.
-
-    Returns ``(experiment_report, tracer)``.
-    """
-    with tracing(tracer) as active:
-        report = experiment_fn()
-    return report, active
-
-
-def experiment_breakdown(tracer: Tracer) -> str:
-    """The per-run time-breakdown text for a traced experiment."""
-    return format_breakdown(tracer)
+def paradigm_sweep(
+    report: ExperimentReport,
+    task: PaperTask,
+    points: Iterable[Tuple[Any, Any, int]],
+    paper: Optional[Dict[str, Dict[Any, float]]] = None,
+) -> ExperimentReport:
+    """The paper's measurement loop: at every ``(x, data, workers)``
+    point run ``task`` as a script, then as a workflow, each on a fresh
+    cluster, and add one row per run (series = paradigm) next to the
+    paper's value for that ``x``, if it reports one."""
+    for x, data, workers in points:
+        for paradigm in (PARADIGM_SCRIPT, PARADIGM_WORKFLOW):
+            run = task.run(paradigm, data, workers=workers)
+            published = paper[paradigm].get(x) if paper else None
+            report.add(paradigm, x, run.elapsed_s, published)
+    return report

@@ -12,11 +12,11 @@ Two synthetic bodies ship built in:
 * ``fail`` — raises :class:`repro.errors.JobBodyError`; exercises the
   ``failed`` leg of the state machine.
 
-Every paper task registers too (``gotta/script``, ``dice/workflow``,
-...), at the exact dataset scales pinned by
-``tests/obs/test_timing_regression.py`` — so a job running
-``dice/script`` measures the same virtual elapsed time as the seed's
-direct run, which is what the dormant-invariant test asserts.  Task
+Every row of :data:`repro.tasks.TASKS` registers under both paradigms
+(``gotta/script``, ``dice/workflow``, ...), at the row's pinned scale —
+so a job running ``dice/script`` measures the same virtual elapsed
+time as the seed's direct run, which is what the dormant-invariant
+test asserts.  Task
 bodies execute on their *own* fresh cluster (a job is a whole pipeline
 run, like one Texera workflow execution or one notebook submission);
 the measured ``elapsed_s`` then becomes the job's occupancy duration
@@ -33,6 +33,7 @@ from repro.jobs.model import JobSpec
 
 __all__ = [
     "GEN_BODIES",
+    "TASK_BODIES",
     "JobResult",
     "register_body",
     "resolve_body",
@@ -109,62 +110,31 @@ def _fail(spec: JobSpec) -> JobResult:
 
 # -- paper-task bodies ------------------------------------------------------
 
-#: The pinned dataset scales of ``tests/obs/test_timing_regression.py``;
-#: running a task body at these scales reproduces SEED_TIMINGS exactly.
-_TASK_BODIES = {
-    "gotta/script": ("gotta", "script", 1),
-    "gotta/workflow": ("gotta", "workflow", 1),
-    "dice/script": ("dice", "script", 4),
-    "dice/workflow": ("dice", "workflow", 4),
-    "kge/script": ("kge", "script", None),
-    "kge/workflow": ("kge", "workflow", None),
-    "wef/script": ("wef", "script", None),
-    "wef/workflow": ("wef", "workflow", None),
-}
+#: One body per :data:`repro.tasks.TASKS` row and paradigm, spelled out
+#: so that importing repro.jobs never drags the task/dataset stack in
+#: for profile-only traffic runs (``tests/tasks/test_table.py`` holds
+#: the two in step).
+TASK_BODIES = tuple(
+    f"{task}/{paradigm}"
+    for task in ("gotta", "dice", "kge", "wef")
+    for paradigm in ("script", "workflow")
+)
 
 
-def _task_dataset(task: str, scale):
-    # Imports are local so that importing repro.jobs never drags the
-    # whole task/dataset stack in for profile-only traffic runs.
-    if task == "gotta":
-        from repro.datasets.fsqa import generate_fsqa
-
-        return generate_fsqa(scale)
-    if task == "dice":
-        from repro.datasets.maccrobat import generate_maccrobat
-
-        return generate_maccrobat(scale)
-    if task == "kge":
-        from repro.tasks.kge.common import make_kge_dataset
-
-        return make_kge_dataset(300, universe_size=1000)
-    from repro.datasets.wildfire import generate_wildfire_tweets
-
-    return generate_wildfire_tweets(40)
-
-
-def _task_runner(task: str, paradigm: str):
-    import importlib
-
-    module = importlib.import_module(f"repro.tasks.{task}.{paradigm}")
-    return getattr(module, f"run_{task}_{paradigm}")
-
-
-def _make_task_body(task: str, paradigm: str, scale):
+def _make_task_body(task: str, paradigm: str):
     def body(spec: JobSpec) -> JobResult:
-        from repro.tasks.base import fresh_cluster
+        from repro.tasks import TASKS
 
-        run = _task_runner(task, paradigm)(
-            fresh_cluster(), _task_dataset(task, scale)
-        )
+        row = TASKS[task]
+        run = row.run(paradigm, row.dataset(*row.pinned))
         return JobResult(duration_s=run.elapsed_s, run=run)
 
     body.__name__ = f"body_{task}_{paradigm}"
     return body
 
 
-for _name, (_task, _paradigm, _scale) in _TASK_BODIES.items():
-    register_body(_name, _make_task_body(_task, _paradigm, _scale))
+for _task_name in TASK_BODIES:
+    register_body(_task_name, _make_task_body(*_task_name.split("/")))
 
 
 # -- generated-family bodies (repro.gen) ------------------------------------

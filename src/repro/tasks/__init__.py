@@ -1,19 +1,30 @@
 """The paper's four data science tasks, each under both paradigms.
 
-===========  =====================  ==========================================
-Task         Stage                  Entry points
-===========  =====================  ==========================================
-DICE         data wrangling         :func:`repro.tasks.dice.run_dice_script`,
-                                    :func:`repro.tasks.dice.run_dice_workflow`
-WEF          model training         :func:`repro.tasks.wef.run_wef_script`,
-                                    :func:`repro.tasks.wef.run_wef_workflow`
-GOTTA        one-step inference     :func:`repro.tasks.gotta.run_gotta_script`,
-                                    :func:`repro.tasks.gotta.run_gotta_workflow`
-KGE          multi-step inference   :func:`repro.tasks.kge.run_kge_script`,
-                                    :func:`repro.tasks.kge.run_kge_workflow`
-===========  =====================  ==========================================
+:data:`TASKS` (``repro.tasks.table``) is the one table of them — name,
+stage, dataset generator, the two runners and their parallelism knob,
+pinned scale — and ``TASKS[name].run(paradigm, data, workers=...)`` the
+one way the experiments, job bodies and timing pins run a task without
+naming it.  The plain entry points stay public:
+
 """
 
 from repro.tasks.base import PARADIGM_SCRIPT, PARADIGM_WORKFLOW, TaskRun, fresh_cluster
 
-__all__ = ["PARADIGM_SCRIPT", "PARADIGM_WORKFLOW", "TaskRun", "fresh_cluster"]
+# After base: the runners the table wraps import repro.tasks.base.
+from repro.tasks.table import TASKS, PaperTask
+
+__all__ = [
+    "PARADIGM_SCRIPT",
+    "PARADIGM_WORKFLOW",
+    "TASKS",
+    "PaperTask",
+    "TaskRun",
+    "fresh_cluster",
+]
+
+__doc__ = (__doc__ or "") + "\n".join(
+    f"{task.name.upper():<7}{task.stage:<22}"
+    + ", ".join(f":func:`{runner.__module__}.{runner.__name__}`"
+                for runner, _ in task.sides.values())
+    for task in TASKS.values()
+)

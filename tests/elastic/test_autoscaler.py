@@ -7,9 +7,14 @@ import pytest
 from repro.cluster import build_cluster
 from repro.config import ElasticConfig, JobsConfig, default_config
 from repro.elastic import Autoscaler, elastic_enabled
+from repro.experiments import EXPERIMENTS
+from repro.experiments.exp_elastic import replay_static_and_elastic
 from repro.jobs import Arrival, JobService, JobSpec
 from repro.obs import tracing
 from repro.sim import Environment
+
+#: The traffic `repro elasticity --quick` replays, from the experiment table.
+(QUICK_ELASTICITY,) = [exp.quick for exp in EXPERIMENTS if exp.id == "elasticity"]
 
 #: A fast-reacting policy so tests stay short in virtual time.
 POLICY = ElasticConfig(
@@ -184,14 +189,12 @@ def test_equal_completions_with_and_without_elasticity():
         # tail wastes most of a static fleet.
         dict(flood_s=12.0, tail_s=60.0, heavy_rate=18.0, light_rate=2.0),
         # The same shape at `repro elasticity --quick` scale (~130 jobs).
-        dict(flood_s=6.0, tail_s=25.0, heavy_rate=12.0, light_rate=2.0),
+        QUICK_ELASTICITY,
     ],
     ids=["e10", "quick"],
 )
 def test_burst_then_tail_elastic_is_cheaper_than_static_4_at_no_worse_p99(traffic):
-    from repro.experiments.exp_elastic import run_scenarios
-
-    outcomes = run_scenarios(**traffic)
+    outcomes = replay_static_and_elastic(**traffic)
     static, elastic = outcomes["static-4"], outcomes["elastic"]
     for summary in (static, elastic):
         assert summary["counts"]["completed"] == summary["jobs"]

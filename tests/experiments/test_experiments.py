@@ -5,9 +5,12 @@ assertions) live in ``test_paper_shape.py``; these tests exercise the
 harness plumbing and the mechanisms at sizes that run in seconds.
 """
 
+import inspect
+
 import pytest
 
 from repro.cli import QUICK_EXPERIMENTS
+from repro.experiments import ALL_EXPERIMENTS, EXPERIMENTS
 from repro.experiments.exp_language import run_table1
 from repro.experiments.exp_modularity import run_fig12a, run_fig12b
 from repro.experiments.exp_scaling import (
@@ -17,7 +20,7 @@ from repro.experiments.exp_scaling import (
     run_fig13d,
 )
 from repro.experiments.exp_workers import run_fig14a, run_fig14b
-from repro.experiments.harness import cached_kge_dataset
+from repro.experiments.harness import KGE_LARGE, cached_kge_dataset
 from repro.experiments.paper_values import (
     FIG12A_LOC,
     FIG13_SCALING,
@@ -38,6 +41,28 @@ def test_cached_kge_dataset_is_shared():
     a = cached_kge_dataset(500, 2000)
     b = cached_kge_dataset(500, 2000)
     assert a is b
+    # One entry per dataset, however the call is spelled.
+    assert cached_kge_dataset(500, universe_size=2000) is a
+    assert cached_kge_dataset(num_candidates=500, universe_size=2000) is a
+    defaulted = cached_kge_dataset(500)
+    assert cached_kge_dataset(500, KGE_LARGE) is defaulted
+    assert cached_kge_dataset(500, universe_size=KGE_LARGE) is defaulted
+    cached_kge_dataset.cache_clear()
+    assert cached_kge_dataset(500, 2000) is not a
+
+
+def test_registries_list_the_table_in_order():
+    ids = [exp.id for exp in EXPERIMENTS]
+    assert len(ids) == len(set(ids)) == 17
+    assert list(ALL_EXPERIMENTS) == list(QUICK_EXPERIMENTS) == ids
+    for exp in EXPERIMENTS:
+        assert ALL_EXPERIMENTS[exp.id] is exp.run
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS, ids=lambda exp: exp.id)
+def test_quick_keywords_bind_against_the_entry_point(exp):
+    """A typo in a ``quick`` dict fails here, not inside the full CLI run."""
+    inspect.signature(exp.run).bind_partial(**exp.quick)
 
 
 def test_fig12a_reports_all_tasks():

@@ -13,22 +13,20 @@ Two dormancy guarantees:
 """
 
 from repro.jobs import JobService, JobSpec
+from repro.jobs.bodies import TASK_BODIES
 from repro.tasks.base import fresh_cluster
 from repro.tasks.kge.common import make_kge_dataset
 from repro.tasks.kge.script import run_kge_script
-from tests.obs.test_timing_regression import SEED_TIMINGS
+from tests.obs.test_timing_regression import PINNED_RUNS, SEED_TIMINGS
 
-#: body name -> SEED_TIMINGS key (bodies register at the pinned scales).
-PINNED_BODIES = {
-    "dice/script": "dice/script-4",
-    "dice/workflow": "dice/workflow-4",
-    "kge/script": "kge/script",
-    "kge/workflow": "kge/workflow",
-}
+#: body name -> SEED_TIMINGS key for every TASKS row x paradigm; a task
+#: body registered outside the table has no key and fails the pin.
+PINNED_BODIES = {f"{task.name}/{paradigm}": key for key, task, paradigm in PINNED_RUNS}
 
 
 def test_single_job_task_timings_bit_identical_to_seed():
-    for body, key in PINNED_BODIES.items():
+    for body in TASK_BODIES:
+        key = PINNED_BODIES[body]
         service = JobService()
         job = service.run_job(JobSpec(body=body))
         assert job.state == "completed", job.error

@@ -13,28 +13,26 @@ Three guarantees, all load-bearing for the paper reproduction:
   so traced and untraced runs agree to the last bit as well.
 """
 
+from contextlib import nullcontext
+from functools import partial
+
 import pytest
 
 from repro.cache import cached
 from repro.config import CacheConfig, MemoryConfig
 from repro.datasets.fsqa import generate_fsqa
-from repro.datasets.maccrobat import generate_maccrobat
-from repro.datasets.wildfire import generate_wildfire_tweets
 from repro.elastic import elastic_enabled
 from repro.faults import FaultSchedule, faults_injected
 from repro.mem import memory_managed
 from repro.obs import NULL_TRACER, Tracer, tracing
+from repro.paradigm import PARADIGMS
 from repro.sched import scheduling
+from repro.tasks import TASKS
 from repro.tasks.base import fresh_cluster
-from repro.tasks.dice.script import run_dice_script
-from repro.tasks.dice.workflow import run_dice_workflow
 from repro.tasks.gotta.script import run_gotta_script
-from repro.tasks.gotta.workflow import run_gotta_workflow
 from repro.tasks.kge.common import make_kge_dataset
 from repro.tasks.kge.script import run_kge_script
 from repro.tasks.kge.workflow import run_kge_workflow
-from repro.tasks.wef.script import run_wef_script
-from repro.tasks.wef.workflow import run_wef_workflow
 
 #: Virtual timings recorded at the seed, before repro.obs existed.
 #: Exact float equality is intentional: the simulation is
@@ -52,6 +50,23 @@ SEED_TIMINGS = {
 }
 
 
+def _seed_key(task, paradigm):
+    """``dice/script-4`` where the seed recorded the size, else ``kge/script``."""
+    name = f"{task.name}/{paradigm}"
+    sized = f"{name}-{task.pinned[0]}"
+    return sized if sized in SEED_TIMINGS else name
+
+
+#: (SEED_TIMINGS key, task, paradigm): every row of the task table under
+#: both paradigms at its pinned scale — also what the ``<task>/<paradigm>``
+#: job bodies run (``tests/jobs/test_timing_pin.py``).
+PINNED_RUNS = [
+    (_seed_key(task, paradigm), task, paradigm)
+    for task in TASKS.values()
+    for paradigm in PARADIGMS
+]
+
+
 def _run_all(each=None):
     """Every pinned task's virtual elapsed time, by key.
 
@@ -61,26 +76,16 @@ def _run_all(each=None):
     (e.g. ``tests/cache`` runs each task under its own empty cache,
     since a *shared* cache legitimately hits across tasks).
     """
-    from contextlib import nullcontext
-
     if each is None:
         each = nullcontext
-    paras1 = generate_fsqa(1)
-    paras4 = generate_fsqa(4)
-    reports = generate_maccrobat(4)
-    kge = make_kge_dataset(300, universe_size=1000)
-    tweets = generate_wildfire_tweets(40)
     runners = {
-        "gotta/script-1": lambda: run_gotta_script(fresh_cluster(), paras1),
-        "gotta/workflow-1": lambda: run_gotta_workflow(fresh_cluster(), paras1),
-        "gotta/script-4": lambda: run_gotta_script(fresh_cluster(), paras4),
-        "dice/script-4": lambda: run_dice_script(fresh_cluster(), reports),
-        "dice/workflow-4": lambda: run_dice_workflow(fresh_cluster(), reports),
-        "kge/script": lambda: run_kge_script(fresh_cluster(), kge),
-        "kge/workflow": lambda: run_kge_workflow(fresh_cluster(), kge),
-        "wef/script": lambda: run_wef_script(fresh_cluster(), tweets),
-        "wef/workflow": lambda: run_wef_workflow(fresh_cluster(), tweets),
+        key: partial(task.run, paradigm, task.dataset(*task.pinned))
+        for key, task, paradigm in PINNED_RUNS
     }
+    # The one extra point: GOTTA's script beyond its pinned single paragraph.
+    runners["gotta/script-4"] = partial(
+        TASKS["gotta"].run, "script", TASKS["gotta"].dataset(4)
+    )
     timings = {}
     for key, run in runners.items():
         with each():
