@@ -5,8 +5,8 @@ Admission answers two questions per pending job:
 * *May this tenant run more right now?* — the quota check
   (:meth:`FairShare.quota_blocked`): hard per-tenant ceilings on
   concurrently running jobs, vCPUs and RAM.
-* *Who goes first?* — the ordering (:meth:`FairShare.ordering`):
-  ``fifo`` is submission order; ``drf`` sorts pending jobs by their
+* *Who goes first?* — the ordering (:meth:`FairShare.merge`):
+  ``fifo`` is submission order; ``drf`` orders pending jobs by their
   tenant's *dominant share* — the larger of the tenant's vCPU and RAM
   fraction of the whole cluster — so the tenant consuming the least
   of its bottleneck resource is served first (Ghodsi et al.'s
@@ -20,9 +20,11 @@ Ties break by submission order, so the ordering is deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.jobs.model import Job
+from repro.jobs.model import SUBMISSION_SEQ, Job
 
 __all__ = ["TenantAccount", "FairShare", "tenant_levels"]
 
@@ -35,6 +37,10 @@ def tenant_levels(tenant: str) -> List[str]:
     """
     parts = tenant.split("/")
     return ["/".join(parts[: i + 1]) for i in range(len(parts))]
+
+
+#: Memoised :func:`tenant_levels`: each tenant's tuple is built once.
+_levels = lru_cache(maxsize=4096)(lambda tenant: tuple(tenant_levels(tenant)))
 
 
 class TenantAccount:
@@ -87,7 +93,7 @@ class FairShare:
 
     def charge(self, job: Job) -> None:
         """A job started running: charge every hierarchy level."""
-        for level in tenant_levels(job.spec.tenant):
+        for level in _levels(job.spec.tenant):
             account = self.account(level)
             account.running += 1
             account.cpus += job.spec.cpus
@@ -95,7 +101,7 @@ class FairShare:
 
     def release(self, job: Job) -> None:
         """A running job reached a terminal state: refund the charge."""
-        for level in tenant_levels(job.spec.tenant):
+        for level in _levels(job.spec.tenant):
             account = self.account(level)
             account.running -= 1
             account.cpus -= job.spec.cpus
@@ -109,7 +115,7 @@ class FairShare:
         Quotas apply at every hierarchy level — a group ceiling caps
         the sum of its users.
         """
-        for level in tenant_levels(job.spec.tenant):
+        for level in _levels(job.spec.tenant):
             account = self._accounts.get(level)
             running = account.running if account else 0
             cpus = account.cpus if account else 0
@@ -146,18 +152,31 @@ class FairShare:
 
     def share_key(self, tenant: str) -> Tuple[float, ...]:
         """Hierarchical DRF sort key: dominant share per level."""
-        return tuple(self.dominant_share(level) for level in tenant_levels(tenant))
+        return tuple(self.dominant_share(level) for level in _levels(tenant))
 
-    def ordering(self, pending: List[Job]) -> List[Job]:
-        """Admission order over ``pending`` (which is submission order).
+    def merge(
+        self, streams: Mapping[str, Iterable[Job]], seq=SUBMISSION_SEQ
+    ) -> Iterator[Job]:
+        """Lazy admission order over per-tenant submission-ordered streams.
 
-        ``fifo`` keeps submission order; ``drf`` sorts by the
-        hierarchical share key, stably — equal shares fall back to
-        submission order, keeping the result deterministic.
+        A tenant's waiting jobs share one key, so ``drf`` is the streams
+        merged on ``(share_key(tenant), seq)`` (``fifo``: ``seq`` alone) —
+        no sort.  Valid until the next charge, release or transition.
         """
         if self.policy == "fifo":
-            return list(pending)
-        return sorted(pending, key=lambda job: self.share_key(job.spec.tenant))
+            return heapq.merge(*streams.values(), key=seq)
+        shares = {tenant: self.share_key(tenant) for tenant in streams}
+        return heapq.merge(
+            *streams.values(), key=lambda job: (shares[job.spec.tenant], seq(job))
+        )
+
+    def ordering(self, pending: List[Job]) -> List[Job]:
+        """:meth:`merge` over a flat list that is in submission order."""
+        position = {job: index for index, job in enumerate(pending)}
+        streams: Dict[str, List[Job]] = {}
+        for job in pending:
+            streams.setdefault(job.spec.tenant, []).append(job)
+        return list(self.merge(streams, seq=position.__getitem__))
 
     # -- telemetry ---------------------------------------------------------
 

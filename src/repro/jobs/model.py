@@ -26,6 +26,7 @@ registry (:mod:`repro.jobs.bodies`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, Optional
 
 from repro.config import GIB
@@ -68,6 +69,10 @@ TRANSITIONS: Dict[str, frozenset] = {
     CANCELLED: frozenset(),
 }
 
+#: Sort key: position in the owning queue's submission order (an int;
+#: the id string's lexicographic order breaks at the millionth job).
+SUBMISSION_SEQ = attrgetter("_seq")
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -87,8 +92,8 @@ class JobSpec:
     duration_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tenant:
-            raise ValueError("tenant must be non-empty")
+        if "" in self.tenant.split("/"):  # would share a ledger level "" or "a/"
+            raise ValueError(f"tenant must be non-empty at every level: {self.tenant!r}")
         if not self.body:
             raise ValueError("body must be non-empty")
         if self.cpus < 1:
@@ -133,6 +138,8 @@ class Job:
         "finished_s",
         "_body_fn",
         "result",
+        "_queue",
+        "_seq",
     )
 
     def __init__(self, job_id: str, spec: JobSpec, submitted_s: float) -> None:
@@ -152,6 +159,9 @@ class Job:
         self._body_fn: Optional[Callable] = None
         #: Runtime-only body result (never serialized).
         self.result: Any = None
+        #: Runtime-only (never serialized): owning queue, position in its order.
+        self._queue: Any = None
+        self._seq = 0
 
     # -- state machine -----------------------------------------------------
 
@@ -171,6 +181,8 @@ class Job:
             raise InvalidJobTransition(
                 f"job {self.job_id}: cannot go {self.state} -> {new_state}"
             )
+        if self.state == QUEUED and self._queue is not None:
+            self._queue._left_queued(self)
         self.state = new_state
 
     def admit(self, now: float, node: str) -> None:
@@ -211,6 +223,8 @@ class Job:
             raise InvalidJobTransition(
                 f"job {self.job_id}: cannot requeue terminal state {self.state}"
             )
+        if self.state != QUEUED and self._queue is not None:
+            self._queue._requeued(self)
         self.state = QUEUED
         self.node = None
         self.admitted_s = None

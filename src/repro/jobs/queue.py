@@ -7,16 +7,21 @@ whole structure round-trips through JSON — :meth:`JobQueue.save` /
 :meth:`JobQueue.load` write and read a snapshot file, and
 :meth:`JobQueue.requeue_nonterminal` resets in-flight jobs so a
 resumed service re-admits them deterministically.
+
+The *waiting* jobs are also indexed per tenant (``streams``, runtime
+only), kept current by the jobs' own transitions: no view scans the log.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
+from heapq import merge
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
 from repro.errors import JobQueueFull, UnknownJob
-from repro.jobs.model import Job, JobSpec
+from repro.jobs.model import QUEUED, SUBMISSION_SEQ, Job, JobSpec
 
 __all__ = ["JobQueue"]
 
@@ -34,6 +39,10 @@ class JobQueue:
         self.max_queue = max_queue
         #: job_id -> Job; dict order is submission order.
         self._jobs: Dict[str, Job] = {}
+        #: Live index: tenant -> its queued jobs, oldest first (no empty
+        #: streams).  An iterator over it is stale after any transition.
+        self.streams: Dict[str, Deque[Job]] = {}
+        self._depth = 0
         self._next_id = 0
         #: Submissions rejected at capacity (monotonic).
         self.rejected = 0
@@ -56,8 +65,30 @@ class JobQueue:
         self._next_id += 1
         job = Job(job_id, spec, submitted_s=now)
         job._body_fn = body_fn
-        self._jobs[job_id] = job
+        self._append(job)
         return job
+
+    def _append(self, job: Job) -> None:
+        """Log ``job`` as the newest submission; index it if it waits."""
+        job._queue, job._seq = self, len(self._jobs)
+        self._jobs[job.job_id] = job
+        if job.state == QUEUED:
+            self.streams.setdefault(job.spec.tenant, deque()).append(job)
+            self._depth += 1
+
+    def _left_queued(self, job: Job) -> None:
+        """``job`` is about to leave ``queued`` (called by the job itself)."""
+        stream = self.streams[job.spec.tenant]
+        stream.remove(job)  # O(1) at the head, where admission takes from
+        if not stream:
+            del self.streams[job.spec.tenant]
+        self._depth -= 1
+
+    def _requeued(self, job: Job) -> None:
+        """``job`` re-enters ``queued`` at its original submission position."""
+        waiting = [*self.streams.get(job.spec.tenant, ()), job]
+        self.streams[job.spec.tenant] = deque(sorted(waiting, key=SUBMISSION_SEQ))
+        self._depth += 1
 
     # -- views -------------------------------------------------------------
 
@@ -79,12 +110,12 @@ class JobQueue:
 
     def pending(self) -> List[Job]:
         """Jobs waiting for admission, in submission order."""
-        return [job for job in self._jobs.values() if job.state == "queued"]
+        return list(merge(*self.streams.values(), key=SUBMISSION_SEQ))
 
     @property
     def depth(self) -> int:
         """Number of jobs currently waiting for admission."""
-        return sum(1 for job in self._jobs.values() if job.state == "queued")
+        return self._depth
 
     @property
     def drained(self) -> bool:
@@ -114,8 +145,7 @@ class JobQueue:
         queue._next_id = int(doc["next_id"])
         queue.rejected = int(doc.get("rejected", 0))
         for job_doc in doc["jobs"]:
-            job = Job.from_json(job_doc)
-            queue._jobs[job.job_id] = job
+            queue._append(Job.from_json(job_doc))
         return queue
 
     def save(self, path: Union[str, Path]) -> Path:

@@ -254,12 +254,9 @@ class JobService:
 
     def _admit_pending(self) -> None:
         """Admit as many pending jobs as quotas and capacity allow."""
-        while True:
-            pending = self.queue.pending()
-            if not pending:
-                return
+        while self.queue.depth:
             admitted = False
-            for job in self.fairshare.ordering(pending):
+            for job in self.fairshare.merge(self.queue.streams):
                 reason = self.fairshare.quota_blocked(job)
                 if reason is not None:
                     self._note_blocked("quota", job)
@@ -272,7 +269,7 @@ class JobService:
                     return
                 self._admit(job, node)
                 admitted = True
-                break  # re-derive fair-share ordering after each charge
+                break  # the charge and transition invalidated the lazy merge
             if not admitted:
                 return
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import GIB
-from repro.jobs import FairShare, Job, JobSpec, tenant_levels
+from repro.jobs import FairShare, Job, JobQueue, JobSpec, tenant_levels
 
 
 def make_job(tenant="tenant-0", cpus=1, ram=1 * GIB, job_id="job-000000"):
@@ -14,6 +14,12 @@ def test_tenant_levels_expand_hierarchy():
     assert tenant_levels("alice") == ["alice"]
     assert tenant_levels("team-a/alice") == ["team-a", "team-a/alice"]
     assert tenant_levels("org/team/user") == ["org", "org/team", "org/team/user"]
+
+
+def test_tenant_levels_returns_a_fresh_list_each_call():
+    # The level tuples are memoised; a caller's edit must not leak.
+    tenant_levels("team-a/alice").append("oops")
+    assert tenant_levels("team-a/alice") == ["team-a", "team-a/alice"]
 
 
 def test_policy_must_be_fifo_or_drf():
@@ -112,6 +118,32 @@ def test_drf_ties_break_by_submission_order():
     ]
     # Equal (zero) shares: the stable sort must keep submission order.
     assert fs.ordering(pending) == pending
+
+
+def test_merge_ties_break_on_the_submission_sequence_not_the_id_string():
+    # "job-1000000" sorts before "job-999999" as a string; the merge
+    # must compare the integer sequence the queue assigned.
+    queue = JobQueue()
+    queue._next_id = 999_999
+    jobs = [queue.submit(JobSpec(tenant=t), now=0.0) for t in ("b", "a", "b")]
+    assert [job.job_id for job in jobs] == [
+        "job-999999", "job-1000000", "job-1000001",
+    ]
+    for policy in ("fifo", "drf"):
+        fs = FairShare(policy=policy, total_cpus=8, total_ram_bytes=8 * GIB)
+        assert list(fs.merge(queue.streams)) == jobs
+
+
+def test_merge_is_lazy_and_evaluates_one_key_per_tenant():
+    queue = JobQueue()
+    for index in range(300):
+        queue.submit(JobSpec(tenant=f"t{index % 3}"), now=0.0)
+    fs = FairShare(policy="drf", total_cpus=8, total_ram_bytes=8 * GIB)
+    calls = []
+    fs.share_key = lambda tenant: calls.append(tenant) or (0.0,)
+    order = fs.merge(queue.streams)
+    assert next(order).job_id == "job-000000"
+    assert sorted(calls) == ["t0", "t1", "t2"]
 
 
 def test_hierarchical_key_compares_groups_before_users():

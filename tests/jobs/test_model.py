@@ -52,6 +52,20 @@ def test_spec_rejects_bad_fields(kwargs):
         JobSpec(**kwargs)
 
 
+@pytest.mark.parametrize("tenant", ["a//b", "/a", "a/", "/", "team//"])
+def test_spec_rejects_empty_hierarchy_segments(tenant):
+    # Regression: these were accepted, and fair-share then charged a
+    # ledger level named "" or "a/" shared by unrelated tenants.
+    with pytest.raises(ValueError, match="tenant must be non-empty"):
+        JobSpec(tenant=tenant)
+    # A hand-edited snapshot fails at load, before it reaches a ledger.
+    doc = {**JobSpec().to_json(), "tenant": tenant}
+    with pytest.raises(ValueError, match="tenant must be non-empty"):
+        JobSpec.from_json(doc)
+    with pytest.raises(ValueError, match="tenant must be non-empty"):
+        Job.from_json({**make_job().to_json(), "spec": doc})
+
+
 def test_spec_json_round_trip():
     spec = JobSpec(
         tenant="team-a/alice", body="dice/script", cpus=4,

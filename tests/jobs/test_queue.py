@@ -1,5 +1,7 @@
 """Persistent queue: ordering, capacity, JSON snapshots, resume resets."""
 
+import json
+
 import pytest
 
 from repro.errors import JobQueueFull, UnknownJob
@@ -102,3 +104,84 @@ def test_requeue_nonterminal_resets_in_flight_only():
     assert running.state == "queued" and running.node is None
     assert done.state == "cancelled"
     assert waiting.state == "queued"
+
+
+# -- the waiting-jobs index ---------------------------------------------------
+
+
+def assert_index_matches_state_scan(queue):
+    scan = [job for job in queue if job.state == "queued"]
+    assert queue.pending() == scan
+    assert queue.depth == len(scan)
+    streams = queue.streams
+    assert all(streams.values()), "an emptied tenant stream must be dropped"
+    assert {
+        tenant: list(stream) for tenant, stream in streams.items()
+    } == {
+        tenant: [job for job in scan if job.spec.tenant == tenant]
+        for tenant in {job.spec.tenant for job in scan}
+    }
+
+
+def test_index_follows_every_transition_whoever_makes_it():
+    queue = JobQueue()
+
+    def check():
+        assert_index_matches_state_scan(queue)
+
+    check()
+    a0, b0, a1, b1, a2, c0 = (
+        queue.submit(JobSpec(tenant=tenant), now=0.0)
+        for tenant in ("a", "b", "a/x", "b", "a", "c")
+    )
+    check()
+    # Transitions called on the Job directly, not through a service.
+    a0.admit(1.0, "worker-0")
+    check()
+    a0.start(1.0)
+    check()
+    b1.cancel(1.5)  # leaves from behind its tenant's head
+    check()
+    a0.complete(2.0)
+    check()
+    a2.fail(2.0, "boom")  # queued -> failed
+    check()
+    b0.admit(2.0, "worker-1")
+    check()
+    b0.fail(2.5, "boom")  # admitted -> failed: was not queued, no change
+    check()
+    c0.admit(3.0, "worker-0")
+    c0.start(3.0)
+    late = queue.submit(JobSpec(tenant="c"), now=3.0)
+    check()
+    # A requeued job returns to its original position, ahead of `late`.
+    c0.requeue()
+    check()
+    assert queue.streams["c"][0] is c0 and queue.pending() == [a1, c0, late]
+    c0.requeue()  # already queued: a no-op for the index
+    check()
+    a1.admit(4.0, "worker-0")
+    assert queue.requeue_nonterminal() == 1
+    check()
+    assert queue.pending() == [a1, c0, late]
+    resumed = JobQueue.from_json(json.loads(json.dumps(queue.to_json())))
+    assert_index_matches_state_scan(resumed)
+    assert [job.job_id for job in resumed.pending()] == [
+        job.job_id for job in queue.pending()
+    ]
+    resumed.get(late.job_id).cancel(5.0)
+    assert_index_matches_state_scan(resumed)
+    check()  # the two queues share nothing
+
+
+def test_the_index_and_back_reference_are_never_serialized():
+    queue = JobQueue()
+    job = queue.submit(JobSpec(tenant="team/alice"), now=0.5)
+    assert sorted(job.to_json()) == [
+        "admitted_s", "error", "finished_s", "job_id", "node", "spec",
+        "started_s", "state", "submitted_s",
+    ]
+    doc = queue.to_json()
+    assert sorted(doc) == ["jobs", "max_queue", "next_id", "rejected", "version"]
+    assert doc["version"] == SNAPSHOT_VERSION == 1
+    assert JobQueue.from_json(doc).to_json() == doc

@@ -115,6 +115,39 @@ def test_quota_blocks_one_tenant_not_the_cluster():
     assert service.counts()["completed"] == 3
 
 
+def drain_counting_share_keys(depth):
+    """Drain a pre-loaded 8-tenant flood; count dispatches and DRF key evaluations."""
+    tenants = 8
+    service = JobService(JobsConfig(policy="drf"))
+    fs = service.fairshare
+    share_key, merge = fs.share_key, fs.merge
+    keys, dispatched_tenants = [], []
+    fs.share_key = lambda tenant: keys.append(tenant) or share_key(tenant)
+    fs.merge = lambda streams: dispatched_tenants.append(len(streams)) or merge(streams)
+    for index in range(depth):
+        service.submit(profile(1.0, tenant=f"tenant-{index % tenants}", cpus=2))
+    service.run_pending()
+    assert service.counts()["completed"] == depth
+    assert service.peak_queue_depth == depth
+    # Every dispatch ends in one admission or one head-of-line block ...
+    assert len(dispatched_tenants) == depth + service.blocked["capacity"]
+    # ... and costs one key per tenant that has a job waiting, not one
+    # per waiting job.
+    assert len(keys) == sum(dispatched_tenants)
+    assert max(dispatched_tenants) == tenants
+    return len(keys) / depth
+
+
+def test_dispatch_cost_does_not_grow_with_queue_depth():
+    # A count pin, not a wall-clock one.  The whole-queue sort this
+    # replaced evaluated a key per *waiting job* per dispatch: ~4x more
+    # per admitted job at 4x the depth.
+    shallow = drain_counting_share_keys(200)
+    deep = drain_counting_share_keys(800)
+    assert shallow <= 8.5 and deep <= 8.5  # 8 tenants x (1 + 1 block per 16-job wave)
+    assert deep / shallow < 1.02
+
+
 def test_cpu_capacity_blocks_then_drains():
     # 4 workers x 8 vCPUs: five 8-vCPU jobs need two waves.
     service = JobService()
