@@ -21,9 +21,10 @@ a real runtime exhibits under pressure:
   explicitly when the consumer drains the batch
   (:meth:`free_anonymous`).
 
-With the policy disabled (the default) no call site ever reaches this
-class — every allocation keeps the seed's direct ``Node`` arithmetic
-and timings stay bit-identical (``tests/mem/test_timing_pin.py``).
+With the policy disabled (the default) callers keep the seed's direct
+``Node`` arithmetic instead of reaching this class, so timings stay
+bit-identical (``tests/mem/test_timing_pin.py``); the object store
+makes that choice in one place, its ``_attach``/``_detach`` pair.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ class MemoryManager:
         self.cluster = cluster
         self.config = config
         self.env = cluster.env
-        #: True only when the spill/backpressure policy is on; every
-        #: call site guards with ``if mem.active:`` so a dormant
-        #: manager costs nothing (the bit-identical-timings contract).
+        #: True only when the spill/backpressure policy is on; callers
+        #: branch on it so a dormant manager costs nothing (the
+        #: bit-identical-timings contract).
         self.active = bool(config.enabled)
         self._states: Dict[str, _NodeMemory] = {
             name: _NodeMemory() for name in cluster.node_names()

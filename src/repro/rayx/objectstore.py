@@ -28,8 +28,16 @@ enabled, every replica reservation goes through the
 :class:`repro.mem.MemoryManager` — admissions may spill LRU replicas
 to disk or block behind a watermark instead of raising, and a ``get``
 of a spilled replica pays the disk read back before the mapping cost.
-With the policy dormant (the default) every call site takes the seed's
-direct ``Node.allocate_ram`` path.
+
+The replica ledger: :meth:`ObjectStore._attach` and
+:meth:`ObjectStore._detach` are the only code that touches node RAM,
+a stored object's replica set or ``bytes_live``, and the only place
+the dormant/enabled memory policy forks (dormant — the default — is
+the seed's direct ``Node.allocate_ram`` arithmetic).  Every public
+method that gains or loses a replica goes through the pair, which is
+what makes ``bytes_live == Σ nbytes·|replicas|`` and "a node's
+reserved RAM covers the replicas listed on it" hold by construction
+(``docs/architecture.md``, invariants).
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ class _StoredObject:
         self.value = value
         self.nbytes = nbytes
         self.owner_node = owner_node
-        self.replicas: Set[str] = {owner_node}
+        #: Filled by ``ObjectStore._attach`` only.
+        self.replicas: Set[str] = set()
         self.label = label
         self.ref_id = ref_id
 
@@ -73,6 +82,10 @@ class ObjectStore:
         #: ``(ref_id, node)``; late arrivals wait on it instead of
         #: duplicating the work (and the RAM reservation).
         self._inflight: Dict[Tuple[str, str], Any] = {}
+        #: ``(ref_id, node)`` pairs with an ``_attach`` between its
+        #: reservation and its verdict; the value is the event later
+        #: attaches of the same pair wait on (None until one does).
+        self._attaching: Dict[Tuple[str, str], Any] = {}
         #: ``ref_id -> (fn, args)`` recorded by the runtime at submit
         #: time; the basis for lineage reconstruction.
         self.lineage: Dict[str, Tuple] = {}
@@ -92,9 +105,10 @@ class ObjectStore:
         #: memory reports do not overstate residency.
         self.bytes_stored = 0
         self.bytes_live = 0
-        #: In-flight fetches that found their object overwritten while
-        #: the transfer was on the wire; their replica is discarded
-        #: instead of being charged against the *old* entry.
+        #: Replicas that arrived (fetch, migration, restore) to find
+        #: their object overwritten while they were in flight, or the
+        #: node already holding a copy; they are discarded instead of
+        #: being charged against the *old* entry.
         self.stale_fetches = 0
         #: Inter-node replica fetches actually performed, and the
         #: virtual seconds they took — what the locality placement
@@ -136,34 +150,12 @@ class ObjectStore:
             tracer.metrics.counter("objectstore.put.bytes").add(nbytes)
             tracer.metrics.counter("objectstore.put.count").inc()
         try:
-            previous = self._objects.get(ref.ref_id)
-            if previous is not None:
-                self._release_entry(previous)
-            node = self.cluster.node(node_name)
-            mem = self.cluster.memory
-            if mem.active:
-                yield from mem.allocate(node_name, nbytes, key=ref.ref_id)
-            else:
-                node.allocate_ram(nbytes)
-            try:
-                yield self.cluster.env.timeout(self.config.put_time(nbytes))
-            except BaseException:
-                # The copy was interrupted (fault kill) after the RAM
-                # was reserved but before any _StoredObject existed to
-                # own it — release here or the node leaks the
-                # reservation for the rest of the run (mirrors
-                # _fetch_replica's cleanup).
-                if mem.active:
-                    mem.release(node_name, ref.ref_id)
-                else:
-                    node.free_ram(nbytes)
-                raise
-            self._objects[ref.ref_id] = _StoredObject(
-                value, nbytes, node_name, ref.label, ref.ref_id
+            stored = _StoredObject(value, nbytes, node_name, ref.label, ref.ref_id)
+            yield from self._attach(
+                stored, node_name, self.config.put_time(nbytes), fresh=True
             )
             self.put_count += 1
             self.bytes_stored += nbytes
-            self.bytes_live += nbytes
         finally:
             if span is not None:
                 tracer.end(span)
@@ -189,20 +181,10 @@ class ObjectStore:
         ``put_time`` elapses.  Fulfils ``ref`` like :meth:`put`.
         """
         nbytes = estimate_bytes(value)
-        previous = self._objects.get(ref.ref_id)
-        if previous is not None:
-            self._release_entry(previous)
-        mem = self.cluster.memory
-        if mem.active:
-            yield from mem.allocate(node_name, nbytes, key=ref.ref_id)
-        else:
-            self.cluster.node(node_name).allocate_ram(nbytes)
-        self._objects[ref.ref_id] = _StoredObject(
-            value, nbytes, node_name, ref.label, ref.ref_id
-        )
+        stored = _StoredObject(value, nbytes, node_name, ref.label, ref.ref_id)
+        yield from self._attach(stored, node_name, fresh=True)
         self.adopted += 1
         self.bytes_stored += nbytes
-        self.bytes_live += nbytes
         tracer = self.cluster.env.tracer
         if tracer.enabled:
             tracer.metrics.counter("objectstore.adopt.count").inc()
@@ -314,24 +296,10 @@ class ObjectStore:
             yield self.cluster.env.process(
                 self.cluster.transfer(source, node_name, stored.nbytes)
             )
-            # The transfer yielded: a re-``put`` may have overwritten
-            # the entry (releasing its replicas) while the bytes were
-            # on the wire.  Charging the replica against the *old*
-            # _StoredObject would leak the reservation forever, so the
-            # stale copy is simply discarded — the getter's loop
-            # re-resolves and fetches the live entry.
-            if self._objects.get(ref.ref_id) is stored:
-                mem = self.cluster.memory
-                if mem.active:
-                    yield from mem.allocate(
-                        node_name, stored.nbytes, key=ref.ref_id
-                    )
-                else:
-                    self.cluster.node(node_name).allocate_ram(stored.nbytes)
-                stored.replicas.add(node_name)
-                self.bytes_live += stored.nbytes
-            else:
-                self.stale_fetches += 1
+            # A re-``put`` that overwrote the entry while the bytes were
+            # on the wire makes this copy stale: ``_attach`` discards
+            # it, and the getter's loop re-resolves the live entry.
+            yield from self._attach(stored, node_name)
         except BaseException as exc:
             # ``pop`` (not ``del``): a concurrent ``free_all`` may have
             # cleared the in-flight table while the transfer generator
@@ -416,17 +384,10 @@ class ObjectStore:
                 f"cannot restore {ref.label!r} ({ref.ref_id}): "
                 "it is not in the object store"
             )
-        mem = self.cluster.memory
-        if mem.active:
-            yield from mem.allocate(node_name, stored.nbytes, key=ref.ref_id)
-        else:
-            self.cluster.node(node_name).allocate_ram(stored.nbytes)
-        if charge:
-            yield self.cluster.env.timeout(self.config.put_time(stored.nbytes))
-        stored.value = value
-        stored.owner_node = node_name
-        stored.replicas.add(node_name)
-        self.bytes_live += stored.nbytes
+        charge_s = self.config.put_time(stored.nbytes) if charge else None
+        if (yield from self._attach(stored, node_name, charge_s)):
+            stored.value = value
+            stored.owner_node = node_name
 
     # -- fault hooks (called by repro.faults) -----------------------------------
 
@@ -446,7 +407,7 @@ class ObjectStore:
                 continue
             non_owners = sorted(stored.replicas - {stored.owner_node})
             victim = non_owners[0] if non_owners else stored.owner_node
-            self._evict(ref_id, stored, victim)
+            self._detach(stored, victim, lost=True)
             return 1
         return 0
 
@@ -464,7 +425,7 @@ class ObjectStore:
                 continue
             if len(stored.replicas) == 1 and ref_id not in self.lineage:
                 continue
-            self._evict(ref_id, stored, node_name)
+            self._detach(stored, node_name, lost=True)
             dropped += 1
         return dropped
 
@@ -497,17 +458,15 @@ class ObjectStore:
                 yield self.cluster.env.process(
                     self.cluster.transfer(node_name, target, stored.nbytes)
                 )
-                if mem.active:
-                    yield from mem.allocate(target, stored.nbytes, key=ref_id)
-                else:
-                    self.cluster.node(target).allocate_ram(stored.nbytes)
-                stored.replicas.add(target)
-                self.bytes_live += stored.nbytes
-                migrated += 1
-                self.migrated_bytes += stored.nbytes
+                # The transfer yielded: the entry may have been
+                # overwritten, or ``target`` served by a concurrent
+                # fetch — either way there is nothing left to land.
+                if (yield from self._attach(stored, target)):
+                    migrated += 1
+                    self.migrated_bytes += stored.nbytes
             else:
                 dropped += 1
-            self._drop_for_drain(ref_id, stored, node_name)
+            self._detach(stored, node_name)
         self.migrations += migrated
         tracer = self.cluster.env.tracer
         if tracer.enabled and (migrated or dropped):
@@ -516,34 +475,115 @@ class ObjectStore:
             ).add(migrated)
         return (migrated, dropped)
 
-    def _drop_for_drain(
-        self, ref_id: str, stored: _StoredObject, node_name: str
+    # -- the replica ledger ------------------------------------------------------
+
+    def _attach(
+        self,
+        stored: _StoredObject,
+        node_name: str,
+        charge_s: Optional[float] = None,
+        fresh: bool = False,
+    ) -> Generator:
+        """Simulation process landing a replica of ``stored`` on ``node_name``.
+
+        Reserves the RAM, pays ``charge_s`` when given (``put_time``),
+        and only then — after every yield — lists the replica, provided
+        ``stored`` is still the entry its ``ref_id`` resolves to and
+        the node has no copy yet; otherwise the reservation is handed
+        back and the attach counts as a stale fetch.  A ``fresh`` entry
+        (``put`` / ``adopt``) is never stale: it releases whatever
+        answers to its ``ref_id`` — before reserving, so an overwrite
+        frees the old copy first, and again on landing — and becomes
+        visible in ``_objects`` together with this first replica, never
+        with zero.  Returns whether the replica was listed.
+
+        With the policy dormant and no charge this never yields, so it
+        schedules no kernel event.
+        """
+        pair = (stored.ref_id, node_name)
+        # The memory manager tracks one reservation per pair, so two
+        # attaches of the same pair take turns.
+        while pair in self._attaching:
+            if self._attaching[pair] is None:
+                self._attaching[pair] = self.cluster.env.event()
+            yield self._attaching[pair]
+        self._attaching[pair] = None
+        try:
+            if not self._admit(stored, node_name, fresh):
+                return False
+            mem = self.cluster.memory
+            if mem.active:
+                yield from mem.allocate(node_name, stored.nbytes, key=stored.ref_id)
+            else:
+                self.cluster.node(node_name).allocate_ram(stored.nbytes)
+            try:
+                if charge_s is not None:
+                    yield self.cluster.env.timeout(charge_s)
+            except BaseException:
+                # Interrupted (fault kill, generator close) with the RAM
+                # reserved and no replica listed to own it.
+                self._unreserve(stored, node_name)
+                raise
+            if not self._admit(stored, node_name, fresh):
+                self._unreserve(stored, node_name)
+                return False
+            self._objects[stored.ref_id] = stored
+            stored.replicas.add(node_name)
+            self.bytes_live += stored.nbytes
+            return True
+        finally:
+            waiters = self._attaching.pop(pair)
+            if waiters is not None:
+                waiters.succeed()
+
+    def _admit(self, stored: _StoredObject, node_name: str, fresh: bool) -> bool:
+        """Whether a replica of ``stored`` may (still) land on ``node_name``.
+
+        Not a pure predicate: a fresh entry is admitted by releasing the
+        entry it replaces, and a refusal is counted in ``stale_fetches``.
+        """
+        current = self._objects.get(stored.ref_id)
+        if fresh:
+            if current is not None:
+                self._release_entry(current)
+            return True
+        if current is stored and node_name not in stored.replicas:
+            return True
+        self.stale_fetches += 1
+        return False
+
+    def _detach(
+        self, stored: _StoredObject, node_name: str, lost: bool = False
     ) -> None:
-        # _evict minus the replicas_lost accounting: a drained replica
-        # was relocated or redundant, not lost.
+        """Unlist ``node_name``'s replica of ``stored`` and free its RAM.
+
+        A no-op unless the node currently holds the replica.  ``lost``
+        separates a crash or injected loss (counted in
+        ``replicas_lost``) from a drain or overwrite, where the copy was
+        relocated, redundant or superseded.
+        """
+        if node_name not in stored.replicas:
+            return
         stored.replicas.discard(node_name)
-        mem = self.cluster.memory
-        if mem.active:
-            mem.release(node_name, ref_id)
-        else:
-            self.cluster.node(node_name).free_ram(stored.nbytes)
+        self._unreserve(stored, node_name)
         self.bytes_live -= stored.nbytes
+        if lost:
+            self.replicas_lost += 1
         if stored.owner_node == node_name and stored.replicas:
             stored.owner_node = sorted(stored.replicas)[0]
 
-    def _evict(self, ref_id: str, stored: _StoredObject, node_name: str) -> None:
-        stored.replicas.discard(node_name)
+    def _release_entry(self, stored: _StoredObject) -> None:
+        for node_name in sorted(stored.replicas):
+            self._detach(stored, node_name)
+
+    def _unreserve(self, stored: _StoredObject, node_name: str) -> None:
         mem = self.cluster.memory
         if mem.active:
-            # The replica may be RAM-resident or spilled to disk; the
-            # manager frees whichever representation exists.
-            mem.release(node_name, ref_id)
+            # The reservation may be RAM-resident or spilled to disk;
+            # the manager frees whichever representation exists.
+            mem.release(node_name, stored.ref_id)
         else:
             self.cluster.node(node_name).free_ram(stored.nbytes)
-        self.replicas_lost += 1
-        self.bytes_live -= stored.nbytes
-        if stored.owner_node == node_name and stored.replicas:
-            stored.owner_node = sorted(stored.replicas)[0]
 
     # -- queries / teardown ------------------------------------------------------
 
@@ -561,16 +601,6 @@ class ObjectStore:
             return self._objects[ref.ref_id].nbytes
         except KeyError:
             raise ObjectNotFound(f"{ref.ref_id} is not in the object store") from None
-
-    def _release_entry(self, stored: _StoredObject) -> None:
-        mem = self.cluster.memory
-        for node_name in stored.replicas:
-            if mem.active:
-                mem.release(node_name, stored.ref_id)
-            else:
-                self.cluster.node(node_name).free_ram(stored.nbytes)
-            self.bytes_live -= stored.nbytes
-        stored.replicas.clear()
 
     def free_all(self) -> None:
         """Release every replica's RAM reservation (runtime shutdown)."""

@@ -17,8 +17,7 @@ tests assert it — while accumulating different virtual time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.cluster import Cluster, build_cluster
 from repro.config import ReproConfig, default_config
@@ -26,35 +25,14 @@ from repro.obs.tracer import Tracer
 from repro.paradigm import PARADIGM_SCRIPT, PARADIGM_WORKFLOW
 from repro.relational import Table
 from repro.sim import Environment
-from repro.workflow.spec import WorkflowSpec, read_spec
 
 __all__ = [
     "TaskRun",
     "fresh_cluster",
     "run_trace_of",
-    "task_spec",
     "PARADIGM_SCRIPT",
     "PARADIGM_WORKFLOW",
 ]
-
-#: Where the canonical task workflow specs live in a source checkout.
-TASK_SPEC_DIR = Path(__file__).resolve().parents[3] / "examples" / "workflows"
-
-
-def task_spec(
-    filename: str, fallback: Callable[[], Dict[str, Any]]
-) -> WorkflowSpec:
-    """Load a task's canonical spec from ``examples/workflows/``.
-
-    The committed JSON file is the source of truth in a checkout; when
-    the package runs without the examples tree (e.g. installed
-    elsewhere), ``fallback()`` regenerates the identical document — a
-    unit test per task pins file == fallback so the two cannot drift.
-    """
-    path = TASK_SPEC_DIR / filename
-    if path.is_file():
-        return read_spec(path)
-    return WorkflowSpec.from_json(fallback())
 
 
 @dataclass

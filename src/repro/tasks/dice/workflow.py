@@ -27,7 +27,7 @@ from repro.cluster import Cluster
 from repro.datasets.maccrobat import CaseReport
 from repro.relational import FieldType, Schema, Tuple
 from repro.storage.textio import split_sentences
-from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of, task_spec
+from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of
 from repro.tasks.dice.common import (
     DICE_COSTS,
     ENTITY_SCHEMA,
@@ -47,8 +47,8 @@ from repro.workflow import Workflow
 from repro.workflow import run_workflow
 from repro.workflow.spec import (
     SPEC_VERSION,
-    build_workflow,
     callable_form,
+    load_workflow_json,
     param_form,
     schema_form,
     udf_predicate_form,
@@ -657,16 +657,16 @@ def build_dice_workflow(
     reports: Sequence[CaseReport], num_workers: int = 1
 ) -> Workflow:
     """Compile the paper-style DICE spec with runtime bindings."""
-    spec = task_spec("dice.json", dice_spec_dict)
-    return build_workflow(spec, _bindings(reports, num_workers))
+    doc = dice_spec_dict()
+    return load_workflow_json(doc, _bindings(reports, num_workers))
 
 
 def build_dice_workflow_relational(
     reports: Sequence[CaseReport], num_workers: int = 1
 ) -> Workflow:
     """Compile the relational-ablation DICE spec with runtime bindings."""
-    spec = task_spec("dice_relational.json", dice_relational_spec_dict)
-    return build_workflow(spec, _bindings(reports, num_workers))
+    doc = dice_relational_spec_dict()
+    return load_workflow_json(doc, _bindings(reports, num_workers))
 
 
 def run_dice_workflow(

@@ -21,7 +21,7 @@ from typing import Any, Dict, Sequence
 from repro.cluster import Cluster
 from repro.datasets.fsqa import FsqaParagraph
 from repro.relational import Tuple
-from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of, task_spec
+from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of
 from repro.tasks.gotta.common import (
     GOTTA_COSTS,
     PREDICTION_SCHEMA,
@@ -32,8 +32,8 @@ from repro.tasks.gotta.common import (
 from repro.workflow import Workflow, run_workflow
 from repro.workflow.spec import (
     SPEC_VERSION,
-    build_workflow,
     callable_form,
+    load_workflow_json,
     param_form,
     schema_form,
 )
@@ -106,9 +106,9 @@ def build_gotta_workflow(
     load_seconds: float = None,
 ) -> Workflow:
     """Compile the GOTTA spec with runtime bindings."""
-    spec = task_spec("gotta.json", gotta_spec_dict)
-    return build_workflow(
-        spec,
+    doc = gotta_spec_dict()
+    return load_workflow_json(
+        doc,
         {
             "items": items_table(paragraphs),
             "num_workers": num_workers,

@@ -33,7 +33,7 @@ from repro.cluster import Cluster
 from repro.datasets.amazon import PRODUCT_SCHEMA, PURCHASE_RELATION
 from repro.errors import InvalidWorkflow
 from repro.relational import FieldType, Schema, Table, Tuple
-from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of, task_spec
+from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of
 from repro.tasks.kge.common import (
     EMBEDDED_SCHEMA,
     KGE_COSTS,
@@ -446,8 +446,13 @@ def build_kge_workflow(
     from repro.config import default_config
 
     models_config = models_config or default_config().models
+    # TODO(bench): this branch and ``_default_kge_spec_dict`` are redundant
+    # now that nothing reads ``examples/workflows/kge.json`` at run time.
+    # They stay only because fig12a prints this module's logical line
+    # count and ``bench/golden.json`` digests that output; collapse both
+    # into the ``else`` arm in the PR that next regenerates the golden.
     if (num_processing_ops, join_language) == (5, "python"):
-        spec = task_spec("kge.json", _default_kge_spec_dict)
+        spec = WorkflowSpec.from_json(_default_kge_spec_dict())
     else:
         spec = WorkflowSpec.from_json(kge_spec_dict(num_processing_ops, join_language))
     bindings: Dict[str, Any] = {

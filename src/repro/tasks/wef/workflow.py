@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Sequence
 from repro.cluster import Cluster
 from repro.datasets.wildfire import FRAMINGS, LabeledTweet
 from repro.relational import Schema, Tuple
-from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of, task_spec
+from repro.tasks.base import PARADIGM_WORKFLOW, TaskRun, run_trace_of
 from repro.tasks.wef.common import (
     LOSS_SCHEMA,
     WEF_COSTS,
@@ -34,7 +34,7 @@ from repro.tasks.wef.common import (
 from repro.workflow import LogicalOperator, OperatorExecutor, Workflow, run_workflow
 from repro.workflow.spec import (
     SPEC_VERSION,
-    build_workflow,
+    load_workflow_json,
     param_form,
     register_operator_type,
 )
@@ -150,8 +150,8 @@ def wef_spec_dict() -> Dict[str, Any]:
 
 def build_wef_workflow(tweets: Sequence[LabeledTweet]) -> Workflow:
     """Compile the WEF spec with the tweet table bound at runtime."""
-    spec = task_spec("wef.json", wef_spec_dict)
-    return build_workflow(spec, {"tweets": tweets_table(tweets)})
+    doc = wef_spec_dict()
+    return load_workflow_json(doc, {"tweets": tweets_table(tweets)})
 
 
 def run_wef_workflow(cluster: Cluster, tweets: Sequence[LabeledTweet]) -> TaskRun:

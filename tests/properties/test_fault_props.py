@@ -4,7 +4,8 @@ After any run — clean or under an arbitrary seeded fault schedule, on
 either engine — every node's RAM reservations are back to baseline and
 every vCPU has been released.  Recovery machinery (retries, replica
 failover, reconstruction, checkpoint restores) must account for every
-byte and core it touches.
+byte and core it touches, and the object store's replica ledger stays
+exact however its operations interleave.
 """
 
 import random
@@ -18,10 +19,11 @@ from hypothesis import strategies as st
 import repro.workflow.engine as wf_engine
 
 from repro.cluster import build_cluster
+from repro.config import MemoryConfig
 from repro.errors import InjectedFault
 from repro.faults import FaultSchedule, faults_injected
 from repro.obs import tracing
-from repro.rayx import run_script
+from repro.rayx import ObjectRef, ObjectStore, run_script
 from repro.relational import FieldType, Schema, Table, column_greater
 from repro.sim import Environment
 from repro.workflow import Workflow, run_workflow
@@ -44,7 +46,39 @@ schedules = st.one_of(
 )
 
 
-def assert_resources_released(cluster, stores=()):
+def assert_ledger_laws(cluster, object_stores, settled=False):
+    """The object store's two conservation laws; they hold at any instant.
+
+    ``bytes_live`` counts exactly the listed replicas, and a node's
+    reserved RAM covers every replica listed on it that is not spilled
+    to disk.  An attach still in flight only makes ``ram_used`` larger;
+    once everything ``settled`` (and the stores are the only RAM users)
+    the two are equal.
+    """
+    entries = [e for store in object_stores for e in store._objects.values()]
+    for store in object_stores:
+        listed = sum(e.nbytes * len(e.replicas) for e in store._objects.values())
+        assert store.bytes_live == listed, (
+            f"bytes_live {store.bytes_live} != {listed} bytes of listed replicas"
+        )
+    for node in [cluster.controller, *cluster.workers]:
+        resident = sum(
+            e.nbytes
+            for e in entries
+            if node.name in e.replicas
+            and not cluster.memory.is_spilled(node.name, e.ref_id)
+        )
+        covered = node.ram_used == resident if settled else node.ram_used >= resident
+        assert covered, (
+            f"{node.name} reserves {node.ram_used} bytes for {resident} "
+            "bytes of listed replicas"
+        )
+
+
+def assert_resources_released(cluster, stores=(), object_stores=()):
+    assert_ledger_laws(cluster, object_stores)
+    for store in object_stores:
+        store.free_all()
     for node in [cluster.controller, *cluster.workers]:
         assert node.ram_used == 0, f"{node.name} leaked {node.ram_used} bytes"
         assert node.cpus.available == node.cpus.capacity, (
@@ -171,17 +205,33 @@ def test_busy_seconds_matches_traced_counter(schedule, runner):
 def test_drained_node_leaves_no_leaks(seed):
     """``remove_node(drain=True)`` leaks no vCPUs, RAM or waiters.
 
-    A node joins, random compute lands across the fleet, and a drain
-    races the work.  Afterwards the worker set has shrunk back and every
-    surviving node is at baseline.
+    A node joins and is handed sole and redundant replicas, random
+    compute and cross-node reads land across the fleet, and a drain
+    races them.  Afterwards the worker set has shrunk back, the replica
+    ledger balances and every surviving node is at baseline.
     """
     rng = random.Random(seed)
     env = Environment()
     cluster = build_cluster(env)
     cluster.add_node("elastic-0")
+    store = ObjectStore(cluster, cluster.config.object_store)
+    refs = [ObjectRef(env, label=f"obj-{i}") for i in range(3)]
+
+    def seed_objects():
+        for i, ref in enumerate(refs):
+            yield from store.put(ref, list(range(20_000 * (i + 1))), "elastic-0")
+        # obj-0 gains a second copy: draining it is a free drop.
+        yield from store.get(refs[0], "worker-0")
+
+    env.run(until=env.process(seed_objects()))
+    survivors = [w for w in cluster.workers if w.name != "elastic-0"]
 
     def work(node, duration_s, cores):
         yield from node.compute(duration_s, cores=cores)
+
+    def read(ref, node, delay_s):
+        yield env.timeout(delay_s)
+        yield from store.get(ref, node.name)
 
     procs = [
         env.process(
@@ -192,6 +242,11 @@ def test_drained_node_leaves_no_leaks(seed):
             )
         )
         for _ in range(6)
+    ] + [
+        env.process(
+            read(rng.choice(refs), rng.choice(survivors), rng.uniform(0.0, 1.0))
+        )
+        for _ in range(4)
     ]
 
     def drainer():
@@ -208,4 +263,99 @@ def test_drained_node_leaves_no_leaks(seed):
     env.run(until=env.process(barrier()))
     assert "elastic-0" not in cluster.node_names()
     assert not cluster.draining
-    assert_resources_released(cluster)
+    assert all(store.replicas_of(ref) for ref in refs)
+    assert_resources_released(cluster, object_stores=[store])
+
+
+# -- the replica ledger under arbitrary interleavings -------------------------
+
+NODES = ["controller", "worker-0", "worker-1", "worker-2"]
+#: Sizes whose put-times and cross-node transfers (0.1-2 ms) overlap the
+#: microsecond offsets below, so operations land inside each other.
+SIZES = [1_000, 50_000, 200_000]
+
+slots = st.integers(0, 2)
+nodes = st.sampled_from(NODES)
+ledger_ops = st.one_of(
+    st.tuples(st.just("put"), slots, nodes, st.sampled_from(SIZES)),
+    st.tuples(st.just("get"), slots, nodes),
+    st.tuples(st.just("restore"), slots, nodes, st.booleans()),
+    st.tuples(st.just("drop_replica"), slots),
+    st.tuples(st.just("evict_node"), nodes),
+    st.tuples(
+        st.just("migrate_node"), st.permutations(NODES).map(lambda ns: ns[:2])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    memory=st.sampled_from([None, MemoryConfig(enabled=True)]),
+    schedule=st.lists(st.tuples(st.integers(0, 4_000), ledger_ops), max_size=14),
+)
+@example(
+    # A restore's put-time and a re-put reserve the same (ref, node)
+    # pair at once: the memory manager tracks one reservation per pair,
+    # so the second attach has to wait its turn.
+    memory=MemoryConfig(enabled=True),
+    schedule=[
+        (0, ("put", 0, "worker-0", 1_000)),
+        (2_000, ("drop_replica", 0)),
+        (2_100, ("restore", 0, "worker-1", True)),
+        (2_101, ("put", 0, "worker-1", 50_000)),
+    ],
+)
+def test_replica_ledger_is_exact_under_any_interleaving(memory, schedule):
+    """``put`` / re-``put`` / ``get`` / loss / drain / ``restore``, interleaved.
+
+    Each operation starts at its own virtual microsecond, so transfers,
+    put-times and rebuilds overlap arbitrarily — under the dormant policy
+    and under ``mem on``.  Both conservation laws hold before every
+    operation starts and once everything settled, where reserved RAM is
+    exactly the listed replicas; ``free_all`` then returns every byte.
+    """
+    env = Environment()
+    cluster = build_cluster(env, memory=memory)
+    store = ObjectStore(cluster, cluster.config.object_store)
+    refs = [ObjectRef(env, label=f"obj-{i}") for i in range(3)]
+    values = {}
+
+    def rebuild(ref):
+        yield env.timeout(1e-4)
+        yield from store.restore(ref, values[ref.ref_id], "worker-3")
+
+    store.reconstructor = rebuild
+
+    def put(slot, node, size):
+        # A re-put is a fresh ObjectRef answering to the slot's ref_id.
+        ref = refs[slot]
+        if ref.ref_id in values:
+            ref = ObjectRef(env, label=ref.label)
+            ref.ref_id = refs[slot].ref_id
+        values[ref.ref_id] = list(range(size))
+        store.lineage[ref.ref_id] = (None, ())
+        yield from store.put(ref, values[ref.ref_id], node)
+
+    def restore(slot, node, charge):
+        ref = refs[slot]
+        if store.contains(ref):
+            yield from store.restore(ref, values[ref.ref_id], node, charge=charge)
+
+    starters = {
+        "put": put,
+        "get": lambda slot, node: store.get(refs[slot], node),
+        "restore": restore,
+        "migrate_node": lambda pair: store.migrate_node(*pair),
+    }
+    for offset_us, (op, *args) in sorted(schedule, key=lambda entry: entry[0]):
+        env.run(until=offset_us * 1e-6)
+        assert_ledger_laws(cluster, [store])
+        if op == "drop_replica":
+            store.drop_replica(f"obj-{args[0]}")
+        elif op == "evict_node":
+            store.evict_node(*args)
+        else:
+            env.process(starters[op](*args))
+    env.run()
+    assert_ledger_laws(cluster, [store], settled=True)
+    assert_resources_released(cluster, object_stores=[store])

@@ -1,17 +1,28 @@
 """Regression tests for object-store accounting bugs.
 
-Two fixed bugs, each pinned here:
+Fixed bugs, each pinned here:
 
 * concurrent ``get`` of the same object on the same node used to run
   two transfers and reserve the replica's RAM twice — now the first
   getter transfers and every concurrent getter joins it;
 * re-``put`` of an existing ``ref_id`` used to leak the previous
-  copy's RAM reservations for the rest of the run.
+  copy's RAM reservations for the rest of the run;
+* a replica landing on an entry that was overwritten (or emptied by a
+  fault) while ``migrate_node`` or ``restore`` was mid-yield used to be
+  charged to the stale entry: the drain died freeing RAM nobody held,
+  or the reservation outlived ``free_all``.
 """
 
+import pytest
+
 from repro.cluster import build_cluster, estimate_bytes
+from repro.config import MemoryConfig
 from repro.rayx import ObjectRef, RayxRuntime
 from repro.sim import Environment
+from tests.properties.test_fault_props import (
+    assert_ledger_laws,
+    assert_resources_released,
+)
 
 
 def make_runtime():
@@ -110,3 +121,95 @@ def test_put_overwrite_releases_every_replica():
         return True
 
     assert env.run(until=env.process(scenario()))
+
+
+# -- overwrite / loss while a replica is in flight (stale-entry fixes) ------------
+
+#: The dormant default, and ``mem on``: the ledger is the same code
+#: under both, only the reservation primitive differs.
+POLICIES = pytest.mark.parametrize(
+    "memory", [None, MemoryConfig(enabled=True)], ids=["dormant", "mem-on"]
+)
+#: Big enough that a cross-node transfer (or its put-time) outlasts the
+#: put of ``SMALL`` started 1us into it.
+BIG = list(range(200_000))
+SMALL = list(range(1_000))
+
+
+def _race(memory, setup, slow, fast):
+    """Start ``slow``, run ``fast`` 1us into it, and wait for both.
+
+    All three are callables ``(store, ref) -> generator | None`` over
+    one store and the ref ``setup`` stored on worker-0.
+    """
+    cluster = build_cluster(Environment(), memory=memory)
+    store = RayxRuntime(cluster).store
+    env = cluster.env
+    ref = ObjectRef(env, label="state")
+
+    def scenario():
+        yield from store.put(ref, BIG, "worker-0")
+        setup(store, ref)
+        racing = env.process(slow(store, ref))
+        yield env.timeout(1e-6)
+        interloper = fast(store, ref)
+        if interloper is not None:
+            yield from interloper
+        return (yield racing)
+
+    result = env.run(until=env.process(scenario()))
+    return cluster, store, ref, result
+
+
+def _reput_on_worker_2(store, ref):
+    replacement = ObjectRef(store.cluster.env, label="state")
+    replacement.ref_id = ref.ref_id
+    return store.put(replacement, SMALL, "worker-2")
+
+
+def _lose_a_replica(store, ref):
+    # Recorded lineage is what lets a fault drop the last copy.
+    store.lineage[ref.ref_id] = (None, ())
+    assert store.drop_replica("state") == 1
+
+
+@POLICIES
+def test_reput_during_migration_discards_the_stale_replica(memory):
+    cluster, store, ref, counts = _race(
+        memory,
+        setup=lambda store, ref: None,
+        slow=lambda store, ref: store.migrate_node("worker-0", "worker-1"),
+        fast=_reput_on_worker_2,
+    )
+    assert counts == (0, 0)  # the drain returned; nothing was left to move
+    assert store.stale_fetches == 1
+    assert cluster.node("worker-0").ram_used == 0
+    assert cluster.node("worker-1").ram_used == 0
+    assert store.bytes_live == store.nbytes_of(ref) == estimate_bytes(SMALL)
+    assert_resources_released(cluster, object_stores=[store])
+
+
+@POLICIES
+def test_replica_loss_during_migration_keeps_the_ledger_exact(memory):
+    cluster, store, ref, counts = _race(
+        memory,
+        setup=lambda store, ref: None,
+        slow=lambda store, ref: store.migrate_node("worker-0", "worker-1"),
+        fast=_lose_a_replica,
+    )
+    assert store.replicas_lost == 1
+    assert_ledger_laws(cluster, [store], settled=True)
+    assert_resources_released(cluster, object_stores=[store])
+
+
+@POLICIES
+def test_reput_during_restore_discards_the_stale_replica(memory):
+    cluster, store, ref, _ = _race(
+        memory,
+        setup=_lose_a_replica,  # the only one: a zero-replica object
+        slow=lambda store, ref: store.restore(ref, BIG, "worker-1"),
+        fast=_reput_on_worker_2,
+    )
+    assert cluster.node("worker-1").ram_used == 0
+    assert store.replicas_of(ref) == {"worker-2"}
+    assert_resources_released(cluster, object_stores=[store])

@@ -288,7 +288,7 @@ def test_free_all_mid_rebuild_raises_objectnotfound_not_keyerror():
         # Drop every replica so the next get must rebuild from lineage.
         stored = store._objects[ref.ref_id]
         for node_name in list(stored.replicas):
-            store._evict(ref.ref_id, stored, node_name)
+            store._detach(stored, node_name, lost=True)
         getter = env.process(store.get(ref, "worker-1"))
 
         def freer():
