@@ -43,27 +43,77 @@ class Sized:
 #: isinstance chain below (which still handles subclasses).
 _SCALAR_SIZES = {type(None): 4, bool: 4, int: 8, float: 8}
 
+#: A row's own share of the walk over its three slots: the object, three
+#: entries, and the 8 bytes of the ``_nbytes`` int (cached or not).
+_ROW_OVERHEAD = _OBJECT_OVERHEAD + 3 * _ENTRY_OVERHEAD + 8
+
+#: The exact row and schema types :func:`estimate_bytes` prices without
+#: the slot walk, and the schema's sizer.  :mod:`repro.relational.tup`
+#: registers them on import: the registration points upward only, this
+#: package imports nothing above it.
+_ROW = _SCHEMA = _schema_bytes = None
+
+
+def _register_row_types(row, schema, schema_bytes) -> None:
+    global _ROW, _SCHEMA, _schema_bytes
+    _ROW, _SCHEMA, _schema_bytes = row, schema, schema_bytes
+
 
 def estimate_bytes(obj: Any) -> int:
     """Estimate the serialized size of ``obj`` in bytes.
 
-    The estimate is structural and deterministic: it depends only on
-    the object's shape and content lengths, never on interpreter
-    internals, so simulated timings are stable across Python versions.
+    The estimate is structural and deterministic: scalars, strings,
+    bytes, containers and :class:`Sized` objects cost by shape and
+    content length alone.  Any other object costs a walk over its
+    ``__dict__`` / ``__slots__``, and that walk does reach interpreter
+    internals: a relational row holds its ``Schema``, whose fields hold
+    ``FieldType`` enum members (sized by the enum machinery's
+    ``__dict__``) and whose checkers are function objects.  Those bytes
+    are counted once **per row** — 939 of the 1045 bytes of a two-field
+    row on CPython 3.11 — and that is the pinned cost model behind
+    Fig 13d and every ``SEED_TIMINGS`` float, not a bug to fix:
+    ``tests/cluster/test_serialization.py`` pins the three integers so
+    an interpreter upgrade fails there first.
+
+    Two shapes carry the engines' traffic and are priced to the same
+    integer the walk returns without re-walking: an exact-type row is
+    ``48 + size(schema) + payload_bytes()`` (the schema sized over its
+    four construction-time attributes only and asked for once per run
+    of same-schema rows; the payload cached on the row), and an exact
+    ``list`` / ``tuple`` takes one loop that only recurses for nested
+    values.  Subclasses and everything else keep the walk.
+
+    Precondition: a row's ``values`` are not mutated after construction.
+    The row caches its payload size on first use, so an ANY-typed list
+    changed in place afterwards keeps its first size at every later
+    ``put`` / ``adopt``.
     """
     cls = type(obj)
     size = _SCALAR_SIZES.get(cls)
     if size is not None:
         return size
-    if cls is tuple or cls is list:
-        total = _OBJECT_OVERHEAD
-        for item in obj:
-            total += _ENTRY_OVERHEAD + estimate_bytes(item)
-        return total
     if cls is str:
         return _OBJECT_OVERHEAD + len(obj)
-    if obj is None:
-        return 4
+    if cls is list or cls is tuple:
+        total = _OBJECT_OVERHEAD + _ENTRY_OVERHEAD * len(obj)
+        schema = row_size = None
+        for item in obj:
+            kind = type(item)
+            if kind is str:
+                total += _OBJECT_OVERHEAD + len(item)
+            elif kind is _ROW:
+                if item.schema is not schema:
+                    schema = item.schema
+                    row_size = _ROW_OVERHEAD + estimate_bytes(schema)
+                total += row_size + item.payload_bytes()
+            else:
+                size = _SCALAR_SIZES.get(kind)
+                total += estimate_bytes(item) if size is None else size
+        return total
+    if cls is _ROW:
+        return _ROW_OVERHEAD + estimate_bytes(obj.schema) + obj.payload_bytes()
+    if cls is _SCHEMA:
+        return _schema_bytes(obj)
     if isinstance(obj, Sized):
         return obj.payload_bytes()
     if isinstance(obj, bool):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from repro.cluster.serialization import _OBJECT_OVERHEAD, estimate_bytes
 from repro.errors import DuplicateField, FieldNotFound, TypeMismatch
 
 __all__ = ["FieldType", "Field", "Schema"]
@@ -211,3 +212,27 @@ class Schema:
     def __repr__(self) -> str:
         inner = ", ".join(f"{f.name}:{f.ftype.value}" for f in self.fields)
         return f"Schema({inner})"
+
+
+#: ``fields`` -> what the walk charges a schema built from them.
+_SCHEMA_BYTES: Dict[Tuple[Field, ...], int] = {}
+
+
+def _schema_bytes(schema: Schema) -> int:
+    """What ``estimate_bytes`` charges for an exact-type :class:`Schema`.
+
+    The structural walk over the four attributes ``Schema.__init__``
+    sets and over nothing else: every stored row pays its schema's
+    size, so an attribute added later must not silently move every
+    simulated timing.  The other three attributes derive from
+    ``fields``, so the walk runs once per distinct field tuple; the
+    memo lives here, where the walk cannot see it.
+    """
+    size = _SCHEMA_BYTES.get(schema.fields)
+    if size is None:
+        state = {
+            name: getattr(schema, name)
+            for name in ("fields", "_index", "_checkers", "_arity")
+        }
+        size = _SCHEMA_BYTES[schema.fields] = _OBJECT_OVERHEAD + estimate_bytes(state)
+    return size

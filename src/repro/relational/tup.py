@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Mapping, Sequence, Union
 
-from repro.cluster.serialization import estimate_bytes
-from repro.relational.schema import Schema
+from repro.cluster.serialization import _register_row_types, estimate_bytes
+from repro.relational.schema import Schema, _schema_bytes
 
 __all__ = ["Tuple"]
 
@@ -106,7 +106,9 @@ class Tuple:
 
         Cached after the first call: values are immutable, so the
         estimate never changes, and batch accounting in the workflow
-        engine asks for it once per channel hop.
+        engine asks for it once per channel hop.  That covers what the
+        values hold: an ANY-typed list mutated in place after the first
+        call keeps its first size here, at ``put`` and at ``adopt``.
         """
         nbytes = self._nbytes
         if nbytes < 0:
@@ -119,3 +121,6 @@ class Tuple:
             f"{name}={value!r}" for name, value in zip(self.schema.names, self.values)
         )
         return f"Tuple({pairs})"
+
+
+_register_row_types(Tuple, Schema, _schema_bytes)

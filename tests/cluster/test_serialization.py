@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Sized, estimate_bytes, make_codecs
 from repro.config import SerializationConfig
+from repro.relational import FieldType, Schema, Tuple
 
 
 class Blob(Sized):
@@ -50,6 +51,30 @@ def test_plain_object_sizes_its_fields():
             self.y = 2.0
 
     assert estimate_bytes(Point()) > 16
+
+
+def test_interpreter_dependent_row_bytes_are_pinned():
+    """The stored-row cost model, as three integers (CPython 3.11).
+
+    A row in the script object store pays for its own ``Schema``: the
+    four attributes ``Schema.__init__`` sets, down to the ``FieldType``
+    members' enum-machinery ``__dict__`` — the one term that depends on
+    the interpreter.  Every put/get charge, Fig 13d and every
+    ``SEED_TIMINGS`` float hang off these; a Python upgrade that moves
+    them must fail here by name, not in forty floats.
+    """
+    schema = Schema.of(id=FieldType.INT, text=FieldType.STRING)
+    rows = [Tuple(schema, [1, "ab"]), Tuple(schema, [2, "cd"])]
+    assert estimate_bytes(schema) == 939
+    assert estimate_bytes(rows[0]) == 48 + 939 + rows[0].payload_bytes() == 1045
+    assert estimate_bytes(rows) == 16 + 2 * (8 + 1045) == 2122
+
+
+def test_schema_size_ignores_attributes_added_after_construction():
+    """A memo hung on a schema must not move every stored row's size."""
+    schema = Schema.of(id=FieldType.INT, text=FieldType.STRING)
+    schema.memo = "x" * 1000
+    assert estimate_bytes(schema) == 939
 
 
 def test_estimate_is_deterministic():
