@@ -5,6 +5,8 @@ dispatched as messages and execute *serially* in arrival order (Ray's
 actor semantics), each returning an :class:`ObjectRef`.  Actors let
 script-paradigm code keep state — e.g. a model loaded once and reused
 across calls — without re-reading it from the object store per task.
+A call runs its method the way a task runs its body
+(``docs/architecture.md``, "How a body runs", lists what differs).
 
 Usage::
 
@@ -27,7 +29,6 @@ Usage::
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Generator, Tuple, Type
 
 from repro.errors import RayxError
@@ -67,6 +68,8 @@ class ActorHandle:
         try:
             self._instance = actor_class(*init_args)
         except Exception as exc:
+            # The placement made for an actor that never started.
+            runtime.scheduler.release(node.name)
             raise RayxError(
                 f"actor {actor_class.__name__} failed to construct: {exc}"
             ) from exc
@@ -132,35 +135,15 @@ class ActorHandle:
             self._context.span = span
             yield self.runtime.env.timeout(self.runtime.config.rayx.task_dispatch_s)
             try:
-                resolved = []
-                for arg in args:
-                    if isinstance(arg, ObjectRef):
-                        value = yield from self.runtime.store.get(
-                            arg, self.node.name, parent=span
-                        )
-                        resolved.append(value)
-                    else:
-                        resolved.append(arg)
-                method = getattr(self._instance, method_name)
-                outcome = method(self._context, *resolved)
-                if inspect.isgenerator(outcome):
-                    result = yield from outcome
-                else:
-                    result = outcome
-            except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-                if span is not None:
-                    tracer.end(span, status="failed", error=type(exc).__name__)
-                ref.reject(exc)
-                continue
-            self.calls_processed += 1
-            try:
-                yield from self.runtime.store.store_result(
+                result = yield from self._context.run(
+                    getattr(self._instance, method_name), args
+                )
+                self.calls_processed += 1
+                yield from self.runtime.store.put(
                     ref, result, self.node.name, parent=span
                 )
             except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-                if span is not None:
-                    tracer.end(span, status="failed", error=type(exc).__name__)
-                ref.reject(exc)
+                self.runtime._reject(ref, span, exc)
                 continue
             if span is not None:
                 tracer.end(span, status="ok")

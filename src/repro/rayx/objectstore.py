@@ -130,7 +130,8 @@ class ObjectStore:
     ) -> Generator:
         """Simulation process storing ``value`` on ``node_name``.
 
-        Fulfils ``ref`` once the copy completes.  Re-``put`` of an
+        Fulfils ``ref`` once the copy completes; task and actor results
+        land here under the same cost model.  Re-``put`` of an
         already-stored ``ref_id`` releases the previous entry's replica
         RAM reservations before the new copy is charged — overwriting
         must not leak node RAM for the rest of the run.
@@ -161,13 +162,6 @@ class ObjectStore:
                 tracer.end(span)
         ref.fulfil(value, node_name, nbytes)
         return ref
-
-    def store_result(
-        self, ref: ObjectRef, value: Any, node_name: str, parent=None
-    ) -> Generator:
-        """Store a task result (same cost model as :meth:`put`)."""
-        result = yield from self.put(ref, value, node_name, parent=parent)
-        return result
 
     def adopt(
         self, ref: ObjectRef, value: Any, node_name: str

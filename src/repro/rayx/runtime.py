@@ -19,6 +19,10 @@ Mirrored Ray behaviours that matter to the reproduced experiments:
 * task launch charges a fixed dispatch cost, and the driver charges a
   one-off cluster startup cost.
 
+Every body — task attempt, retry, cache-hit replay, reconstruction,
+actor call — runs through :meth:`TaskContext.run`; the sequence and the
+deliberate differences are in ``docs/architecture.md``, "How a body runs".
+
 Usage::
 
     def double(ctx, x):
@@ -111,9 +115,9 @@ class TaskContext:
         #: Enclosing trace span (the task's or driver's); object-store
         #: and compute spans recorded through this context nest under it.
         self.span = None
-        #: Label consulted for injected *task* faults at compute
-        #: boundaries; only retryable task bodies set it (the driver,
-        #: actors and reconstruction runs are exempt).
+        #: Label consulted for injected *task* faults (``_task_fault``);
+        #: only retryable task bodies set it (the driver, actors and
+        #: reconstruction runs are exempt).
         self.fault_label: Optional[str] = None
         #: Cache-hit replay mode (``repro.cache``): the body's real
         #: Python work still runs (producing the same values a miss
@@ -126,33 +130,8 @@ class TaskContext:
         return self.node.name
 
     def compute(self, cpu_seconds: float, cores: int = 1) -> Generator:
-        """Occupy ``cores`` of this task's node for ``cpu_seconds``.
-
-        A node crash injected while the computation was in flight
-        surfaces here, at the completion checkpoint — the earliest
-        timed boundary where a real runtime would observe the loss.
-        """
-        if self.free:
-            return
-        tracer = self.runtime.env.tracer
-        faults = self.runtime.env.faults
-        start = self.runtime.env.now
-        span = None
-        if tracer.enabled:
-            span = tracer.start(
-                "compute",
-                category="compute",
-                node=self.node.name,
-                parent=self.span,
-                cores=cores,
-            )
-        try:
-            yield from self.node.compute(cpu_seconds, cores=cores)
-            if faults.active:
-                yield from self._fault_checkpoint(faults, start)
-        finally:
-            if span is not None:
-                tracer.end(span)
+        """Occupy ``cores`` of this task's node for ``cpu_seconds``."""
+        return self._occupy("compute", cpu_seconds, cores)
 
     def model_compute(self, flops: float) -> Generator:
         """Run framework (PyTorch-like) compute inside this task.
@@ -161,63 +140,92 @@ class TaskContext:
         duration is FLOPs over single-core throughput regardless of how
         many cores the node has free.
         """
-        if self.free:
-            return
         config = self.runtime.config
         cores = config.rayx.torch_cores_per_task
         throughput = config.topology.machine.flops_per_core_per_s * cores
-        tracer = self.runtime.env.tracer
-        faults = self.runtime.env.faults
-        start = self.runtime.env.now
+        return self._occupy("model_compute", flops / throughput, cores, flops=flops)
+
+    def _occupy(
+        self, name: str, cpu_seconds: float, cores: int, **attrs: Any
+    ) -> Generator:
+        """Hold ``cores`` of the node for ``cpu_seconds`` under one span.
+
+        A node crash injected while the computation was in flight, or a
+        due task fault, surfaces here at the completion checkpoint — the
+        earliest timed boundary where a real runtime would observe the
+        loss.  A cache-hit replay (``free``) charges nothing.
+        """
+        if self.free:
+            return
+        env = self.runtime.env
+        tracer = env.tracer
+        start = env.now
         span = None
         if tracer.enabled:
             span = tracer.start(
-                "model_compute",
+                name,
                 category="compute",
                 node=self.node.name,
                 parent=self.span,
                 cores=cores,
-                flops=flops,
+                **attrs,
             )
         try:
-            yield from self.node.compute(flops / throughput, cores=cores)
-            if faults.active:
-                yield from self._fault_checkpoint(faults, start)
+            yield from self.node.compute(cpu_seconds, cores=cores)
+            if env.faults.active:
+                if env.faults.node_crashed_between(self.node.name, start, env.now):
+                    raise InjectedFault(
+                        f"node {self.node.name} crashed mid-compute", kind="node"
+                    )
+                if self.fault_label is not None:
+                    yield from self._task_fault()
         finally:
             if span is not None:
                 tracer.end(span)
 
-    def _fault_checkpoint(self, faults, start: float) -> Generator:
-        """Injection checks at a compute-completion boundary.
+    def _task_fault(self) -> Generator:
+        """Raise the injected task fault due for ``fault_label``, if any.
 
-        A node crash that happened while the computation was in flight,
-        or a due task fault, surfaces here — the earliest timed point
-        where a real runtime would observe the loss.
+        The one checkpoint behind every place a task can be told to
+        die: a compute boundary, the post-dispatch check and the
+        re-check after a cache-hit lookup charge.
         """
-        now = self.runtime.env.now
-        if faults.node_crashed_between(self.node.name, start, now):
+        env = self.runtime.env
+        fault = env.faults.take_task_fault(self.fault_label, env.now)
+        if fault is not None:
+            # The task makes delay_s of further progress, then dies.
+            if fault.delay_s > 0:
+                yield env.timeout(fault.delay_s)
             raise InjectedFault(
-                f"node {self.node.name} crashed mid-compute", kind="node"
+                f"injected fault in task {self.fault_label!r}", kind="task"
             )
-        if self.fault_label is not None:
-            fault = faults.take_task_fault(self.fault_label, now)
-            if fault is not None:
-                # The task makes delay_s of further progress, then dies.
-                if fault.delay_s > 0:
-                    yield self.runtime.env.timeout(fault.delay_s)
-                raise InjectedFault(
-                    f"injected fault in task {self.fault_label!r}", kind="task"
-                )
+
+    def run(self, fn: Callable[..., Any], args: Sequence[Any]) -> Generator:
+        """Run the body ``fn(ctx, *args)`` here; returns its result.
+
+        The one way a body runs — task attempt, retry, cache-hit
+        replay, lineage reconstruction and actor call differ only in
+        how this context was set up (``docs/architecture.md``, "How a
+        body runs").  Top-level :class:`ObjectRef` arguments are
+        dereferenced on this node first, as Ray does (a replay peeks);
+        ``fn`` may be a generator function (yielding simulation events
+        through this context) or a plain function.
+        """
+        resolved: List[Any] = []
+        for arg in args:
+            if isinstance(arg, ObjectRef):
+                arg = yield from self.get(arg)
+            resolved.append(arg)
+        outcome = fn(self, *resolved)
+        if inspect.isgenerator(outcome):
+            outcome = yield from outcome
+        return outcome
 
     def get(self, ref: ObjectRef) -> Generator:
-        """Dereference an object ref from this task's node."""
+        """Dereference an object ref from this task's node (a replay peeks)."""
         if self.free:
-            value = yield from self.runtime.store.peek(ref)
-            return value
-        value = yield from self.runtime.store.get(
-            ref, self.node.name, parent=self.span
-        )
-        return value
+            return self.runtime.store.peek(ref)
+        return self.runtime.store.get(ref, self.node.name, parent=self.span)
 
     def put(self, value: Any, label: str = "object") -> Generator:
         """Store ``value`` in the object store from this node.
@@ -238,25 +246,14 @@ class TaskContext:
             )
         if self.free:
             yield from runtime.store.adopt(ref, value, self.node.name)
-        elif (
-            ref.fingerprint is not None
-            and cache.lookup(ref.fingerprint, tracer=runtime.env.tracer)
-            is not None
-        ):
+        elif runtime._probe(ref):
             yield from runtime._charge_lookup(ref.label, self.node.name, self.span)
             yield from runtime.store.adopt(ref, value, self.node.name)
         else:
             yield from runtime.store.put(
                 ref, value, self.node.name, parent=self.span
             )
-        if ref.fingerprint is not None:
-            cache.insert(
-                ref.fingerprint,
-                ref.nbytes,
-                self.node.name,
-                kind="put",
-                tracer=runtime.env.tracer,
-            )
+        runtime._memoise(ref, self.node.name, "put")
         return ref
 
 
@@ -305,7 +302,6 @@ class RayxRuntime:
         """
         ref = ObjectRef(self.env, label or getattr(fn, "__name__", "task"))
         cache = self.cluster.cache
-        cache_node = None
         if cache.active:
             # Fingerprint before placement so the scheduler can steer
             # the task toward its cached result (locality policy only;
@@ -313,15 +309,8 @@ class RayxRuntime:
             # seed-identical).  Fingerprinting is pure Python — no
             # virtual time passes.
             ref.fingerprint = task_fingerprint(cache.config.epoch, fn, args)
-            cache_node = cache.peek_node(ref.fingerprint)
-        node = self.scheduler.place(
-            PlacementRequest(
-                kind="task",
-                label=ref.label,
-                refs=_locality_refs(args),
-                cache_node=cache_node,
-            )
-        )
+        cache_node = cache.peek_node(ref.fingerprint)  # None while dormant
+        node = self._place("task", ref, args, cache_node=cache_node)
         self.tasks_submitted += 1
         if self.env.faults.active:
             # Lineage, the basis for object reconstruction: enough to
@@ -332,164 +321,149 @@ class RayxRuntime:
         self.env.process(self._run_task(fn, args, ref, node))
         return ref
 
+    def _place(
+        self, kind: str, ref: ObjectRef, args: Sequence[Any], **hints: Any
+    ) -> Node:
+        """Ask the scheduler where the body behind ``ref`` runs (or re-runs)."""
+        return self.scheduler.place(
+            PlacementRequest(
+                kind=kind, label=ref.label, refs=_locality_refs(args), **hints
+            )
+        )
+
     def _run_task(
         self, fn: Callable[..., Any], args: Sequence[Any], ref: ObjectRef, node: Node
     ) -> Generator:
-        tracer = self.tracer
-        faults = self.env.faults
-        max_retries = self.config.rayx.max_task_retries if faults.active else 0
+        """One submitted task: attempts, with backoff and a fresh
+        placement between them, until one stops asking for a retry."""
         attempt = 0
         try:
-            while True:
-                span = None
-                if tracer.enabled:
-                    span = tracer.start(
-                        ref.label,
-                        category="rayx.task",
-                        node=node.name,
-                        parent=self._driver_span,
-                    )
-                    if attempt:
-                        span.attrs["attempt"] = attempt
-                    tracer.metrics.counter("rayx.tasks").inc()
-                slot_request = self.slots.request()
-                try:
-                    yield slot_request
-                except BaseException:
-                    # Task process killed while queued for (or just
-                    # granted) a CPU slot: withdraw so the slot FIFO
-                    # neither blocks nor leaks capacity.
-                    slot_request.cancel()
-                    raise
-                if span is not None:
-                    # Time spent queued for a num_cpus slot, visible per task.
-                    span.attrs["queued_s"] = round(self.env.now - span.start_s, 9)
-                retry = False
-                try:
-                    yield self.env.timeout(self.config.rayx.task_dispatch_s)
-                    if faults.active:
-                        if faults.node_down(node.name, self.env.now):
-                            raise InjectedFault(
-                                f"node {node.name} is down", kind="node"
-                            )
-                        fault = faults.take_task_fault(ref.label, self.env.now)
-                        if fault is not None:
-                            # The task makes delay_s of progress, then dies.
-                            if fault.delay_s > 0:
-                                yield self.env.timeout(fault.delay_s)
-                            raise InjectedFault(
-                                f"injected fault in task {ref.label!r}", kind="task"
-                            )
-                    context = TaskContext(self, node)
-                    context.span = span
-                    context.fault_label = ref.label
-                    cache = self.cluster.cache
-                    if (
-                        cache.active
-                        and ref.fingerprint is not None
-                        and cache.lookup(ref.fingerprint, tracer=tracer)
-                        is not None
-                    ):
-                        # Cache hit: charge the lookup, then re-check
-                        # for injected faults that fell due inside the
-                        # lookup window — a hit must never mask a
-                        # scheduled failure of the producing task.
-                        yield from self._charge_lookup(
-                            ref.label, node.name, span
-                        )
-                        if faults.active:
-                            fault = faults.take_task_fault(
-                                ref.label, self.env.now
-                            )
-                            if fault is not None:
-                                if fault.delay_s > 0:
-                                    yield self.env.timeout(fault.delay_s)
-                                raise InjectedFault(
-                                    f"injected fault in task {ref.label!r}",
-                                    kind="task",
-                                )
-                        context.free = True
-                    resolved: List[Any] = []
-                    for arg in args:
-                        if isinstance(arg, ObjectRef):
-                            if context.free:
-                                value = yield from self.store.peek(arg)
-                            else:
-                                value = yield from self.store.get(
-                                    arg, node.name, parent=span
-                                )
-                            resolved.append(value)
-                        else:
-                            resolved.append(arg)
-                    outcome = fn(context, *resolved)
-                    if inspect.isgenerator(outcome):
-                        result = yield from outcome
-                    else:
-                        result = outcome
-                except InjectedFault as exc:
-                    # Only *injected* faults are retried; real exceptions
-                    # from task bodies propagate unchanged (below).
-                    if attempt < max_retries:
-                        if span is not None:
-                            tracer.end(span, status="retried", error=exc.kind)
-                        retry = True
-                    else:
-                        if span is not None:
-                            tracer.end(
-                                span, status="failed", error=type(exc).__name__
-                            )
-                        ref.reject(exc)
-                        return
-                except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-                    if span is not None:
-                        tracer.end(span, status="failed", error=type(exc).__name__)
-                    ref.reject(exc)
-                    return
-                finally:
-                    self.slots.release()
-                if retry:
-                    yield from self._backoff(attempt, ref, node)
-                    attempt += 1
-                    # Resubmission is a fresh placement decision; the
-                    # default policy keeps the task on the same node.
-                    self.scheduler.release(node.name)
-                    node = self.scheduler.place(
-                        PlacementRequest(
-                            kind="retry",
-                            label=ref.label,
-                            refs=_locality_refs(args),
-                            prev_node=node.name,
-                        )
-                    )
-                    continue
-                break
-            try:
-                if context.free:
-                    yield from self.store.adopt(ref, result, node.name)
-                else:
-                    yield from self.store.store_result(
-                        ref, result, node.name, parent=span
-                    )
-                if cache.active and ref.fingerprint is not None:
-                    # Memoize (or, after a hit, refresh node/size
-                    # metadata — refreshes do not count as inserts).
-                    cache.insert(
-                        ref.fingerprint,
-                        ref.nbytes,
-                        node.name,
-                        kind="task",
-                        tracer=tracer,
-                    )
-            except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
-                if span is not None:
-                    tracer.end(span, status="failed", error=type(exc).__name__)
-                ref.reject(exc)
-                return
-            self.tasks_completed += 1
-            if span is not None:
-                tracer.end(span, status="ok")
+            while (yield from self._attempt(fn, args, ref, node, attempt)):
+                yield from self._backoff(attempt, ref, node)
+                attempt += 1
+                # Resubmission is a fresh placement decision; the
+                # default policy keeps the task on the same node.
+                self.scheduler.release(node.name)
+                node = self._place("retry", ref, args, prev_node=node.name)
         finally:
             self.scheduler.release(node.name)
+
+    def _attempt(
+        self,
+        fn: Callable[..., Any],
+        args: Sequence[Any],
+        ref: ObjectRef,
+        node: Node,
+        attempt: int,
+    ) -> Generator:
+        """One attempt on ``node``: slot, dispatch, fault checks, cache
+        probe, body, result landing.  Returns True when an injected
+        fault ended it with retries left; otherwise ``ref`` is settled.
+        """
+        tracer = self.tracer
+        faults = self.env.faults
+        span = None
+        if tracer.enabled:
+            span = tracer.start(
+                ref.label,
+                category="rayx.task",
+                node=node.name,
+                parent=self._driver_span,
+            )
+            if attempt:
+                span.attrs["attempt"] = attempt
+            tracer.metrics.counter("rayx.tasks").inc()
+        yield from self._take_slot()
+        if span is not None:
+            # Time spent queued for a num_cpus slot, visible per task.
+            span.attrs["queued_s"] = round(self.env.now - span.start_s, 9)
+        context = TaskContext(self, node)
+        context.span = span
+        context.fault_label = ref.label
+        try:
+            yield self.env.timeout(self.config.rayx.task_dispatch_s)
+            if faults.active:
+                if faults.node_down(node.name, self.env.now):
+                    raise InjectedFault(f"node {node.name} is down", kind="node")
+                yield from context._task_fault()
+            # Probed once per attempt: a hit whose attempt then dies
+            # counts again on the retry.
+            if self._probe(ref):
+                # Cache hit: charge the lookup, then re-check for
+                # injected faults that fell due inside the lookup
+                # window — a hit must never mask a scheduled failure of
+                # the producing task.
+                yield from self._charge_lookup(ref.label, node.name, span)
+                if faults.active:
+                    yield from context._task_fault()
+                context.free = True
+            result = yield from context.run(fn, args)
+        except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
+            # Only *injected* faults are retried; real exceptions from
+            # task bodies (and a fault with no retries left) reach the
+            # ref's waiters unchanged.
+            retries = self.config.rayx.max_task_retries if faults.active else 0
+            if isinstance(exc, InjectedFault) and attempt < retries:
+                if span is not None:
+                    tracer.end(span, status="retried", error=exc.kind)
+                return True
+            self._reject(ref, span, exc)
+            return False
+        finally:
+            self.slots.release()
+        try:
+            if context.free:
+                yield from self.store.adopt(ref, result, node.name)
+            else:
+                yield from self.store.put(ref, result, node.name, parent=span)
+            # Memoize (or, after a hit, refresh node/size metadata —
+            # refreshes do not count as inserts).
+            self._memoise(ref, node.name, "task")
+        except BaseException as exc:  # noqa: BLE001 - forwarded to waiters
+            self._reject(ref, span, exc)
+            return False
+        self.tasks_completed += 1
+        if span is not None:
+            tracer.end(span, status="ok")
+        return False
+
+    def _take_slot(self) -> Generator:
+        """Queue for one of the ``num_cpus`` slots; the caller releases it."""
+        slot_request = self.slots.request()
+        try:
+            yield slot_request
+        except BaseException:
+            # Task process killed while queued for (or just granted) a
+            # CPU slot: withdraw so the slot FIFO neither blocks nor
+            # leaks capacity.
+            slot_request.cancel()
+            raise
+
+    def _reject(self, ref: ObjectRef, span, exc: BaseException) -> None:
+        """Close ``span`` as failed and forward ``exc`` to ``ref``'s waiters."""
+        if span is not None:
+            self.tracer.end(span, status="failed", error=type(exc).__name__)
+        ref.reject(exc)
+
+    def _probe(self, ref: ObjectRef) -> bool:
+        """Probe the result cache for ``ref``'s fingerprint (a ``put``,
+        a task attempt or a reconstruction).  Counts a hit or a miss
+        and refreshes LRU order; the caller charges the lookup on a hit.
+        """
+        cache = self.cluster.cache
+        return (
+            cache.active
+            and ref.fingerprint is not None
+            and cache.lookup(ref.fingerprint, tracer=self.tracer) is not None
+        )
+
+    def _memoise(self, ref: ObjectRef, node_name: str, kind: str) -> None:
+        """Record that ``ref``'s fingerprinted result now lives on ``node_name``."""
+        cache = self.cluster.cache
+        if cache.active and ref.fingerprint is not None:
+            cache.insert(
+                ref.fingerprint, ref.nbytes, node_name, kind=kind, tracer=self.tracer
+            )
 
     def _backoff(self, attempt: int, ref: ObjectRef, node: Node) -> Generator:
         """Charge the exponential retry backoff on the virtual clock."""
@@ -553,22 +527,9 @@ class RayxRuntime:
         slot there could deadlock a fully subscribed pool.
         """
         fn, args = self.store.lineage[ref.ref_id]
-        cache = self.cluster.cache
-        hit = (
-            cache.active
-            and ref.fingerprint is not None
-            and cache.lookup(ref.fingerprint, tracer=self.tracer) is not None
-        )
-        node = self.scheduler.place(
-            PlacementRequest(
-                kind="reconstruction",
-                label=ref.label,
-                refs=_locality_refs(args),
-                cache_node=cache.peek_node(ref.fingerprint)
-                if ref.fingerprint is not None
-                else None,
-            )
-        )
+        hit = self._probe(ref)
+        cache_node = self.cluster.cache.peek_node(ref.fingerprint)
+        node = self._place("reconstruction", ref, args, cache_node=cache_node)
         tracer = self.tracer
         start = self.env.now
         span = None
@@ -582,43 +543,21 @@ class RayxRuntime:
             )
             tracer.metrics.counter("faults.reconstructions").inc()
         try:
+            # No ``fault_label``: a rebuild is exempt from task faults.
             context = TaskContext(self, node)
             context.span = span
+            context.free = hit
             if hit:
                 # The reconstructed object keeps its lineage
                 # fingerprint, so recovery replays the producer for
                 # free: one lookup charge, no dispatch, no argument
                 # dereference costs, no put charge in ``restore``.
-                context.free = True
                 yield from self._charge_lookup(ref.label, node.name, span)
             else:
                 yield self.env.timeout(self.config.rayx.task_dispatch_s)
-            resolved: List[Any] = []
-            for arg in args:
-                if isinstance(arg, ObjectRef):
-                    if hit:
-                        value = yield from self.store.peek(arg)
-                    else:
-                        value = yield from self.store.get(
-                            arg, node.name, parent=span
-                        )
-                    resolved.append(value)
-                else:
-                    resolved.append(arg)
-            outcome = fn(context, *resolved)
-            if inspect.isgenerator(outcome):
-                result = yield from outcome
-            else:
-                result = outcome
+            result = yield from context.run(fn, args)
             yield from self.store.restore(ref, result, node.name, charge=not hit)
-            if cache.active and ref.fingerprint is not None:
-                cache.insert(
-                    ref.fingerprint,
-                    ref.nbytes,
-                    node.name,
-                    kind="task",
-                    tracer=tracer,
-                )
+            self._memoise(ref, node.name, "task")
         finally:
             self.scheduler.release(node.name)
             if span is not None:
@@ -649,23 +588,17 @@ class RayxRuntime:
 
     def put(self, value: Any, label: str = "object") -> Generator:
         """Driver-side ``ray.put``: store from the head node."""
-        ref = yield from self.driver_context.put(value, label)
-        return ref
+        return self.driver_context.put(value, label)
 
     def get(self, ref: ObjectRef) -> Generator:
         """Driver-side ``ray.get`` for one ref."""
-        value = yield from self.store.get(
-            ref, CONTROLLER, parent=self.driver_context.span
-        )
-        return value
+        return self.driver_context.get(ref)
 
     def get_all(self, refs: Iterable[ObjectRef]) -> Generator:
         """Driver-side ``ray.get`` for a list of refs (in order)."""
         values: List[Any] = []
         for ref in refs:
-            value = yield from self.store.get(
-                ref, CONTROLLER, parent=self.driver_context.span
-            )
+            value = yield from self.driver_context.get(ref)
             values.append(value)
         return values
 

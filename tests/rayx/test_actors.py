@@ -124,6 +124,31 @@ def test_constructor_failure_raises():
     assert run_script(fresh_cluster(), driver)
 
 
+def test_failed_constructor_releases_its_placement():
+    """The placement made for an actor that never started is handed
+    back — no phantom load for least_loaded / packed / spread to see —
+    while the round-robin counter still advances, so the next actor
+    lands where it always did."""
+
+    class Broken:
+        def __init__(self):
+            raise ValueError("bad init")
+
+    def driver(rt):
+        with pytest.raises(RayxError, match="failed to construct"):
+            rt.create_actor(Broken)
+        accounts = rt.scheduler.accounts
+        assert {name: account.outstanding for name, account in accounts.items()} == {
+            name: 0 for name in accounts
+        }
+        assert accounts["worker-0"].total == 1  # it was placed, then released
+        counter = rt.create_actor(Counter)
+        yield rt.env.timeout(0)
+        return counter.node.name
+
+    assert run_script(fresh_cluster(), driver) == "worker-1"
+
+
 def test_object_ref_arguments_resolved():
     import numpy as np
 

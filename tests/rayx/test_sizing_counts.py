@@ -76,7 +76,7 @@ def test_storing_sized_rows_makes_a_flat_number_of_calls(store_method, memory):
 
 @pytest.mark.parametrize("memory", MEMORY, ids=["dormant", "mem-on"])
 def test_compiled_plan_stores_task_results_with_a_flat_number_of_calls(memory):
-    """``rayx.compile``'s tasks hand lists of rows to ``store_result``."""
+    """``rayx.compile``'s tasks hand lists of rows to ``put``."""
     counts = set()
     for num_rows in ROW_COUNTS:
         workflow = Workflow("sized")
