@@ -103,9 +103,7 @@ class ResultCache:
             return None
         self.hits += 1
         entry.hits += 1
-        lru = self._node_lru.get(entry.node)
-        if lru is not None and fingerprint in lru:
-            lru.move_to_end(fingerprint)
+        self._node_lru[entry.node].move_to_end(fingerprint)
         if tracer is not None and tracer.enabled:
             tracer.metrics.counter("cache.hit").inc()
             tracer.metrics.counter("cache.hit.bytes").add(entry.nbytes)
@@ -125,7 +123,7 @@ class ResultCache:
         (e.g. after fault-driven re-execution lands the object on a
         different node) without counting as a new insert.
         """
-        existing = self._entries.get(fingerprint)
+        existing = self._entries.pop(fingerprint, None)
         if existing is not None:
             self._forget(existing)
         entry = CacheEntry(fingerprint, max(0, int(nbytes)), node, kind)
@@ -145,7 +143,7 @@ class ResultCache:
                 if victim_fp == fingerprint:
                     break
                 victim = self._entries.pop(victim_fp)
-                self._forget(victim, keep_index=True)
+                self._forget(victim)
                 evicted.append(victim)
                 self.evictions += 1
                 if tracer is not None and tracer.enabled:
@@ -170,7 +168,7 @@ class ResultCache:
         entry = self._entries.pop(fingerprint, None)
         if entry is None:
             return False
-        self._forget(entry, keep_index=True)
+        self._forget(entry)
         return True
 
     def clear(self) -> None:
@@ -179,14 +177,15 @@ class ResultCache:
         self._node_lru.clear()
         self._node_bytes.clear()
 
-    def _forget(self, entry: CacheEntry, keep_index: bool = False) -> None:
-        if not keep_index:
-            self._entries.pop(entry.fingerprint, None)
-        lru = self._node_lru.get(entry.node)
-        if lru is not None:
-            lru.pop(entry.fingerprint, None)
-        remaining = self._node_bytes.get(entry.node, 0) - entry.nbytes
-        self._node_bytes[entry.node] = max(0, remaining)
+    def _forget(self, entry: CacheEntry) -> None:
+        """Unlist an entry its caller just dropped from the index.
+
+        Every entry is on exactly its node's LRU and counted in exactly
+        its node's bytes (``tests/properties/test_cache_props.py``
+        checks the law), so both lookups are exact and nothing clamps.
+        """
+        del self._node_lru[entry.node][entry.fingerprint]
+        self._node_bytes[entry.node] -= entry.nbytes
 
     # -- introspection ------------------------------------------------------
 

@@ -104,6 +104,14 @@ def combine(*parts: Any) -> str:
 #: real operator/argument graph, shallow enough to survive cycles.
 _MAX_DEPTH = 12
 
+#: ``combine("atom", type name, value)``'s leading bytes per exact atom
+#: type: an atom digests as one blake2b call over this prefix, the
+#: value's text and the closing separator (same bytes, same digest).
+_ATOM_PREFIX = {
+    cls: b"atom\x00" + cls.__name__.encode("utf-8") + b"\x00"
+    for cls in (type(None), bool, int, float, str, bytes)
+}
+
 
 def fingerprint_value(value: Any, _depth: int = 0) -> str:
     """Fingerprint an arbitrary argument or payload value.
@@ -118,7 +126,18 @@ def fingerprint_value(value: Any, _depth: int = 0) -> str:
     embeds memory addresses, which would silently break cross-run
     determinism.
     """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+    cls = type(value)
+    prefix = _ATOM_PREFIX.get(cls)
+    if prefix is not None:
+        data = prefix + str(value).encode("utf-8", "backslashreplace") + b"\x00"
+        return hashlib.blake2b(data, digest_size=_DIGEST_BYTES).hexdigest()
+    if cls is tuple and _depth < _MAX_DEPTH:
+        return combine(
+            "seq", "tuple", *[fingerprint_value(item, _depth + 1) for item in value]
+        )
+    # Subclasses of the atom types (``numpy.float64``, int enums) and
+    # everything else take the general path below.
+    if isinstance(value, (bool, int, float, str, bytes)):
         return combine("atom", type(value).__name__, value)
     if isinstance(value, type):
         return combine("type", value.__module__, value.__qualname__)

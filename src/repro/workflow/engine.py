@@ -52,10 +52,12 @@ class _Batch:
     ``source`` names the producing instance (``operator_id#worker``) so
     the consumer's cache keys can roll one prefix per upstream stream —
     each producer's sequence is deterministic even when fan-in arrival
-    order is not.
+    order is not.  ``digest`` is the content hash of ``tuples`` taken
+    once at the producer's flush (None while the cache is dormant); the
+    consumer folds it into its own key instead of hashing the rows again.
     """
 
-    __slots__ = ("tuples", "nbytes", "source")
+    __slots__ = ("tuples", "nbytes", "source", "digest")
 
     def __init__(self, tuples: Sequence[Tuple], source: str = "") -> None:
         self.tuples = list(tuples)
@@ -64,6 +66,7 @@ class _Batch:
         # reuses each tuple's cached size instead of re-walking values.
         self.nbytes = 16 + sum(8 + t.payload_bytes() for t in self.tuples)
         self.source = source
+        self.digest: Optional[str] = None
 
 
 class _Eos:
@@ -608,12 +611,18 @@ class WorkflowController:
             if len(buffer) >= batch_size:
                 yield from self._pause_point()
                 yield from self._settle_charges(
-                    instance, cache_key=self._roll_key(instance, "src", buffer)
+                    instance,
+                    cache_key=self._roll_key(
+                        instance, "src", self._content_digest(instance, buffer)
+                    ),
                 )
                 yield from self._emit(instance, buffer)
                 buffer = []
         yield from self._settle_charges(
-            instance, cache_key=self._roll_key(instance, "src", buffer)
+            instance,
+            cache_key=self._roll_key(
+                instance, "src", self._content_digest(instance, buffer)
+            ),
         )
         if buffer:
             yield from self._emit(instance, buffer)
@@ -681,16 +690,17 @@ class WorkflowController:
         operator = instance.operator
         faults = self.env.faults
         wf_config = self.config.workflow
-        # The batch's cache key folds its content hash into a rolling
-        # prefix kept per (port, producer instance), so the key encodes
-        # the executor's entire input history from that upstream stream
-        # — each producer's sequence is deterministic even when fan-in
-        # arrival *order* is not.  Looked up exactly ONCE per epoch —
-        # fault replays of this batch re-enter the loop below without
-        # touching the cache again, so hit/miss/insert statistics stay
-        # identical whether or not an operator fault fired mid-batch.
+        # The batch's cache key folds the content digest its producer
+        # took at the flush into a rolling prefix kept per (port,
+        # producer instance), so the key encodes the executor's entire
+        # input history from that upstream stream — each producer's
+        # sequence is deterministic even when fan-in arrival *order* is
+        # not.  Looked up exactly ONCE per epoch — fault replays of this
+        # batch re-enter the loop below without touching the cache
+        # again, so hit/miss/insert statistics stay identical whether or
+        # not an operator fault fired mid-batch.
         batch_key = self._roll_key(
-            instance, f"p{port_number}:{message.source}", message.tuples
+            instance, f"p{port_number}:{message.source}", message.digest
         )
         hit = self._probe(batch_key)
         snapshot = None
@@ -868,15 +878,26 @@ class WorkflowController:
 
     # -- result caching (repro.cache) ---------------------------------------------
 
-    def _roll_key(
-        self, instance: _Instance, stream: str, rows: Sequence[Tuple]
+    def _content_digest(
+        self, instance: _Instance, rows: Sequence[Tuple]
     ) -> Optional[str]:
-        """Fold a batch's content into the stream's rolling prefix key."""
+        """The one content hash of a batch's rows; None while dormant.
+
+        Keys see the values as they are when hashed: a value mutated
+        after its batch was flushed is keyed by its content at the flush.
+        """
         if instance.cache_chain is None:
             return None
-        content = fingerprint_value([t.values for t in rows])
+        return fingerprint_value([t.values for t in rows])
+
+    def _roll_key(
+        self, instance: _Instance, stream: str, digest: Optional[str]
+    ) -> Optional[str]:
+        """Fold a batch's content digest into the stream's rolling prefix key."""
+        if instance.cache_chain is None:
+            return None
         previous = instance.cache_keys.get(stream, "")
-        key = combine(instance.cache_chain, stream, previous, content)
+        key = combine(instance.cache_chain, stream, previous, digest)
         instance.cache_keys[stream] = key
         return key
 
@@ -970,10 +991,14 @@ class WorkflowController:
         # encoded and shipped this exact batch sequence — the consumer
         # can read it from the cached result instead (Texera's operator
         # result cache).  The batch itself still flows: admission
-        # backpressure and the consumer queue see it either way.
-        flush_key = self._roll_key(
-            instance, f"flush:{outbound.link.consumer_id}:{index}", rows
-        )
+        # backpressure and the consumer queue see it either way.  The
+        # rows are hashed here and only here; the digest rides the batch.
+        flush_key = None
+        if instance.cache_chain is not None:
+            batch.digest = self._content_digest(instance, rows)
+            flush_key = self._roll_key(
+                instance, f"flush:{outbound.link.consumer_id}:{index}", batch.digest
+            )
         if self._probe(flush_key):
             yield from self._charge_hit(instance, link)
         else:

@@ -124,6 +124,61 @@ def test_workflow_outputs_equal_uncached_run(config, schedule, policy):
     assert cold == warm == WORKFLOW_EXPECTED
 
 
+FINGERPRINTS = [f"fp{i}" for i in range(6)]
+NODES = ["worker-0", "worker-1", "worker-2"]
+
+cache_ops = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.sampled_from(FINGERPRINTS),
+        st.integers(-10, 120),  # negative sizes are clamped to zero
+        st.sampled_from(NODES),
+    ),
+    st.tuples(st.just("lookup"), st.sampled_from(FINGERPRINTS)),
+    st.tuples(st.just("invalidate"), st.sampled_from(FINGERPRINTS)),
+    st.tuples(st.just("clear")),
+)
+
+
+def assert_byte_ledger(cache):
+    """Per node: the byte count is the sum of its entries, and its LRU
+    holds exactly those entries."""
+    entries = cache._entries
+    for node in set(NODES) | set(cache._node_lru) | set(cache._node_bytes):
+        mine = {fp: e for fp, e in entries.items() if e.node == node}
+        assert cache.node_bytes(node) == sum(e.nbytes for e in mine.values())
+        assert dict(cache._node_lru.get(node, {})) == mine
+    assert cache.total_bytes == sum(e.nbytes for e in entries.values())
+    assert all(fp == entry.fingerprint for fp, entry in entries.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.sampled_from([None, 1, 50, 150, 400]),
+    ops=st.lists(cache_ops, max_size=40),
+)
+def test_byte_ledger_equals_the_entries_on_every_node(capacity, ops):
+    """Insert, re-insert on another node, lookup, invalidate, clear and
+    capacity eviction, in any order, keep each node's byte count equal
+    to the entries listed on it — so ``_forget`` needs no clamp."""
+    cache = ResultCache(CacheConfig(enabled=True, capacity_bytes=capacity))
+    for op, *args in ops:
+        if op == "insert":
+            fingerprint, nbytes, node = args
+            evicted = cache.insert(fingerprint, nbytes, node)
+            assert fingerprint in cache
+            assert all(victim.node == node for victim in evicted)
+        elif op == "lookup":
+            hit = cache.lookup(args[0])
+            assert (hit is not None) == (args[0] in cache)
+        elif op == "invalidate":
+            cache.invalidate(args[0])
+            assert args[0] not in cache
+        else:
+            cache.clear()
+        assert_byte_ledger(cache)
+
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_thrashing_capacity_never_corrupts_results(seed):
