@@ -75,11 +75,6 @@ class SerializationConfig:
     #: data size (Table I's vanishing Scala advantage).
     cross_language_per_tuple_s: float = 2.5e-4
 
-    def encode_time(self, nbytes: int, rate: float) -> float:
-        if nbytes < 0:
-            raise ValueError(f"negative payload size: {nbytes}")
-        return self.base_s + nbytes / rate
-
 
 @dataclass(frozen=True)
 class ObjectStoreConfig:

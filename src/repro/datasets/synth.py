@@ -46,9 +46,6 @@ class SyllableNameGenerator:
                 return candidate
         raise RuntimeError("name space exhausted; increase syllables")
 
-    def words(self, count: int, syllables: int = 3) -> List[str]:
-        return [self.word(syllables) for _ in range(count)]
-
 
 def pick(rng: np.random.RandomState, pool: Sequence[str]) -> str:
     """Uniformly choose one element."""

@@ -42,7 +42,6 @@ from __future__ import annotations
 from repro.config import JobsConfig
 from repro.jobs.bodies import (
     JobResult,
-    body_catalogue,
     register_body,
     resolve_body,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "merge_arrivals",
     "register_body",
     "resolve_body",
-    "body_catalogue",
     "parse_jobs_spec",
     "describe_jobs",
     "jobs_config_to_json",

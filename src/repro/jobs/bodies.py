@@ -26,7 +26,7 @@ on the shared service cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import JobBodyError, UnknownJobBody
 from repro.jobs.model import JobSpec
@@ -37,7 +37,6 @@ __all__ = [
     "JobResult",
     "register_body",
     "resolve_body",
-    "body_catalogue",
 ]
 
 
@@ -56,7 +55,7 @@ class JobResult:
     value: Any = None
 
 
-#: name -> body callable.  Insertion order is catalogue order.
+#: name -> body callable.
 _BODIES: Dict[str, Callable[[JobSpec], JobResult]] = {}
 
 
@@ -86,11 +85,6 @@ def resolve_body(name: str) -> Callable[[JobSpec], JobResult]:
         raise UnknownJobBody(
             f"no job body named {name!r}; have {sorted(_BODIES)}"
         ) from None
-
-
-def body_catalogue() -> List[str]:
-    """Registered body names, synthetic bodies first."""
-    return list(_BODIES)
 
 
 # -- built-in synthetic bodies --------------------------------------------

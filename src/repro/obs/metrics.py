@@ -17,7 +17,7 @@ Everything is plain Python with zero dependencies; values are exact
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -149,12 +149,6 @@ class MetricsRegistry:
         return instrument
 
     # -- queries -----------------------------------------------------------
-
-    def instruments(self, name: Optional[str] = None) -> Iterator[Any]:
-        """All instruments, optionally filtered by metric name."""
-        for (_kind, metric_name, _labels), instrument in self._instruments.items():
-            if name is None or metric_name == name:
-                yield instrument
 
     def counters(self, name: str) -> List[Counter]:
         """Every labelled counter series of ``name``."""

@@ -75,10 +75,6 @@ class ActorHandle:
             ) from exc
         runtime.env.process(self._loop())
 
-    @property
-    def is_alive(self) -> bool:
-        return self._alive
-
     # -- client side -------------------------------------------------------------
 
     def call(self, method_name: str, *args: Any) -> ObjectRef:

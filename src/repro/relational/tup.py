@@ -3,7 +3,7 @@ the built-in ``tuple``)."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Sequence, Union
+from typing import Any, Dict, Mapping, Sequence, Union
 
 from repro.cluster.serialization import _register_row_types, estimate_bytes
 from repro.relational.schema import Schema, _schema_bytes
@@ -31,9 +31,6 @@ class Tuple:
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Tuple is immutable")
-
-    def __copy__(self) -> "Tuple":
-        return self
 
     def __deepcopy__(self, memo: Dict[int, Any]) -> "Tuple":
         # Immutable (and holding only immutable values), so a deep copy
@@ -63,12 +60,6 @@ class Tuple:
 
     def as_dict(self) -> Dict[str, Any]:
         return dict(zip(self.schema.names, self.values))
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __eq__(self, other: object) -> bool:
         return (

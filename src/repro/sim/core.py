@@ -14,8 +14,10 @@ paper performs with wall-clock time on real clusters.
 
 Design notes
 ------------
-* Events fire in ``(time, priority, sequence)`` order; sequence numbers
-  make the simulation fully deterministic regardless of hash seeds.
+* Events fire in ``(time, sequence)`` order; each queue entry is a
+  ``(time, seq, event)`` tuple, and the sequence number — assigned when
+  the event is scheduled — makes the simulation fully deterministic
+  regardless of hash seeds.
 * A :class:`Process` is itself an :class:`Event` that triggers when its
   generator returns, so processes can wait on each other by yielding.
 * Failures propagate: an event failed with an exception re-raises inside
@@ -26,25 +28,28 @@ Fast-path notes (see ``docs/performance.md``)
 ---------------------------------------------
 The kernel is the innermost loop of every experiment, so it trades a
 little uniformity for speed while keeping the event order *exactly* the
-``(time, priority, sequence)`` order of a single heap:
+``(time, sequence)`` order of a single heap:
 
 * Hot objects are ``__slots__``-ed and the sequence counter is a plain
   integer inlined at each schedule site.
 * Scheduled entries are split across three internally sorted queues
   whose heads are compared on every pop, so the global minimum is
-  unchanged: ``_immediate`` (zero-delay NORMAL entries from
+  unchanged: ``_immediate`` (zero-delay entries from
   ``succeed``/``fail``/process bootstrap — appended in ``(time, seq)``
   order by construction because the clock is monotonic), ``_tail``
-  (schedule-time entries that arrive in non-decreasing order, the
-  common case for homogeneous timeouts) and ``_queue`` (a real heap for
-  everything that arrives out of order).
+  (timeouts that arrive in non-decreasing order, the common case for
+  homogeneous delays) and ``_queue`` (a real heap for everything that
+  arrives out of order).
+* :meth:`Environment._drain` is the one event loop: every ``run()``
+  pops and dispatches there, and nothing else pops a queue entry.
 * ``Event._callbacks`` is ``None`` until the first waiter, a bare
   callable for the (dominant) single-waiter case and a list only when
   two or more callbacks attach.
 * The tracer hook is dormant-by-default: ``Environment.tracer`` is a
-  property whose setter caches ``tracer.enabled`` into ``_tracing`` and
-  rebinds ``step`` to a fast or traced variant, so the dormant run loop
-  performs no per-event tracer attribute walks.
+  property whose setter caches ``tracer.enabled`` into ``_tracing``;
+  ``_drain`` reads it once per call and bumps the ``sim.events``
+  counter only when tracing, so the dormant loop performs no per-event
+  tracer attribute walks.
 """
 
 from __future__ import annotations
@@ -76,10 +81,6 @@ PENDING = "pending"
 TRIGGERED = "triggered"
 PROCESSED = "processed"
 
-#: Event priorities; URGENT events at equal timestamps fire first.
-URGENT = 0
-NORMAL = 1
-
 _INF = float("inf")
 
 
@@ -109,11 +110,6 @@ class Event:
         """True once the event has been succeeded or failed."""
         return self.state is not PENDING
 
-    @property
-    def ok(self) -> bool:
-        """True if the event triggered successfully (no exception)."""
-        return self.state is not PENDING and self.exception is None
-
     # -- triggering -------------------------------------------------------
 
     def succeed(self, value: Any = None) -> "Event":
@@ -124,7 +120,7 @@ class Event:
         self.state = TRIGGERED
         env = self.env
         seq = env._sequence = env._sequence + 1
-        env._immediate.append((env._now, NORMAL, seq, self))
+        env._immediate.append((env._now, seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -141,7 +137,7 @@ class Event:
         self.state = TRIGGERED
         env = self.env
         seq = env._sequence = env._sequence + 1
-        env._immediate.append((env._now, NORMAL, seq, self))
+        env._immediate.append((env._now, seq, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -160,16 +156,6 @@ class Event:
             current.append(callback)
         else:
             self._callbacks = [current, callback]
-
-    def _process_callbacks(self) -> None:
-        self.state = PROCESSED
-        callbacks, self._callbacks = self._callbacks, None
-        if callbacks is not None:
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(self)
-            else:
-                callbacks(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} state={self.state}>"
@@ -192,7 +178,7 @@ class Timeout(Event):
         self._callbacks = None
         self.state = TRIGGERED
         seq = env._sequence = env._sequence + 1
-        entry = (env._now + delay, NORMAL, seq, self)
+        entry = (env._now + delay, seq, self)
         tail = env._tail
         if tail and entry < tail[-1]:
             heapq.heappush(env._queue, entry)
@@ -244,7 +230,7 @@ class Process(Event):
         bootstrap.state = TRIGGERED
         bootstrap._callbacks = self._resume_cb
         seq = env._sequence = env._sequence + 1
-        env._immediate.append((env._now, NORMAL, seq, bootstrap))
+        env._immediate.append((env._now, seq, bootstrap))
 
     def _resume(self, event: Event) -> None:
         """Advance the generator by one step with ``event``'s outcome."""
@@ -262,7 +248,7 @@ class Process(Event):
                 self.state = TRIGGERED
                 env = self.env
                 seq = env._sequence = env._sequence + 1
-                env._immediate.append((env._now, NORMAL, seq, self))
+                env._immediate.append((env._now, seq, self))
                 return
             except BaseException as exc:  # noqa: BLE001 - must capture all
                 # A process that dies forwards its exception to waiters; if
@@ -276,7 +262,7 @@ class Process(Event):
                 self.exception = exc
                 self.state = TRIGGERED
                 seq = env._sequence = env._sequence + 1
-                env._immediate.append((env._now, NORMAL, seq, self))
+                env._immediate.append((env._now, seq, self))
                 return
             try:
                 state = target.state
@@ -313,9 +299,6 @@ class ConditionValue:
     def values(self) -> List[Any]:
         """Values of the triggered events, in construction order."""
         return [event.value for event in self.events if event.triggered]
-
-    def __len__(self) -> int:
-        return len([event for event in self.events if event.triggered])
 
 
 class AllOf(Event):
@@ -377,10 +360,10 @@ class Environment:
         self._now = float(initial_time)
         #: Heap for entries that arrive out of order.
         self._queue: List = []
-        #: Deque of schedule-time entries appended in sorted order (the
-        #: common case: repeated equal delays produce monotonic keys).
+        #: Deque of timeout entries appended in sorted order (the common
+        #: case: repeated equal delays produce monotonic keys).
         self._tail: deque = deque()
-        #: Deque of zero-delay NORMAL entries; monotonic by construction
+        #: Deque of zero-delay entries; monotonic by construction
         #: because the clock never moves backwards and sequence numbers
         #: only grow.
         self._immediate: deque = deque()
@@ -397,9 +380,6 @@ class Environment:
         #: this with an active injector.  The null default answers every
         #: check benignly and charges no virtual time.
         self._faults = NULL_INJECTOR
-        #: ``step`` is rebound by the ``tracer`` setter: the dormant
-        #: default pays zero tracer overhead per event.
-        self.step = self._step_fast
 
     # -- observability / fault hooks ---------------------------------------
 
@@ -411,7 +391,6 @@ class Environment:
     def tracer(self, tracer) -> None:
         self._tracer = tracer
         self._tracing = bool(tracer.enabled)
-        self.step = self._step_traced if self._tracing else self._step_fast
 
     @property
     def faults(self):
@@ -448,85 +427,7 @@ class Environment:
         """Event that triggers when the first event in ``events`` does."""
         return AnyOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
-        seq = self._sequence = self._sequence + 1
-        if delay == 0.0 and priority == NORMAL:
-            self._immediate.append((self._now, NORMAL, seq, event))
-            return
-        entry = (self._now + delay, priority, seq, event)
-        tail = self._tail
-        if tail and entry < tail[-1]:
-            heapq.heappush(self._queue, entry)
-        else:
-            tail.append(entry)
-
-    def _pop_entry(self):
-        """Pop the globally smallest ``(time, priority, seq, event)`` entry.
-
-        All three queues are internally sorted, so comparing their heads
-        yields exactly the order a single heap would produce.  Returns
-        ``None`` when no events remain.
-        """
-        immediate = self._immediate
-        tail = self._tail
-        queue = self._queue
-        best = None
-        source = 0
-        if immediate:
-            best = immediate[0]
-            source = 1
-        if tail and (best is None or tail[0] < best):
-            best = tail[0]
-            source = 2
-        if queue and (best is None or queue[0] < best):
-            source = 3
-        if source == 1:
-            return immediate.popleft()
-        if source == 2:
-            return tail.popleft()
-        if source == 3:
-            return heapq.heappop(queue)
-        return None
-
-    def _note_failure(self, process: Process, exc: BaseException) -> None:
-        self._failures.append(ProcessFailure(process, exc))
-
-    def _step_fast(self) -> None:
-        """Process the next scheduled event, advancing the clock."""
-        entry = self._pop_entry()
-        if entry is None:
-            raise EmptySchedule("no scheduled events remain")
-        self._now = entry[0]
-        event = entry[3]
-        event.state = PROCESSED
-        callbacks = event._callbacks
-        if callbacks is not None:
-            event._callbacks = None
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                callbacks(event)
-
-    def _step_traced(self) -> None:
-        """Like :meth:`_step_fast`, plus per-event tracer accounting."""
-        entry = self._pop_entry()
-        if entry is None:
-            raise EmptySchedule("no scheduled events remain")
-        self._now = entry[0]
-        self._tracer.metrics.counter("sim.events").inc()
-        event = entry[3]
-        event.state = PROCESSED
-        callbacks = event._callbacks
-        if callbacks is not None:
-            event._callbacks = None
-            if type(callbacks) is list:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                callbacks(event)
+    # -- the run loop ------------------------------------------------------
 
     def peek(self) -> float:
         """Virtual time of the next scheduled event (inf if none)."""
@@ -540,7 +441,10 @@ class Environment:
         return when
 
     def _drain(self, deadline: float, until: Optional[Event]) -> bool:
-        """The fused run loop: pop-and-process until a stop condition.
+        """The one event loop: pop-and-process until a stop condition.
+
+        The only code in the kernel that pops a queue entry; events
+        leave in ``(time, sequence)`` order.
 
         Stops when ``until`` (if given) has been processed, when the next
         event lies beyond ``deadline``, or when no events remain.
@@ -585,7 +489,7 @@ class Environment:
                 heapq.heappush(queue, entry)
                 return False
             self._now = when
-            event = entry[3]
+            event = entry[2]
             event.state = PROCESSED
             if inc is not None:
                 inc()

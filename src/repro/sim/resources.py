@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional
 
-from repro.sim.core import NORMAL, PENDING, PROCESSED, TRIGGERED, Environment, Event
+from repro.sim.core import PENDING, PROCESSED, TRIGGERED, Environment, Event
 
 __all__ = ["Resource", "Store", "ResourceRequest", "StorePut", "StoreGet"]
 
@@ -127,7 +127,7 @@ class Resource:
             req.state = TRIGGERED
             env = req.env
             seq = env._sequence = env._sequence + 1
-            env._immediate.append((env._now, NORMAL, seq, req))
+            env._immediate.append((env._now, seq, req))
 
 
 class StorePut(Event):
@@ -252,7 +252,7 @@ class Store:
                 # Inline put.succeed() — queued puts are always pending.
                 put.state = TRIGGERED
                 seq = env._sequence = env._sequence + 1
-                immediate.append((env._now, NORMAL, seq, put))
+                immediate.append((env._now, seq, put))
                 progressed = True
             # Hand buffered items to waiting getters.
             while getters and items:
@@ -261,7 +261,7 @@ class Store:
                 get.value = items.popleft()
                 get.state = TRIGGERED
                 seq = env._sequence = env._sequence + 1
-                immediate.append((env._now, NORMAL, seq, get))
+                immediate.append((env._now, seq, get))
                 progressed = True
             if not progressed:
                 return

@@ -38,9 +38,6 @@ class PendingCharge:
         self.seconds = 0.0
         self.flops = 0.0
 
-    def is_zero(self) -> bool:
-        return self.seconds == 0.0 and self.flops == 0.0
-
     def take(self) -> PyTuple[float, float]:
         """Return and reset (seconds, flops)."""
         charge = (self.seconds, self.flops)

@@ -26,7 +26,6 @@ from repro.workflow.spec.forms import (
 from repro.workflow.spec.loader import (
     build_workflow,
     import_callable,
-    load_workflow_file,
     load_workflow_json,
     read_spec,
     resolve_value,
@@ -56,7 +55,6 @@ __all__ = [
     "param_form",
     "schema_form",
     "udf_predicate_form",
-    "load_workflow_file",
     "load_workflow_json",
     "operator_factory",
     "operator_types",

@@ -59,7 +59,6 @@ from repro.workflow.spec.registry import operator_factory
 
 __all__ = [
     "build_workflow",
-    "load_workflow_file",
     "load_workflow_json",
     "read_spec",
     "resolve_value",
@@ -104,13 +103,6 @@ def load_workflow_json(
     if isinstance(doc, str):
         doc = _parse_spec_text(doc, "")
     return build_workflow(WorkflowSpec.from_json(doc), bindings)
-
-
-def load_workflow_file(
-    source: Union[str, Path], bindings: Optional[Bindings] = None
-) -> Workflow:
-    """Build a workflow from a spec file."""
-    return build_workflow(read_spec(source), bindings)
 
 
 def build_workflow(

@@ -305,15 +305,6 @@ class WorkflowSpec:
                 names.add(name)
         return sorted(names)
 
-    def operator(self, operator_id: str) -> OperatorSpec:
-        for op in self.operators:
-            if op.operator_id == operator_id:
-                return op
-        raise WorkflowSpecError(
-            f"spec has no operator {operator_id!r} "
-            f"(declared: {[o.operator_id for o in self.operators]})"
-        )
-
 
 def _walk_params(value: Any) -> Iterator[str]:
     if isinstance(value, dict):

@@ -59,6 +59,11 @@ def test_dataloader_batches():
     assert len(loader) == 3
 
 
+def test_text_dataset_indexes_like_its_examples():
+    dataset = TextDataset(["a", "b", "c"])
+    assert (len(dataset), dataset[1], dataset[-1]) == (3, "b", "c")
+
+
 def test_dataloader_rejects_zero_batch():
     with pytest.raises(ValueError):
         DataLoader(TextDataset([1]), batch_size=0)

@@ -9,8 +9,8 @@ and timed exactly as the single-heap seed kernel.  Two guards:
   pre-optimization kernel (clean-run pins live in
   ``tests/obs/test_timing_regression.py``);
 * a Hypothesis property checking the core ordering contract directly:
-  events complete in ``(time, priority, sequence)`` order no matter how
-  delays, priorities and zero-delay wakeups interleave.
+  events complete in ``(time, sequence)`` order no matter how delays
+  and zero-delay wakeups interleave.
 """
 
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from repro.datasets.maccrobat import generate_maccrobat
 from repro.datasets.wildfire import generate_wildfire_tweets
 from repro.faults import FaultSchedule, faults_injected
 from repro.sim import Environment
-from repro.sim.core import NORMAL, TRIGGERED, URGENT
 from repro.tasks.base import fresh_cluster
 from repro.tasks.dice.script import run_dice_script
 from repro.tasks.dice.workflow import run_dice_workflow
@@ -84,6 +83,8 @@ def test_all_tasks_bit_identical_under_fault_schedule():
 
 # -- ordering property ----------------------------------------------------------
 
+#: ``(delay, via_succeed)``: a timeout after ``delay``, or — when
+#: ``via_succeed`` — an ``event().succeed()`` fired ``delay`` seconds in.
 events = st.lists(
     st.tuples(
         st.one_of(
@@ -91,47 +92,57 @@ events = st.lists(
             st.sampled_from([0.5, 1.0, 1.0, 2.5]),  # force plenty of ties
             st.floats(min_value=0.0, max_value=10.0, allow_nan=False, width=16),
         ),
-        st.sampled_from([URGENT, NORMAL]),
+        st.booleans(),
     ),
     min_size=1,
     max_size=80,
 )
 
 
+def _schedule_soup(env, items):
+    """Schedule ``items`` through the public API.
+
+    Timeouts land in ``_tail`` or, when out of order, the heap; succeeded
+    events land in ``_immediate`` at the time they fire.  Returns the
+    completion log and each item's ``(time, sequence)`` key, read from
+    the kernel's sequence counter the moment the item is scheduled.
+    """
+    completed, keys = [], {}
+    for index, (delay, via_succeed) in enumerate(items):
+        record = lambda ev, i=index: completed.append(i)
+        if via_succeed:
+            gate = env.event()
+            gate.add_callback(record)
+
+            def fire(_, gate=gate, i=index):
+                gate.succeed(i)
+                keys[i] = (env.now, env._sequence)
+
+            if delay == 0.0:
+                fire(None)
+            else:
+                env.timeout(delay).add_callback(fire)
+        else:
+            env.timeout(delay, index).add_callback(record)
+            keys[index] = (env.now + delay, env._sequence)
+    return completed, keys
+
+
 @settings(max_examples=150, deadline=None)
 @given(items=events)
-def test_events_complete_in_time_priority_sequence_order(items):
+def test_events_complete_in_time_sequence_order(items):
     """The triple queue must order exactly like one global heap.
 
-    Schedules a soup of pre-triggered events — duplicate delays, zero
-    delays, urgent entries — through the kernel's scheduling paths and
-    records the completion order.  It must equal the schedule sorted by
-    ``(time, priority, sequence)``; sequence numbers are assigned in
-    scheduling order, so a stable sort on ``(time, priority)`` is the
-    reference.
+    Schedules a soup of timeouts and succeeded events — duplicate
+    delays, zero delays, out-of-order delays, wakeups triggered mid-run —
+    and records the completion order.  It must equal the items sorted by
+    their ``(time, sequence)`` keys.
     """
     env = Environment()
-    completed = []
-    for index, (delay, priority) in enumerate(items):
-        event = env.event()
-        event.add_callback(lambda ev, i=index: completed.append(i))
-        if delay == 0.0 and priority == NORMAL and index % 2 == 0:
-            # Exercise the succeed() inline path into the immediate deque.
-            event.succeed(index)
-        else:
-            # Exercise _schedule's immediate/tail/heap routing, including
-            # URGENT entries, exactly as Timeout and the engines do.
-            event.value = index
-            event.state = TRIGGERED
-            env._schedule(event, delay, priority)
+    completed, keys = _schedule_soup(env, items)
     env.run()
-    expected = [
-        index
-        for _, _, index in sorted(
-            (delay, priority, index) for index, (delay, priority) in enumerate(items)
-        )
-    ]
-    assert completed == expected
+    assert completed == sorted(keys, key=keys.__getitem__)
+    assert len(completed) == len(items)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,21 +150,12 @@ def test_events_complete_in_time_priority_sequence_order(items):
 def test_peek_and_until_agree_with_global_order(items, boundary):
     """``run(until=T)`` processes exactly the events with time <= T."""
     env = Environment()
-    completed = []
-    for index, (delay, priority) in enumerate(items):
-        event = env.event()
-        event.add_callback(lambda ev, i=index: completed.append(i))
-        event.value = index
-        event.state = TRIGGERED
-        env._schedule(event, delay, priority)
+    completed, keys = _schedule_soup(env, items)
     env.run(until=boundary)
-    expected = [
-        index
-        for _, _, index in sorted(
-            (delay, priority, index)
-            for index, (delay, priority) in enumerate(items)
-            if delay <= boundary
-        )
-    ]
+    expected = sorted(
+        (i for i, (when, _) in keys.items() if when <= boundary),
+        key=keys.__getitem__,
+    )
     assert completed == expected
     assert env.now == boundary
+    assert env.peek() > boundary

@@ -42,9 +42,14 @@ def sized_table(num_rows):
 def count_sizing_calls(run):
     """``run()``'s result and how often ``estimate_bytes`` was entered."""
     calls = 0
+    # An outer profiler (a reachability run, say) keeps seeing every
+    # call and is back in place afterwards.
+    outer = sys.getprofile()
 
     def profile(frame, event, arg):
         nonlocal calls
+        if outer is not None:
+            outer(frame, event, arg)
         if event == "call" and frame.f_code is estimate_bytes.__code__:
             calls += 1
 
@@ -52,7 +57,7 @@ def count_sizing_calls(run):
     try:
         result = run()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return result, calls
 
 

@@ -198,12 +198,6 @@ def iter_timeout(env, delay):
     yield env.timeout(delay)
 
 
-def test_empty_schedule_step_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
-
-
 def test_deadlock_detected_when_awaiting_unreachable_event():
     env = Environment()
     never = env.event()
@@ -346,59 +340,15 @@ def test_run_until_resumes_correctly_after_early_drain():
     assert seen == [10.0]
 
 
-# -- (time, priority, sequence) tie-break pins ------------------------------------
-
-
-def _triggered_event(env, value):
-    from repro.sim import core
-
-    event = env.event()
-    event.value = value
-    event.state = core.TRIGGERED
-    return event
-
-
-def test_urgent_beats_normal_at_equal_time_despite_later_scheduling():
-    from repro.sim import core
-
-    env = Environment()
-    order = []
-    normal = _triggered_event(env, "normal")
-    normal.add_callback(lambda ev: order.append(ev.value))
-    env._schedule(normal, 1.0, core.NORMAL)
-    urgent = _triggered_event(env, "urgent")
-    urgent.add_callback(lambda ev: order.append(ev.value))
-    env._schedule(urgent, 1.0, core.URGENT)
-    env.run()
-    assert order == ["urgent", "normal"]
+# -- (time, sequence) tie-break pin ----------------------------------------------
 
 
 def test_sequence_breaks_ties_within_equal_time_and_priority():
-    from repro.sim import core
-
     env = Environment()
     order = []
     # Schedule out of time order so entries split across the kernel's
-    # internal queues (tail then heap), at equal (time, priority).
+    # internal queues (tail then heap), at equal times.
     for tag, delay in [("a5", 5.0), ("b1", 1.0), ("c5", 5.0), ("d1", 1.0)]:
-        event = _triggered_event(env, tag)
-        event.add_callback(lambda ev: order.append(ev.value))
-        env._schedule(event, delay, core.NORMAL)
+        env.timeout(delay, tag).add_callback(lambda ev: order.append(ev.value))
     env.run()
     assert order == ["b1", "d1", "a5", "c5"]
-
-
-def test_zero_delay_succeed_fires_before_later_scheduled_urgent_timeout():
-    from repro.sim import core
-
-    env = Environment()
-    order = []
-    immediate = env.event()
-    immediate.add_callback(lambda ev: order.append("immediate"))
-    immediate.succeed()  # seq N, NORMAL, t=0 via the immediate deque
-    urgent = _triggered_event(env, None)
-    urgent.add_callback(lambda ev: order.append("urgent"))
-    env._schedule(urgent, 0.0, core.URGENT)  # seq N+1, URGENT, t=0
-    env.run()
-    # URGENT priority outranks the earlier sequence number.
-    assert order == ["urgent", "immediate"]

@@ -70,8 +70,13 @@ def make_workflow():
 def counted_run():
     """Run the workflow once; tally its hashes and flushed batches."""
     tally = Counter()
+    # An outer profiler (a reachability run, say) keeps seeing every
+    # call and is back in place afterwards.
+    outer = sys.getprofile()
 
     def profile(frame, event, arg):
+        if outer is not None:
+            outer(frame, event, arg)
         if event != "call":
             return
         code = frame.f_code
@@ -97,7 +102,7 @@ def counted_run():
     try:
         result = run_workflow(cluster, workflow)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return result, tally
 
 

@@ -6,12 +6,16 @@ from repro.relational import FieldType, Schema, Table, column_greater
 from repro.workflow import OperatorLanguage, Workflow
 from repro.workflow.inspect import describe_operator, render_dag, workflow_to_spec
 from repro.workflow.operators import (
+    AggregationFunction,
     FilterOperator,
+    GroupByOperator,
     HashJoinOperator,
     ProjectionOperator,
     SinkOperator,
     SortOperator,
     TableSource,
+    TopKOperator,
+    TrainOperator,
 )
 
 SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
@@ -94,6 +98,24 @@ def test_render_dag_shows_operators_and_edges():
     assert "└─> (sink)" in text
 
 
+def test_render_dag_badges_every_blocking_operator():
+    schema = Schema.of(text=FieldType.STRING, label=FieldType.INT, score=FieldType.FLOAT)
+    wf = Workflow("blocking")
+    src = wf.add_operator(TableSource("src", Table(schema)))
+    for op in (
+        GroupByOperator("group", "label", AggregationFunction.COUNT, num_workers=2),
+        TopKOperator("top", key="score", k=3),
+        TrainOperator("train", loader=lambda: None),
+        FilterOperator("keep", column_greater("score", 0.5)),
+    ):
+        wf.link(src, wf.add_operator(op))
+    text = render_dag(wf)
+    assert "(group) [x2, blocking]" in text
+    assert "(top) [blocking]" in text
+    assert "(train) [blocking]" in text
+    assert "  (keep)\n" in text + "\n"
+
+
 def test_render_dag_marks_join_ports():
     left = Table.from_rows(Schema.of(k=FieldType.INT), [[1]])
     wf = Workflow("ports")
@@ -107,6 +129,20 @@ def test_render_dag_marks_join_ports():
     text = render_dag(wf)
     assert "└─> (join)" in text  # port 0 unannotated
     assert "└─> (join:1)" in text  # probe port annotated
+
+
+def test_render_dag_badges_the_blocking_task_stages():
+    from repro.datasets import generate_wildfire_tweets
+    from repro.tasks.kge import build_kge_workflow, make_kge_dataset
+    from repro.tasks.wef import build_wef_workflow
+
+    kge = render_dag(
+        build_kge_workflow(make_kge_dataset(20, universe_size=50), num_processing_ops=2)
+    )
+    assert "  (filter)\n" in kge
+    assert "(join-score-rank-lookup) [blocking]" in kge
+    wef = render_dag(build_wef_workflow(generate_wildfire_tweets(4)))
+    assert "(train-framing-ensemble) [blocking]" in wef
 
 
 def test_task_workflows_are_inspectable():

@@ -34,6 +34,13 @@ def make_table(n=40):
     return Table.from_rows(SCHEMA, [[i, (i % 10) / 10.0] for i in range(n)])
 
 
+def test_a_source_executor_has_no_input_port():
+    executor = TableSource("src", make_table()).create_executor()
+    row = make_table(1).rows[0]
+    with pytest.raises(InvalidWorkflow, match="no input ports"):
+        executor.process_tuple(row, 0)
+
+
 # -- JsonlSource ----------------------------------------------------------------
 
 

@@ -37,8 +37,10 @@ from repro.workflow import Workflow, run_workflow
 from repro.workflow.language import OperatorLanguage
 from repro.workflow.operators import (
     FilterOperator,
+    LimitOperator,
     ProjectionOperator,
     SinkOperator,
+    SortOperator,
     TableSource,
 )
 from repro.workflow.optimize import (
@@ -142,6 +144,15 @@ def test_fused_chain_output_schema_matches_tail():
     assert schemas["keep+keep2+columns"].names == ["id", "score"]
 
 
+def test_a_fused_chain_is_blocking_when_any_of_its_operators_is():
+    fused = fuse_adjacent(make_workflow()).operators["keep+keep2+columns"]
+    assert fused.is_blocking is False
+    sorted_chain = FusedOperator(
+        [ProjectionOperator("columns", ["id"]), SortOperator("order", key="id")]
+    )
+    assert sorted_chain.is_blocking is True
+
+
 # -- dead-column pruning -------------------------------------------------------
 
 
@@ -167,6 +178,34 @@ def test_udf_predicate_blocks_pruning_upstream_of_itself():
     pruned, _ = run_once(
         prune_dead_columns(make_workflow(predicate=opaque))
     )
+    assert rows_of(pruned) == rows_of(baseline)
+
+
+def test_pruning_sees_through_a_fused_chain():
+    wf = prune_dead_columns(fuse_adjacent(make_workflow()))
+    pruners = [op_id for op_id in wf.operators if op_id.startswith("prune:")]
+    assert pruners == ["prune:scan->keep+keep2+columns"]
+    assert wf.compile_schemas()[pruners[0]].names == ["id", "score"]
+    baseline, _ = run_once(make_workflow())
+    pruned, _ = run_once(wf)
+    assert rows_of(pruned) == rows_of(baseline)
+
+
+def test_pruning_sees_through_a_limit():
+    def capped():
+        wf = Workflow("capped")
+        src = wf.add_operator(TableSource("scan", wide_table()))
+        cap = wf.add_operator(LimitOperator("cap", 7))
+        columns = wf.add_operator(ProjectionOperator("columns", ["id"]))
+        wf.link(src, cap)
+        wf.link(cap, columns)
+        wf.link(columns, wf.add_operator(SinkOperator("results")))
+        return wf
+
+    wf = prune_dead_columns(capped())
+    assert wf.compile_schemas()["prune:scan->cap"].names == ["id"]
+    pruned, _ = run_once(wf)
+    baseline, _ = run_once(capped())
     assert rows_of(pruned) == rows_of(baseline)
 
 

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.errors import WorkflowSpecError
+from repro.paradigm import SinkDiff, diff_rows, run_both
 from repro.relational import FieldType, Schema, Table
 from repro.workflow.spec import (
     SPEC_VERSION,
@@ -242,6 +243,45 @@ def test_bad_schema_type_and_bad_predicate_op():
     with pytest.raises(WorkflowSpecError) as excinfo:
         build_workflow(WorkflowSpec.from_json(doc), bindings())
     assert "gte" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "predicate, kept",
+    [
+        ({"op": "not_equals", "column": "category", "value": "sign"},
+         ["e2", "e3", "e5", "e6"]),
+        ({"op": "not_in", "column": "category", "values": ["sign", "symptom"]},
+         ["e3", "e5"]),
+    ],
+    ids=["not_equals", "not_in"],
+)
+def test_negated_predicate_ops_keep_the_same_rows_under_both_paradigms(
+    predicate, kept
+):
+    categories = ["sign", "symptom", "disorder", "sign", "medication", "symptom"]
+    doc = {
+        "spec": SPEC_VERSION,
+        "name": "negated",
+        "operators": [
+            {
+                "id": "events",
+                "type": "jsonl_source",
+                "config": {
+                    "records": [
+                        {"id": f"e{i}", "category": c}
+                        for i, c in enumerate(categories, start=1)
+                    ],
+                    "schema": {"$schema": {"id": "string", "category": "string"}},
+                },
+            },
+            {"id": "keep", "type": "filter", "config": {"predicate": {"$predicate": predicate}}},
+            {"id": "view", "type": "sink", "config": {}},
+        ],
+        "links": [{"from": "events", "to": "keep"}, {"from": "keep", "to": "view"}],
+    }
+    workflow, script = run_both(doc)
+    assert diff_rows(workflow, script) == [SinkDiff("view", len(kept), len(kept), True)]
+    assert sorted(row["id"] for row in workflow.tables["view"]) == kept
 
 
 # -- forms: authoring helpers round-trip through the loader --------------------
