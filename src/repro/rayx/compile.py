@@ -34,14 +34,18 @@ from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple as PyTu
 
 from repro.cluster import Cluster, build_cluster
 from repro.config import ReproConfig
-from repro.errors import InvalidWorkflow
 from repro.rayx.objectref import ObjectRef
 from repro.rayx.runtime import RayxRuntime, TaskContext, run_script
 from repro.relational import Schema, Table, Tuple
 from repro.sim import Environment
 from repro.workflow.dag import Workflow
 from repro.workflow.operator import LogicalOperator, SourceExecutor
-from repro.workflow.partitioning import stable_hash
+from repro.workflow.partitioning import (
+    HashPartitioner,
+    RoundRobinPartitioner,
+    partitioner_for,
+    stable_hash,
+)
 from repro.workflow.spec.loader import build_workflow
 from repro.workflow.spec.model import WorkflowSpec
 
@@ -75,29 +79,21 @@ def _worker_share(
 ) -> List[Tuple]:
     """The slice of ``rows`` this worker instance consumes.
 
-    Mirrors :mod:`repro.workflow.partitioning` applied to the
+    Applies :func:`repro.workflow.partitioning.partitioner_for` to the
     concatenated upstream output (deterministic producer order), so
     each worker sees the same multiset of rows as its engine
     counterpart's partitioner routes to it.
     """
-    num_workers = operator.num_workers
-    strategy = operator.partition_strategy(port)
-    if strategy == "broadcast":
-        return rows
-    if num_workers == 1:
-        return rows
-    if strategy == "hash":
-        key = operator.partition_key(port)
-        if key is None:
-            raise InvalidWorkflow(
-                f"operator {operator.operator_id!r}: hash partitioning on "
-                f"port {port} without a partition key"
-            )
+    route = partitioner_for(operator, port, operator.num_workers)
+    if isinstance(route, HashPartitioner):
         return [
-            row for row in rows if stable_hash(row[key]) % num_workers == worker_index
+            row
+            for row in rows
+            if stable_hash(row[route.key]) % route.num_consumers == worker_index
         ]
-    # Round-robin over the concatenated stream.
-    return rows[worker_index :: num_workers]
+    if isinstance(route, RoundRobinPartitioner):
+        return rows[worker_index :: route.num_consumers]
+    return rows  # broadcast
 
 
 def _make_task(
@@ -180,52 +176,43 @@ class ScriptPlan:
         #: GUI-time validation, so a bad plan fails here, not mid-run).
         self.schemas: Dict[str, Schema] = workflow.compile_schemas()
         self.tasks: List[ScriptTask] = []
+        #: Per operator, the worker count of each input port's producer.
+        self._port_ref_counts: Dict[str, List[int]] = {}
         for operator in workflow.topological_order():
-            upstream: List[str] = []
-            for link in workflow.in_links(operator.operator_id):
-                producer = workflow.operators[link.producer_id]
-                upstream.extend(
-                    _task_label(producer.operator_id, w)
-                    for w in range(producer.num_workers)
-                )
-            for w in range(operator.num_workers):
-                self.tasks.append(
-                    ScriptTask(
-                        label=_task_label(operator.operator_id, w),
-                        operator_id=operator.operator_id,
-                        worker_index=w,
-                        upstream=tuple(upstream),
-                    )
-                )
+            op_id = operator.operator_id
+            producers = [
+                workflow.operators[link.producer_id] for link in workflow.in_links(op_id)
+            ]
+            self._port_ref_counts[op_id] = [p.num_workers for p in producers]
+            upstream = tuple(
+                _task_label(p.operator_id, w) for p in producers for w in range(p.num_workers)
+            )
+            self.tasks.extend(
+                ScriptTask(_task_label(op_id, w), op_id, w, upstream)
+                for w in range(operator.num_workers)
+            )
 
     @property
     def num_tasks(self) -> int:
         return len(self.tasks)
 
     def driver(self, runtime: RayxRuntime) -> Generator:
-        """Submit the task graph; gather sink rows into tables."""
-        workflow = self.workflow
-        refs: Dict[str, List[ObjectRef]] = {}
-        for operator in workflow.topological_order():
-            in_links = workflow.in_links(operator.operator_id)
-            port_ref_counts = [
-                workflow.operators[link.producer_id].num_workers
-                for link in in_links
-            ]
-            args: List[ObjectRef] = []
-            for link in in_links:
-                args.extend(refs[link.producer_id])
-            refs[operator.operator_id] = [
-                runtime.submit(
-                    _make_task(operator, w, port_ref_counts),
-                    *args,
-                    label=_task_label(operator.operator_id, w),
-                )
-                for w in range(operator.num_workers)
-            ]
+        """Submit :attr:`tasks` in order; gather sink rows into tables."""
+        refs: Dict[str, ObjectRef] = {}
+        for task in self.tasks:
+            body = _make_task(
+                self.workflow.operators[task.operator_id],
+                task.worker_index,
+                self._port_ref_counts[task.operator_id],
+            )
+            refs[task.label] = runtime.submit(
+                body, *(refs[label] for label in task.upstream), label=task.label
+            )
         results: Dict[str, Table] = {}
-        for sink in workflow.sinks():
-            chunks = yield from runtime.get_all(refs[sink.operator_id])
+        for sink in self.workflow.sinks():
+            chunks = yield from runtime.get_all(
+                [refs[_task_label(sink.operator_id, w)] for w in range(sink.num_workers)]
+            )
             rows = [row for chunk in chunks for row in chunk]
             results[sink.operator_id] = Table(self.schemas[sink.operator_id], rows)
         return results

@@ -9,14 +9,59 @@ configuration errors surface before execution (paper Section III-A:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InvalidWorkflow, SchemaError
 from repro.relational import Schema
 from repro.workflow.operator import LogicalOperator
 
-__all__ = ["Link", "Workflow"]
+__all__ = ["Link", "Workflow", "topological_ids"]
+
+
+def _peel(ids: Iterable[str], edges: Iterable[Tuple[str, str]]) -> List[str]:
+    """Kahn, smallest ready id first; ids a cycle blocks are left out."""
+    indegree = dict.fromkeys(ids, 0)
+    successors: Dict[str, List[str]] = {node: [] for node in indegree}
+    for producer, consumer in edges:
+        indegree[consumer] += 1
+        successors[producer].append(consumer)
+    ready = [node for node, degree in indegree.items() if degree == 0]
+    heapq.heapify(ready)
+    order: List[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for consumer in successors[node]:
+            indegree[consumer] -= 1
+            if indegree[consumer] == 0:
+                heapq.heappush(ready, consumer)
+    return order
+
+
+def topological_ids(
+    ids: Sequence[str], edges: Sequence[Tuple[str, str]]
+) -> Tuple[List[str], List[str]]:
+    """``(order, cycle)`` over ``ids`` and ``(producer, consumer)`` edges.
+
+    ``order`` is the dependency order, smallest ready id first; on a
+    cyclic graph it stops short and ``cycle`` (else empty) names, sorted,
+    what is left after also peeling the rest from the sink side.
+    """
+    order = _peel(ids, edges)
+    if len(order) == len(ids):
+        return order, []
+    placed = set(order)
+    rest = [node for node in ids if node not in placed]
+    backward = [
+        (consumer, producer)
+        for producer, consumer in edges
+        if producer not in placed and consumer not in placed
+    ]
+    drained = set(_peel(rest, backward))
+    return order, sorted(node for node in rest if node not in drained)
 
 
 def _port_range(count: int, side: str) -> str:
@@ -42,27 +87,38 @@ class Link:
 
 
 class Workflow:
-    """A user-assembled DAG of logical operators."""
+    """A user-assembled DAG of logical operators: the one graph, read
+    through read-only views and edited only through its methods."""
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
-        self.operators: Dict[str, LogicalOperator] = {}
-        self.links: List[Link] = []
+        self._operators: Dict[str, LogicalOperator] = {}
+        self._links: List[Link] = []
         #: Co-location hints (operator_id -> group label), filled by
         #: the logical optimizer; the engine forwards them to
         #: ``repro.sched`` as ``colocate_key``s.  Empty on hand-built
         #: workflows, so placement stays seed-identical by default.
         self.placement_hints: Dict[str, str] = {}
 
+    @property
+    def operators(self) -> Mapping[str, LogicalOperator]:
+        """Operators by id, in the order they were added (read-only)."""
+        return MappingProxyType(self._operators)
+
+    @property
+    def links(self) -> Tuple[Link, ...]:
+        """Links in the order they were made (read-only)."""
+        return tuple(self._links)
+
     # -- construction ---------------------------------------------------------
 
     def add_operator(self, operator: LogicalOperator) -> LogicalOperator:
         """Add an operator; ids must be unique within the workflow."""
-        if operator.operator_id in self.operators:
+        if operator.operator_id in self._operators:
             raise InvalidWorkflow(
                 f"duplicate operator id {operator.operator_id!r}"
             )
-        self.operators[operator.operator_id] = operator
+        self._operators[operator.operator_id] = operator
         return operator
 
     def link(
@@ -90,7 +146,7 @@ class Workflow:
                 f"{consumer.operator_id!r} has no input port {input_port} "
                 f"({_port_range(consumer.num_input_ports, 'input')})"
             )
-        for existing in self.links:
+        for existing in self._links:
             if (
                 existing.consumer_id == consumer.operator_id
                 and existing.input_port == input_port
@@ -100,14 +156,40 @@ class Workflow:
                     f"{consumer.operator_id!r}: {attempted!r} conflicts with "
                     f"existing {existing!r}"
                 )
-        self.links.append(attempted)
+        self._links.append(attempted)
         return attempted
+
+    def splice(self, link: Link, operator: LogicalOperator) -> LogicalOperator:
+        """Route ``link`` through a new one-in/one-out ``operator``: drop
+        it, append its two halves (links keep the order they were made
+        in; the engine opens channels in that order)."""
+        index = self._links.index(link)  # raises before any edit
+        self.add_operator(operator)
+        del self._links[index]
+        self.link(self._operators[link.producer_id], operator, link.output_port)
+        self.link(operator, self._operators[link.consumer_id], input_port=link.input_port)
+        return operator
+
+    def unsplice(self, operator: LogicalOperator) -> Link:
+        """Inverse of :meth:`splice`: drop ``operator`` and its two
+        links, append the link joining its neighbours directly."""
+        (in_link,) = self.in_links(operator.operator_id)
+        (out_link,) = self.out_links(operator.operator_id)
+        self._links.remove(in_link)
+        self._links.remove(out_link)
+        del self._operators[operator.operator_id]
+        return self.link(
+            self._operators[in_link.producer_id],
+            self._operators[out_link.consumer_id],
+            in_link.output_port,
+            out_link.input_port,
+        )
 
     def _require_operator(
         self, operator_id: str, attempted: Optional[Link] = None
     ) -> LogicalOperator:
         try:
-            return self.operators[operator_id]
+            return self._operators[operator_id]
         except KeyError:
             context = f" (while adding link {attempted!r})" if attempted else ""
             raise InvalidWorkflow(
@@ -119,62 +201,54 @@ class Workflow:
 
     def in_links(self, operator_id: str) -> List[Link]:
         """Incoming links of one operator, ordered by input port."""
-        links = [l for l in self.links if l.consumer_id == operator_id]
+        links = [l for l in self._links if l.consumer_id == operator_id]
         return sorted(links, key=lambda l: l.input_port)
 
     def out_links(self, operator_id: str) -> List[Link]:
         """Outgoing links of one operator, ordered by output port."""
-        links = [l for l in self.links if l.producer_id == operator_id]
+        links = [l for l in self._links if l.producer_id == operator_id]
         return sorted(links, key=lambda l: l.output_port)
 
     def sources(self) -> List[LogicalOperator]:
-        return [op for op in self.operators.values() if op.is_source]
+        return [op for op in self._operators.values() if op.is_source]
 
     def sinks(self) -> List[LogicalOperator]:
-        return [op for op in self.operators.values() if op.is_sink]
+        return [op for op in self._operators.values() if op.is_sink]
 
     @property
     def num_operators(self) -> int:
         """The paper's "number of operators" metric (Section IV-B)."""
-        return len(self.operators)
+        return len(self._operators)
 
     # -- validation & compilation ------------------------------------------------------
 
     def topological_order(self) -> List[LogicalOperator]:
-        """Operators in dependency order; raises on cycles (Kahn)."""
-        indegree = {op_id: 0 for op_id in self.operators}
-        for link in self.links:
-            indegree[link.consumer_id] += 1
-        ready = sorted(op_id for op_id, deg in indegree.items() if deg == 0)
-        order: List[LogicalOperator] = []
-        while ready:
-            op_id = ready.pop(0)
-            order.append(self.operators[op_id])
-            for link in self.out_links(op_id):
-                indegree[link.consumer_id] -= 1
-                if indegree[link.consumer_id] == 0:
-                    ready.append(link.consumer_id)
-            ready.sort()
-        if len(order) != len(self.operators):
-            stuck = sorted(op_id for op_id, deg in indegree.items() if deg > 0)
+        """Operators in dependency order; raises on cycles."""
+        order, cycle = topological_ids(
+            list(self._operators),
+            [(link.producer_id, link.consumer_id) for link in self._links],
+        )
+        if cycle:
+            on_cycle = set(cycle)
             edges = [
                 repr(link)
-                for link in self.links
-                if link.producer_id in stuck and link.consumer_id in stuck
+                for link in self._links
+                if link.producer_id in on_cycle and link.consumer_id in on_cycle
             ]
             raise InvalidWorkflow(
-                f"workflow contains a cycle involving operators {stuck} "
+                f"workflow contains a cycle involving operators {cycle} "
                 f"(links on the cycle: {edges})"
             )
-        return order
+        return [self._operators[op_id] for op_id in order]
 
-    def validate(self) -> None:
-        """Full structural validation (GUI-time checks)."""
-        if not self.operators:
+    def validate(self) -> List[LogicalOperator]:
+        """Full structural validation (GUI-time checks); returns the
+        operators in dependency order."""
+        if not self._operators:
             raise InvalidWorkflow("workflow has no operators")
         if not self.sinks():
             raise InvalidWorkflow("workflow has no sink operator")
-        for operator in self.operators.values():
+        for operator in self._operators.values():
             connected = {l.input_port for l in self.in_links(operator.operator_id)}
             expected = set(range(operator.num_input_ports))
             missing = expected - connected
@@ -183,7 +257,7 @@ class Workflow:
                     f"operator {operator.operator_id!r} input ports "
                     f"{sorted(missing)} are unconnected"
                 )
-        self.topological_order()  # raises on cycles
+        return self.topological_order()  # raises on cycles
 
     def compile_schemas(self) -> Dict[str, Schema]:
         """Propagate schemas through the DAG; returns output schemas.
@@ -192,9 +266,8 @@ class Workflow:
         are created — stateful operators capture their input schemas
         here.
         """
-        self.validate()
         output_schemas: Dict[str, Schema] = {}
-        for operator in self.topological_order():
+        for operator in self.validate():
             in_links = self.in_links(operator.operator_id)
             input_schemas = [output_schemas[l.producer_id] for l in in_links]
             try:
@@ -216,6 +289,6 @@ class Workflow:
 
     def __repr__(self) -> str:
         return (
-            f"<Workflow {self.name!r}: {len(self.operators)} operators, "
-            f"{len(self.links)} links>"
+            f"<Workflow {self.name!r}: {len(self._operators)} operators, "
+            f"{len(self._links)} links>"
         )

@@ -35,12 +35,7 @@ from repro.sim import Store
 from repro.workflow.dag import Link, Workflow
 from repro.workflow.operator import LogicalOperator, OperatorExecutor, SourceExecutor
 from repro.workflow.operators.sink import _SinkExecutor, _VisualizationExecutor
-from repro.workflow.partitioning import (
-    BroadcastPartitioner,
-    HashPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
-)
+from repro.workflow.partitioning import Partitioner, partitioner_for
 from repro.workflow.progress import OperatorState, ProgressTracker
 
 __all__ = ["WorkflowResult", "WorkflowController", "run_workflow"]
@@ -393,17 +388,7 @@ class WorkflowController:
                     )
                     consumer.inbound[link.input_port] = port
                 ports.append(port)
-            strategy = consumer_op.partition_strategy(link.input_port)
-            key = consumer_op.partition_key(link.input_port)
             for producer in self._instances[link.producer_id]:
-                if len(consumers) == 1:
-                    partitioner: Partitioner = RoundRobinPartitioner(1)
-                elif strategy == "broadcast":
-                    partitioner = BroadcastPartitioner(len(consumers))
-                elif strategy == "hash" and key is not None:
-                    partitioner = HashPartitioner(len(consumers), key)
-                else:
-                    partitioner = RoundRobinPartitioner(len(consumers))
                 tuner = None
                 if (
                     wf_config.auto_tune_batch_size
@@ -417,7 +402,7 @@ class WorkflowController:
                 producer.outbound.append(
                     _Outbound(
                         link,
-                        partitioner,
+                        partitioner_for(consumer_op, link.input_port, len(consumers)),
                         ports,
                         [c.node for c in consumers],
                         codec,

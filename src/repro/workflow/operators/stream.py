@@ -98,12 +98,6 @@ class DistinctOperator(LogicalOperator):
     def partition_key(self, port: int) -> Optional[str]:
         return self.key
 
-    def partition_strategy(self, port: int) -> str:
-        # Whole-row distinct with multiple workers must still co-locate
-        # duplicates; fall back to a single worker in that case via
-        # validation below, so round-robin is fine here.
-        return "hash" if self.key is not None else "round_robin"
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         if self.key is not None:

@@ -37,7 +37,7 @@ hand-built seed plans — pinned by the timing-regression suite.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Container, Dict, Iterable, List, Optional, Sequence
 
 from repro.relational import Schema, Tuple
 from repro.workflow.dag import Link, Workflow
@@ -127,12 +127,12 @@ class FusedOperator(LogicalOperator):
     outbound channels).
     """
 
-    def __init__(self, chain: Sequence[LogicalOperator]) -> None:
+    def __init__(self, chain: Sequence[LogicalOperator], operator_id: str) -> None:
         if len(chain) < 2:
             raise ValueError("fusion needs at least two operators")
         head, tail = chain[0], chain[-1]
         super().__init__(
-            "+".join(op.operator_id for op in chain),
+            operator_id,
             head.language,
             num_workers=head.num_workers,
             per_tuple_work_s=head.per_tuple_work_s,
@@ -147,9 +147,6 @@ class FusedOperator(LogicalOperator):
 
     def partition_key(self, port: int) -> Optional[str]:
         return self.chain[0].partition_key(port)
-
-    def partition_strategy(self, port: int) -> str:
-        return self.chain[0].partition_strategy(port)
 
     def tuple_cost_s(self, port: int = 0) -> float:
         return self.chain[0].tuple_cost_s(port)
@@ -173,7 +170,7 @@ class FusedOperator(LogicalOperator):
         )
 
 
-def _linear(workflow: Workflow, operator: LogicalOperator) -> bool:
+def _linear(operator: LogicalOperator) -> bool:
     """One-in/one-out, not an endpoint of the DAG."""
     return (
         not operator.is_source
@@ -186,7 +183,7 @@ def _linear(workflow: Workflow, operator: LogicalOperator) -> bool:
 def _fusable(workflow: Workflow, link: Link) -> bool:
     producer = workflow.operators[link.producer_id]
     consumer = workflow.operators[link.consumer_id]
-    if not _linear(workflow, producer) or not _linear(workflow, consumer):
+    if not _linear(producer) or not _linear(consumer):
         return False
     if len(workflow.out_links(producer.operator_id)) != 1:
         return False
@@ -212,11 +209,10 @@ def fuse_adjacent(workflow: Workflow) -> Workflow:
         for link in workflow.links
         if _fusable(workflow, link)
     }
-    if not fusable:
-        return _rebuild(workflow, {}, ())
     next_of = {producer: consumer for producer, consumer in fusable}
     has_fused_in = {consumer for _, consumer in fusable}
-    chains: List[List[str]] = []
+    replacements: Dict[str, LogicalOperator] = {}
+    taken = set(workflow.operators)
     for operator in workflow.topological_order():
         op_id = operator.operator_id
         if op_id in has_fused_in or op_id not in next_of:
@@ -224,46 +220,29 @@ def fuse_adjacent(workflow: Workflow) -> Workflow:
         chain = [op_id]
         while chain[-1] in next_of:
             chain.append(next_of[chain[-1]])
-        chains.append(chain)
-    replacements: Dict[str, LogicalOperator] = {}
-    dropped_links = set()
-    for chain in chains:
-        fused = FusedOperator([workflow.operators[op_id] for op_id in chain])
-        for op_id in chain:
-            replacements[op_id] = fused
-        for producer, consumer in zip(chain, chain[1:]):
-            dropped_links.add((producer, consumer))
-    return _rebuild(workflow, replacements, dropped_links)
+        fused = FusedOperator(
+            [workflow.operators[member] for member in chain],
+            _mint("+".join(chain), taken),
+        )
+        taken.add(fused.operator_id)
+        replacements.update(dict.fromkeys(chain, fused))
+    return _rebuild(workflow, replacements)
 
 
 def _rebuild(
-    workflow: Workflow,
-    replacements: Dict[str, LogicalOperator],
-    dropped_links,
+    workflow: Workflow, replacements: Dict[str, LogicalOperator]
 ) -> Workflow:
-    """A new DAG with some operators replaced and internal links dropped."""
+    """A new DAG with some operators replaced; on an acyclic graph, the
+    links left joining a replacement to itself are a fused chain's own."""
     rebuilt = Workflow(workflow.name)
-    for op_id, operator in workflow.operators.items():
-        replacement = replacements.get(op_id, operator)
-        if replacement.operator_id not in rebuilt.operators:
-            rebuilt.add_operator(replacement)
+    ops = {op_id: replacements.get(op_id, op) for op_id, op in workflow.operators.items()}
+    for operator in ops.values():
+        if operator.operator_id not in rebuilt.operators:
+            rebuilt.add_operator(operator)
     for link in workflow.links:
-        if (link.producer_id, link.consumer_id) in dropped_links:
-            continue
-        rebuilt.link(
-            rebuilt.operators[
-                replacements.get(
-                    link.producer_id, workflow.operators[link.producer_id]
-                ).operator_id
-            ],
-            rebuilt.operators[
-                replacements.get(
-                    link.consumer_id, workflow.operators[link.consumer_id]
-                ).operator_id
-            ],
-            output_port=link.output_port,
-            input_port=link.input_port,
-        )
+        producer, consumer = ops[link.producer_id], ops[link.consumer_id]
+        if producer is not consumer:
+            rebuilt.link(producer, consumer, link.output_port, link.input_port)
     rebuilt.placement_hints = dict(workflow.placement_hints)
     return rebuilt
 
@@ -273,34 +252,19 @@ def _rebuild(
 
 def _required_columns(workflow: Workflow) -> Dict[Link, Optional[frozenset]]:
     """Backward pass: columns each link must carry (None = all)."""
-    order = workflow.topological_order()
-    # Required *output* columns per operator: union over its out-links.
-    required_out: Dict[str, Optional[frozenset]] = {}
     required_on_link: Dict[Link, Optional[frozenset]] = {}
-    for operator in reversed(order):
+    for operator in reversed(workflow.topological_order()):
         op_id = operator.operator_id
-        out_links = workflow.out_links(op_id)
-        if not out_links:
-            required_out[op_id] = None  # sinks keep every column
-        else:
-            merged: Optional[frozenset] = frozenset()
-            for link in out_links:
-                need = required_on_link[link]
-                if need is None:
-                    merged = None
-                    break
-                merged = merged | need
-            required_out[op_id] = merged
+        # Required *output* columns: the union over the out-links;
+        # sinks keep every column.
+        needs = [required_on_link[link] for link in workflow.out_links(op_id)]
+        required_out = None if not needs or None in needs else frozenset().union(*needs)
         for link in workflow.in_links(op_id):
-            need = operator.required_input_columns(
-                link.input_port, required_out[op_id]
-            )
+            need = operator.required_input_columns(link.input_port, required_out)
             key = operator.partition_key(link.input_port)
-            if need is not None and key is not None:
-                need = frozenset(need) | {key}
-            required_on_link[link] = (
-                frozenset(need) if need is not None else None
-            )
+            if need is not None:
+                need = frozenset(need) | ({key} if key is not None else frozenset())
+            required_on_link[link] = need
     return required_on_link
 
 
@@ -308,7 +272,8 @@ def prune_dead_columns(workflow: Workflow) -> Workflow:
     """Insert projections on links carrying provably dead columns."""
     schemas = workflow.compile_schemas()
     required = _required_columns(workflow)
-    rebuilt = _rebuild(workflow, {}, ())
+    rebuilt = _rebuild(workflow, {})
+    pruners: List[ProjectionOperator] = []
     for link, need in required.items():
         if need is None:
             continue
@@ -318,35 +283,18 @@ def prune_dead_columns(workflow: Workflow) -> Workflow:
         if not keep or len(keep) >= len(schema.names):
             continue
         pruner = ProjectionOperator(
-            f"prune:{link.producer_id}->{link.consumer_id}",
+            _mint(f"prune:{link.producer_id}->{link.consumer_id}", rebuilt.operators),
             keep,
             language=producer.language,
             num_workers=producer.num_workers,
         )
-        # Splice: producer -> pruner -> consumer, same ports.
-        rebuilt.add_operator(pruner)
-        rebuilt.links.remove(
-            Link(
-                link.producer_id,
-                link.output_port,
-                link.consumer_id,
-                link.input_port,
-            )
-        )
-        rebuilt.link(
-            rebuilt.operators[link.producer_id],
-            pruner,
-            output_port=link.output_port,
-        )
-        rebuilt.link(
-            pruner,
-            rebuilt.operators[link.consumer_id],
-            input_port=link.input_port,
-        )
-    return _drop_identity_pruners(rebuilt)
+        pruners.append(rebuilt.splice(link, pruner))
+    return _drop_identity_pruners(rebuilt, pruners)
 
 
-def _drop_identity_pruners(workflow: Workflow) -> Workflow:
+def _drop_identity_pruners(
+    workflow: Workflow, pruners: Sequence[ProjectionOperator]
+) -> Workflow:
     """Remove pruners made redundant by pruning further upstream.
 
     Requirements only grow walking upstream, so once the earliest
@@ -355,28 +303,24 @@ def _drop_identity_pruners(workflow: Workflow) -> Workflow:
     pass finds them: an identity projection changes nothing, so the
     removals never invalidate the compiled schemas.
     """
-    pruner_ids = [
-        op_id for op_id in workflow.operators if op_id.startswith("prune:")
-    ]
-    if not pruner_ids:
+    if not pruners:
         return workflow
     schemas = workflow.compile_schemas()
-    for pruner_id in pruner_ids:
-        pruner = workflow.operators[pruner_id]
-        (in_link,) = workflow.in_links(pruner_id)
-        if schemas[in_link.producer_id].names != pruner.columns:
-            continue
-        (out_link,) = workflow.out_links(pruner_id)
-        workflow.links.remove(in_link)
-        workflow.links.remove(out_link)
-        del workflow.operators[pruner_id]
-        workflow.link(
-            workflow.operators[in_link.producer_id],
-            workflow.operators[out_link.consumer_id],
-            output_port=in_link.output_port,
-            input_port=out_link.input_port,
-        )
+    for pruner in pruners:
+        (in_link,) = workflow.in_links(pruner.operator_id)
+        if schemas[in_link.producer_id].names == pruner.columns:
+            workflow.unsplice(pruner)
     return workflow
+
+
+def _mint(base: str, taken: Container[str]) -> str:
+    """``base``, or the first of ``base~2``, ``base~3``, ... not in
+    ``taken``: a pass-made operator never shares an id with another."""
+    candidate, suffix = base, 1
+    while candidate in taken:
+        suffix += 1
+        candidate = f"{base}~{suffix}"
+    return candidate
 
 
 # -- language-aware placement --------------------------------------------------
@@ -417,23 +361,13 @@ def placement_groups(workflow: Workflow) -> Dict[str, str]:
 # -- the driver ----------------------------------------------------------------
 
 
-def optimize_workflow(
-    workflow: Workflow,
-    prune: bool = True,
-    fuse: bool = True,
-    placement: bool = True,
-) -> Workflow:
-    """Run the enabled rule passes; returns a new workflow.
+def optimize_workflow(workflow: Workflow) -> Workflow:
+    """Run the three rule passes; returns a new workflow.
 
     Prune runs before fuse so inserted projections can themselves be
     fused into their neighbours; placement hints are derived from the
     final operator graph.
     """
-    optimized = workflow
-    if prune:
-        optimized = prune_dead_columns(optimized)
-    if fuse:
-        optimized = fuse_adjacent(optimized)
-    if placement:
-        optimized.placement_hints = placement_groups(optimized)
+    optimized = fuse_adjacent(prune_dead_columns(workflow))
+    optimized.placement_hints = placement_groups(optimized)
     return optimized

@@ -6,6 +6,10 @@ consumers use round-robin; stateful consumers (joins, group-bys)
 require hash partitioning on their key so equal keys meet at the same
 worker; broadcast replicates every tuple to all instances.
 
+:func:`partitioner_for` is the one routing rule; the workflow engine
+applies it on the wire and the script compiler over a consuming task's
+concatenated input.
+
 Hashing uses CRC32 of the key's repr — stable across processes and
 Python versions, keeping simulated timings reproducible (Python's own
 ``hash`` is salted per process).
@@ -15,11 +19,15 @@ from __future__ import annotations
 
 import abc
 import zlib
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, List
 
+from repro.errors import InvalidWorkflow
 from repro.relational import Tuple
 
-__all__ = ["Partitioner", "RoundRobinPartitioner", "HashPartitioner", "BroadcastPartitioner", "stable_hash"]
+if TYPE_CHECKING:
+    from repro.workflow.operator import LogicalOperator
+
+__all__ = ["Partitioner", "RoundRobinPartitioner", "HashPartitioner", "BroadcastPartitioner", "partitioner_for", "stable_hash"]
 
 
 def stable_hash(value: object) -> int:
@@ -69,3 +77,26 @@ class BroadcastPartitioner(Partitioner):
 
     def route(self, row: Tuple) -> List[int]:
         return list(range(self.num_consumers))
+
+
+def partitioner_for(
+    consumer: "LogicalOperator", port: int, num_workers: int
+) -> Partitioner:
+    """How rows on input ``port`` reach ``consumer``'s ``num_workers``
+    instances: to every worker, to the worker the stable hash of the
+    port's key picks, or round robin (always, for one worker).
+
+    Raises :class:`InvalidWorkflow` for hash routing without a key.
+    """
+    strategy = consumer.partition_strategy(port)
+    if num_workers == 1 or strategy not in ("broadcast", "hash"):
+        return RoundRobinPartitioner(num_workers)
+    if strategy == "broadcast":
+        return BroadcastPartitioner(num_workers)
+    key = consumer.partition_key(port)
+    if key is None:
+        raise InvalidWorkflow(
+            f"operator {consumer.operator_id!r}: hash partitioning on "
+            f"port {port} without a partition key"
+        )
+    return HashPartitioner(num_workers, key)

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.errors import WorkflowSpecError
+from repro.workflow.dag import topological_ids
 
 __all__ = [
     "SPEC_VERSION",
@@ -274,25 +275,13 @@ class WorkflowSpec:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        indegree = {op.operator_id: 0 for op in self.operators}
-        outgoing: Dict[str, List[str]] = {op.operator_id: [] for op in self.operators}
-        for link in self.links:
-            indegree[link.consumer_id] += 1
-            outgoing[link.producer_id].append(link.consumer_id)
-        ready = sorted(op_id for op_id, deg in indegree.items() if deg == 0)
-        seen = 0
-        while ready:
-            op_id = ready.pop(0)
-            seen += 1
-            for consumer in outgoing[op_id]:
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    ready.append(consumer)
-            ready.sort()
-        if seen != len(self.operators):
-            stuck = sorted(op_id for op_id, deg in indegree.items() if deg > 0)
+        _, cycle = topological_ids(
+            [op.operator_id for op in self.operators],
+            [(link.producer_id, link.consumer_id) for link in self.links],
+        )
+        if cycle:
             raise WorkflowSpecError(
-                f"workflow spec contains a cycle involving operators {stuck}"
+                f"workflow spec contains a cycle involving operators {cycle}"
             )
 
     # -- queries ---------------------------------------------------------------

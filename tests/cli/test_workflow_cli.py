@@ -96,6 +96,29 @@ def test_compile_dangling_link_exits_2_with_diagnostic(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_compile_cyclic_spec_exits_2_naming_only_the_cycle(capsys, tmp_path):
+    doc = {
+        "spec": "repro/workflow-spec@1",
+        "name": "cyclic",
+        "operators": [
+            {"id": "a", "type": "filter"},
+            {"id": "b", "type": "filter"},
+            {"id": "out", "type": "sink"},
+        ],
+        "links": [
+            {"from": "a", "to": "b"},
+            {"from": "b", "to": "a"},
+            {"from": "b", "to": "out"},
+        ],
+    }
+    bad = tmp_path / "cyclic.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "compile", str(bad))
+    assert code == 2
+    assert "cycle involving operators ['a', 'b']" in err
+    assert "Traceback" not in err
+
+
 # -- --workflow ----------------------------------------------------------------
 
 

@@ -1,10 +1,16 @@
 """Unit tests for workflow DAG construction and validation."""
 
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import InvalidWorkflow
+from repro.paradigm import run_both
 from repro.relational import FieldType, Schema, Table, column_greater
 from repro.workflow import Workflow
+from repro.workflow.dag import topological_ids
 from repro.workflow.operators import (
     FilterOperator,
     HashJoinOperator,
@@ -14,6 +20,7 @@ from repro.workflow.operators import (
 )
 
 SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
+DEMO = Path(__file__).resolve().parents[2] / "examples" / "workflows" / "demo.json"
 
 
 def small_table():
@@ -169,3 +176,53 @@ def test_sources_and_sinks_listed():
     wf = linear_workflow()
     assert [op.operator_id for op in wf.sources()] == ["src"]
     assert [op.operator_id for op in wf.sinks()] == ["sink"]
+
+
+# -- the one graph ---------------------------------------------------------------
+
+
+def test_operators_and_links_are_read_only_views():
+    wf = linear_workflow()
+    with pytest.raises(TypeError):
+        wf.operators["extra"] = SinkOperator("extra")
+    with pytest.raises(AttributeError):
+        wf.links.append(wf.links[0])
+    with pytest.raises(AttributeError):
+        wf.links = []
+    assert [repr(link) for link in wf.links] == ["src[0] -> keep[0]", "keep[0] -> sink[0]"]
+
+
+def test_splice_and_unsplice_keep_link_order():
+    wf = linear_workflow()
+    middle = ProjectionOperator("middle", ["id", "score"])
+    wf.splice(wf.links[0], middle)
+    assert [repr(link) for link in wf.links] == [
+        "keep[0] -> sink[0]",
+        "src[0] -> middle[0]",
+        "middle[0] -> keep[0]",
+    ]
+    wf.unsplice(middle)
+    assert list(wf.operators) == ["src", "keep", "sink"]
+    assert [repr(link) for link in wf.links] == ["keep[0] -> sink[0]", "src[0] -> keep[0]"]
+
+
+def test_one_run_of_a_spec_under_both_paradigms_sorts_at_most_six_times():
+    """Two spec parses, then per paradigm one sort to compile schemas
+    and one to lay out the plan (``sys.setprofile``, no wall clock)."""
+    doc = json.loads(DEMO.read_text(encoding="utf-8"))
+    calls = 0
+    outer = sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if outer is not None:
+            outer(frame, event, arg)
+        if event == "call" and frame.f_code is topological_ids.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run_both(doc)
+    finally:
+        sys.setprofile(outer)
+    assert calls <= 6

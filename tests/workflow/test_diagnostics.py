@@ -20,6 +20,7 @@ from repro.workflow.operators import (
     ProjectionOperator,
     SinkOperator,
     TableSource,
+    UnionOperator,
 )
 
 SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
@@ -46,6 +47,23 @@ def test_cycle_error_names_operators_and_links():
     assert "map-a" in message and "map-b" in message
     assert "map-a[0] -> map-b[0]" in message
     assert "map-b[0] -> map-a[0]" in message
+
+
+def test_cycle_error_leaves_out_operators_up_and_downstream():
+    wf = Workflow("cyclic")
+    up = wf.add_operator(TableSource("up", small_table()))
+    a = wf.add_operator(UnionOperator("a"))
+    b = wf.add_operator(MapOperator("b", SCHEMA, _identity))
+    out = wf.add_operator(SinkOperator("out"))
+    wf.link(up, a)
+    wf.link(a, b)
+    wf.link(b, a, input_port=1)
+    wf.link(b, out)
+    with pytest.raises(InvalidWorkflow) as exc:
+        wf.topological_order()
+    message = str(exc.value)
+    assert "cycle involving operators ['a', 'b'] " in message
+    assert "(links on the cycle: ['a[0] -> b[0]', 'b[0] -> a[1]'])" in message
 
 
 def test_dangling_link_names_missing_operator_and_ports():

@@ -148,7 +148,8 @@ def test_a_fused_chain_is_blocking_when_any_of_its_operators_is():
     fused = fuse_adjacent(make_workflow()).operators["keep+keep2+columns"]
     assert fused.is_blocking is False
     sorted_chain = FusedOperator(
-        [ProjectionOperator("columns", ["id"]), SortOperator("order", key="id")]
+        [ProjectionOperator("columns", ["id"]), SortOperator("order", key="id")],
+        "columns+order",
     )
     assert sorted_chain.is_blocking is True
 
@@ -214,6 +215,63 @@ def test_pruning_noop_when_everything_is_needed():
         make_workflow(project=("id", "score", "note", "blob"))
     )
     assert not [op for op in wf.operators if op.startswith("prune:")]
+
+
+# -- pass-made ids never meet user ids -----------------------------------------
+
+
+def two_branches(first_ids, second_id, project=None):
+    """scan -> first_ids... [-> columns] -> results, and scan2 ->
+    second_id -> results2; every filter keeps score > 0.5."""
+    wf = Workflow("two-branches")
+    upstream = wf.add_operator(TableSource("scan", wide_table()))
+    for op_id in first_ids:
+        op = wf.add_operator(FilterOperator(op_id, column_greater("score", 0.5)))
+        wf.link(upstream, op)
+        upstream = op
+    if project is not None:
+        columns = wf.add_operator(ProjectionOperator("columns", list(project)))
+        wf.link(upstream, columns)
+        upstream = columns
+    wf.link(upstream, wf.add_operator(SinkOperator("results")))
+    scan2 = wf.add_operator(TableSource("scan2", wide_table(20)))
+    other = wf.add_operator(FilterOperator(second_id, column_greater("score", 0.5)))
+    wf.link(scan2, other)
+    wf.link(other, wf.add_operator(SinkOperator("results2")))
+    return wf
+
+
+def assert_same_rows(make):
+    baseline, _ = run_once(make())
+    optimized, _ = run_once(optimize_workflow(make()))
+    for sink_id in ("results", "results2"):
+        assert (
+            optimized.table(sink_id).multiset() == baseline.table(sink_id).multiset()
+        )
+
+
+def test_a_user_operator_named_like_a_pruner_is_not_taken_for_one():
+    make = lambda: two_branches(["prune:mine"], "other", project=("id",))
+    wf = prune_dead_columns(make())
+    assert isinstance(wf.operators["prune:mine"], FilterOperator)
+    assert wf.compile_schemas()["prune:scan->prune:mine"].names == ["id", "score"]
+    assert_same_rows(make)
+
+
+def test_a_fused_chain_gets_an_id_no_user_operator_holds():
+    make = lambda: two_branches(["a", "b"], "a+b")
+    wf = fuse_adjacent(make())
+    assert isinstance(wf.operators["a+b"], FilterOperator)
+    assert [op.operator_id for op in wf.operators["a+b~2"].chain] == ["a", "b"]
+    assert_same_rows(make)
+
+
+def test_a_pruner_gets_an_id_no_user_operator_holds():
+    make = lambda: two_branches(["keep"], "prune:scan->keep", project=("id",))
+    wf = prune_dead_columns(make())
+    assert isinstance(wf.operators["prune:scan->keep"], FilterOperator)
+    assert wf.compile_schemas()["prune:scan->keep~2"].names == ["id", "score"]
+    assert_same_rows(make)
 
 
 # -- placement hints -----------------------------------------------------------

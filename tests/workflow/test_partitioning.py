@@ -1,5 +1,8 @@
 """Tuple-routing contracts: repro.workflow.partitioning.
 
+``partitioner_for`` is the one routing rule both engines take their
+decision from; hash routing without a key is an error in both.
+
 Co-locating hash-partition peers (the ``locality`` placement policy)
 only works if routing itself is stable: the same key must map to the
 same instance index on every run, process and Python version.
@@ -9,12 +12,26 @@ import zlib
 
 import pytest
 
-from repro.relational import FieldType, Schema, Tuple
+from repro.cluster import build_cluster
+from repro.errors import InvalidWorkflow
+from repro.rayx.compile import ScriptPlan
+from repro.relational import FieldType, Schema, Table, Tuple, column_greater
+from repro.sim import Environment
+from repro.workflow import Workflow, run_workflow
+from repro.workflow.operators import (
+    BUILD_PORT,
+    PROBE_PORT,
+    FilterOperator,
+    HashJoinOperator,
+    SinkOperator,
+    TableSource,
+)
 from repro.workflow.partitioning import (
     BroadcastPartitioner,
     HashPartitioner,
     Partitioner,
     RoundRobinPartitioner,
+    partitioner_for,
     stable_hash,
 )
 
@@ -109,3 +126,63 @@ def test_partitioner_rejects_non_positive_consumers():
     with pytest.raises(ValueError):
         HashPartitioner(0, key="id")
     assert issubclass(HashPartitioner, Partitioner)
+
+
+# -- the one routing rule ------------------------------------------------------
+
+
+class _KeylessHash(FilterOperator):
+    """Asks for hash routing but names no key to hash."""
+
+    def partition_strategy(self, port):
+        return "hash"
+
+
+def keyless_workflow(num_workers):
+    wf = Workflow("keyless")
+    scan = wf.add_operator(
+        TableSource("scan", Table.from_rows(SCHEMA, [[i, f"n{i}"] for i in range(6)]))
+    )
+    keep = wf.add_operator(
+        _KeylessHash("keep", column_greater("id", 1), num_workers=num_workers)
+    )
+    wf.link(scan, keep)
+    wf.link(keep, wf.add_operator(SinkOperator("out")))
+    return wf
+
+
+@pytest.mark.parametrize(
+    "operator, port, workers, expected",
+    [
+        (HashJoinOperator("j", "id", "id", num_workers=3), 1, 3, (HashPartitioner, "id")),
+        (
+            HashJoinOperator("j", "id", "id", num_workers=3, broadcast_build=True),
+            BUILD_PORT,
+            3,
+            (BroadcastPartitioner, None),
+        ),
+        (
+            HashJoinOperator("j", "id", "id", num_workers=3, broadcast_build=True),
+            PROBE_PORT,
+            3,
+            (RoundRobinPartitioner, None),
+        ),
+        (HashJoinOperator("j", "id", "id"), 0, 1, (RoundRobinPartitioner, None)),
+        (_KeylessHash("k", column_greater("id", 1)), 0, 1, (RoundRobinPartitioner, None)),
+    ],
+    ids=["hash", "broadcast", "probe", "one-worker", "keyless-one-worker"],
+)
+def test_partitioner_for_decides_every_route(operator, port, workers, expected):
+    partitioner = partitioner_for(operator, port, workers)
+    assert (type(partitioner), getattr(partitioner, "key", None)) == expected
+    assert partitioner.num_consumers == workers
+
+
+def test_hash_routing_without_a_key_is_rejected_by_both_engines():
+    with pytest.raises(InvalidWorkflow, match="without a partition key"):
+        run_workflow(build_cluster(Environment()), keyless_workflow(2))
+    with pytest.raises(InvalidWorkflow, match="without a partition key"):
+        ScriptPlan(keyless_workflow(2)).run()
+    # One worker takes every row, so it needs no key.
+    run_workflow(build_cluster(Environment()), keyless_workflow(1))
+    ScriptPlan(keyless_workflow(1)).run()

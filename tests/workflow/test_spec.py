@@ -169,6 +169,23 @@ def test_cycles_are_rejected_at_spec_level():
     assert "'keep'" in str(excinfo.value) and "'scan'" in str(excinfo.value)
 
 
+def test_a_spec_cycle_error_leaves_out_operators_up_and_downstream():
+    doc = minimal_doc()
+    doc["operators"][1] = {"id": "keep", "type": "union"}
+    doc["operators"].insert(2, {"id": "again", "type": "filter"})
+    doc["links"] = [
+        {"from": "scan", "to": "keep"},
+        {"from": "keep", "to": "again"},
+        {"from": "again", "to": "keep", "in": 1},
+        {"from": "again", "to": "view"},
+    ]
+    with pytest.raises(WorkflowSpecError) as excinfo:
+        WorkflowSpec.from_json(doc)
+    assert str(excinfo.value).endswith(
+        "cycle involving operators ['again', 'keep']"
+    )
+
+
 # -- loader: resolution + document order ---------------------------------------
 
 
