@@ -37,26 +37,92 @@ class Sized:
         raise NotImplementedError
 
 
-#: Exact-type dispatch for the scalar cases — the bulk of calls on the
-#: per-row engine paths.  Exact types cannot be :class:`Sized`
-#: subclasses, so the shortcut returns the same sizes as the
-#: isinstance chain below (which still handles subclasses).
-_SCALAR_SIZES = {type(None): 4, bool: 4, int: 8, float: 8}
-
 #: A row's own share of the walk over its three slots: the object, three
 #: entries, and the 8 bytes of the ``_nbytes`` int (cached or not).
 _ROW_OVERHEAD = _OBJECT_OVERHEAD + 3 * _ENTRY_OVERHEAD + 8
 
-#: The exact row and schema types :func:`estimate_bytes` prices without
-#: the slot walk, and the schema's sizer.  :mod:`repro.relational.tup`
-#: registers them on import: the registration points upward only, this
+#: How :func:`estimate_bytes` prices a value of each exact type.
+_SEQ, _STATE, _DICT, _NBYTES, _LEN, _SIZED, _SCHEMA, _WALK = range(-8, 0)
+
+#: Exact type -> its fixed size (``>= 0``) or one of the codes above.
+#: Other types are classified from their first instance (``_classify``)
+#: and added here, so the ``isinstance`` chain runs once per type.
+_KINDS = {
+    type(None): 4,
+    bool: 4,
+    int: 8,
+    float: 8,
+    str: _LEN,
+    bytes: _LEN,
+    bytearray: _LEN,
+    list: _SEQ,
+    tuple: _SEQ,
+    set: _SEQ,
+    frozenset: _SEQ,
+    dict: _DICT,
+}
+
+#: The exact row type, priced without the slot walk, and the schema's
+#: sizer.  :mod:`repro.relational.tup` registers them, with the exact
+#: schema type, on import: the registration points upward only, this
 #: package imports nothing above it.
-_ROW = _SCHEMA = _schema_bytes = None
+_ROW = _schema_bytes = None
 
 
 def _register_row_types(row, schema, schema_bytes) -> None:
-    global _ROW, _SCHEMA, _schema_bytes
-    _ROW, _SCHEMA, _schema_bytes = row, schema, schema_bytes
+    global _ROW, _schema_bytes
+    _ROW, _schema_bytes = row, schema_bytes
+    _KINDS[schema] = _SCHEMA
+
+
+#: The C defaults of the attribute hooks (``object.__getattribute__``,
+#: ``object.__class__``): a type that keeps them looks ``nbytes`` and
+#: ``__dict__`` up the ordinary way on every instance.
+_PLAIN_HOOKS = (type(object.__getattribute__), type(vars(object)["__class__"]))
+
+
+def _plain_lookup(cls: type) -> bool:
+    for name in ("__getattribute__", "__getattr__", "__class__"):
+        for klass in cls.__mro__:
+            if name in vars(klass):
+                if type(vars(klass)[name]) not in _PLAIN_HOOKS:
+                    return False
+                break
+    return True
+
+
+def _classify(obj: Any) -> int:
+    """Record how values of ``type(obj)`` are priced, and return it.
+
+    Only what the type decides for every instance is recorded: the
+    ``Sized`` / number / string tests; a class-level ``nbytes`` (each
+    value still reads its own, and one that is not an int takes the
+    walk); plain state, an instance ``__dict__`` on a type that is no
+    container subclass (each value still checks its own ``__dict__``
+    for an ``nbytes`` and for emptiness).  Proxies and types that hook
+    attribute lookup take the walk.  A type is classified once, and the
+    table keeps it alive: a class given an ``nbytes`` or a lookup hook
+    after its first sizing keeps its first kind.
+    """
+    cls = type(obj)
+    kind = _WALK
+    if obj.__class__ is cls and _plain_lookup(cls):
+        if issubclass(cls, Sized):
+            kind = _SIZED
+        elif issubclass(cls, bool):
+            kind = 4
+        elif issubclass(cls, (int, float)):
+            kind = 8
+        elif issubclass(cls, (str, bytes, bytearray)):
+            kind = _LEN
+        elif any("nbytes" in vars(klass) for klass in cls.__mro__):
+            kind = _NBYTES
+        elif not issubclass(cls, (dict, list, tuple, set, frozenset)) and (
+            type(getattr(obj, "__dict__", None)) is dict
+        ):
+            kind = _STATE
+    _KINDS[cls] = kind
+    return kind
 
 
 def estimate_bytes(obj: Any) -> int:
@@ -75,45 +141,81 @@ def estimate_bytes(obj: Any) -> int:
     ``tests/cluster/test_serialization.py`` pins the three integers so
     an interpreter upgrade fails there first.
 
-    Two shapes carry the engines' traffic and are priced to the same
-    integer the walk returns without re-walking: an exact-type row is
+    One loop prices a whole value to the integer that recursive walk
+    returns, with no call per nested value: exact ``list`` / ``tuple``
+    / ``set`` / ``dict`` containers and plain-state objects (the DICE
+    annotation dataclasses) queue their contents, and strings, scalars,
+    ``nbytes`` arrays and rows are added in place.  An exact-type row is
     ``48 + size(schema) + payload_bytes()`` (the schema sized over its
     four construction-time attributes only and asked for once per run
-    of same-schema rows; the payload cached on the row), and an exact
-    ``list`` / ``tuple`` takes one loop that only recurses for nested
-    values.  Subclasses and everything else keep the walk.
+    of same-schema rows; the payload cached on the row).  What the type
+    table does not recognise — container subclasses, slotted or empty
+    objects, proxies, types that hook attribute lookup — keeps the
+    general walk.
 
     Precondition: a row's ``values`` are not mutated after construction.
-    The row caches its payload size on first use, so an ANY-typed list
-    changed in place afterwards keeps its first size at every later
-    ``put`` / ``adopt``.
+    The row caches its payload size on first use (a join output takes
+    it from its two sides), so an ANY-typed list changed in place
+    afterwards keeps its first size at every later ``put`` / ``adopt``.
     """
-    cls = type(obj)
-    size = _SCALAR_SIZES.get(cls)
-    if size is not None:
-        return size
-    if cls is str:
-        return _OBJECT_OVERHEAD + len(obj)
-    if cls is list or cls is tuple:
+    if type(obj) is tuple or type(obj) is list:  # a row's values, a put
         total = _OBJECT_OVERHEAD + _ENTRY_OVERHEAD * len(obj)
-        schema = row_size = None
-        for item in obj:
-            kind = type(item)
-            if kind is str:
+        pending = [obj]
+    else:
+        total = 0
+        pending = [(obj,)]
+    schema = row_size = None
+    while pending:
+        for item in pending.pop():
+            cls = type(item)
+            if cls is str:
                 total += _OBJECT_OVERHEAD + len(item)
-            elif kind is _ROW:
+                continue
+            if cls is _ROW:
                 if item.schema is not schema:
                     schema = item.schema
                     row_size = _ROW_OVERHEAD + estimate_bytes(schema)
                 total += row_size + item.payload_bytes()
+                continue
+            kind = _KINDS.get(cls)
+            if kind is None:
+                kind = _classify(item)
+            if kind >= 0:
+                total += kind
+            elif kind == _SEQ:
+                total += _OBJECT_OVERHEAD + _ENTRY_OVERHEAD * len(item)
+                pending.append(item)
+            elif kind == _STATE:
+                state = item.__dict__
+                if state and "nbytes" not in state:
+                    total += 2 * _OBJECT_OVERHEAD + _ENTRY_OVERHEAD * len(state)
+                    pending.append(state)
+                    pending.append(state.values())
+                else:
+                    total += _walk(item)
+            elif kind == _DICT:
+                total += _OBJECT_OVERHEAD + _ENTRY_OVERHEAD * len(item)
+                pending.append(item)
+                pending.append(item.values())
+            elif kind == _NBYTES:
+                nbytes = getattr(item, "nbytes", None)
+                if isinstance(nbytes, int):
+                    total += _OBJECT_OVERHEAD + nbytes
+                else:
+                    total += _walk(item)
+            elif kind == _LEN:
+                total += _OBJECT_OVERHEAD + len(item)
+            elif kind == _SIZED:
+                total += item.payload_bytes()
+            elif kind == _SCHEMA:
+                total += _schema_bytes(item)
             else:
-                size = _SCALAR_SIZES.get(kind)
-                total += estimate_bytes(item) if size is None else size
-        return total
-    if cls is _ROW:
-        return _ROW_OVERHEAD + estimate_bytes(obj.schema) + obj.payload_bytes()
-    if cls is _SCHEMA:
-        return _schema_bytes(obj)
+                total += _walk(item)
+    return total
+
+
+def _walk(obj: Any) -> int:
+    """The general structural walk, for what the type table leaves out."""
     if isinstance(obj, Sized):
         return obj.payload_bytes()
     if isinstance(obj, bool):

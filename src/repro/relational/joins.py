@@ -37,8 +37,9 @@ def _build_index(rows: Iterable[Tuple], key: str) -> Dict[Any, List[Tuple]]:
     return index
 
 
-def _null_row(schema: Schema) -> List[None]:
-    return [None] * len(schema)
+def _null_row(schema: Schema) -> Tuple:
+    """The build side of a left join's unmatched output."""
+    return Tuple(schema, [None] * len(schema))
 
 
 def hash_join(
@@ -71,16 +72,11 @@ def hash_join(
         return Table(left.schema, rows)
 
     out_schema = join_schema(left.schema, right.schema, suffix=suffix)
+    unmatched = [_null_row(right.schema)] if how == "left" else []
     out_rows: List[Tuple] = []
     for row in left.rows:
-        matches = index.get(row[left_key], [])
-        if matches:
-            for match in matches:
-                out_rows.append(Tuple(out_schema, list(row.values) + list(match.values)))
-        elif how == "left":
-            out_rows.append(
-                Tuple(out_schema, list(row.values) + _null_row(right.schema))
-            )
+        for match in index.get(row[left_key]) or unmatched:
+            out_rows.append(Tuple.joined(out_schema, row, match))
     return Table(out_schema, out_rows)
 
 
@@ -113,6 +109,7 @@ class StreamingHashJoin:
         self.probe_schema = probe_schema
         # Probe side is "left" in the output for natural reading order.
         self.output_schema = join_schema(probe_schema, build_schema, suffix=suffix)
+        self._unmatched = [_null_row(build_schema)] if how == "left" else []
         self._index: Dict[Any, List[Tuple]] = {}
         self._build_done = False
 
@@ -134,14 +131,5 @@ class StreamingHashJoin:
         """Yield join outputs for one probe-side tuple."""
         if not self._build_done:
             raise SchemaError("probe before build side finished")
-        matches = self._index.get(row[self.probe_key], [])
-        if matches:
-            for match in matches:
-                yield Tuple(
-                    self.output_schema, list(row.values) + list(match.values)
-                )
-        elif self.how == "left":
-            yield Tuple(
-                self.output_schema,
-                list(row.values) + _null_row(self.build_schema),
-            )
+        for match in self._index.get(row[self.probe_key]) or self._unmatched:
+            yield Tuple.joined(self.output_schema, row, match)

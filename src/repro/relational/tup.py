@@ -5,7 +5,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Sequence, Union
 
-from repro.cluster.serialization import _register_row_types, estimate_bytes
+from repro.cluster.serialization import (
+    _OBJECT_OVERHEAD,
+    _register_row_types,
+    estimate_bytes,
+)
 from repro.relational.schema import Schema, _schema_bytes
 
 __all__ = ["Tuple"]
@@ -44,6 +48,27 @@ class Tuple:
     def from_dict(cls, schema: Schema, mapping: Mapping[str, Any]) -> "Tuple":
         """Build a tuple from a field-name mapping (missing -> None)."""
         return cls(schema, [mapping.get(name) for name in schema.names])
+
+    @classmethod
+    def joined(cls, schema: Schema, left: "Tuple", right: "Tuple") -> "Tuple":
+        """The row of ``left``'s values followed by ``right``'s.
+
+        Sized from its two sides: a values tuple costs 16 bytes plus its
+        entries, so the joined one costs both sides' payloads less one
+        16.  Sizing either side here is a cache hit on a row that crossed
+        a channel, and the output is never walked.
+        """
+        values = left.values + right.values
+        schema.validate(values)
+        row = cls.__new__(cls)
+        object.__setattr__(row, "schema", schema)
+        object.__setattr__(row, "values", values)
+        object.__setattr__(
+            row,
+            "_nbytes",
+            left.payload_bytes() + right.payload_bytes() - _OBJECT_OVERHEAD,
+        )
+        return row
 
     # -- access ----------------------------------------------------------------
 
@@ -87,8 +112,7 @@ class Tuple:
 
     def concat(self, other: "Tuple", suffix: str = "_right") -> "Tuple":
         """Join-style concatenation of two tuples."""
-        schema = self.schema.concat(other.schema, suffix=suffix)
-        return Tuple(schema, list(self.values) + list(other.values))
+        return Tuple.joined(self.schema.concat(other.schema, suffix=suffix), self, other)
 
     # -- sizing ------------------------------------------------------------------
 
@@ -99,7 +123,9 @@ class Tuple:
         estimate never changes, and batch accounting in the workflow
         engine asks for it once per channel hop.  That covers what the
         values hold: an ANY-typed list mutated in place after the first
-        call keeps its first size here, at ``put`` and at ``adopt``.
+        call keeps its first size here, at ``put`` and at ``adopt``.  A
+        :meth:`joined` row starts with its sides' sizes, so neither
+        side's values may change after the join sized them.
         """
         nbytes = self._nbytes
         if nbytes < 0:

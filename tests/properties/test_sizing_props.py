@@ -1,20 +1,42 @@
 """Property: the sizing kernel returns the recursive walk's integers.
 
-``estimate_bytes`` prices rows and exact ``list`` / ``tuple`` containers
-without re-walking them; every simulated timing hangs off those
-integers, so they have to
+``estimate_bytes`` prices rows, containers and plain-state objects
+without re-walking them, and join outputs are sized from their two
+sides; every simulated timing hangs off those integers, so they have to
 come out *equal* to what the one-call-per-value walk returned — kept
 here, frozen, as the oracle (``tests/support/sizing_oracle.py``) — and
-must not depend on which caches happen to be warm.
+must not depend on which caches happen to be warm.  ``nested`` holds
+every shape the kernel special-cases and the unusual ones beside them
+(instance-level and computed ``nbytes``, ``__slots__``, dict
+subclasses, enum members, numpy arrays and scalars).
 """
 
+import enum
+import weakref
+from dataclasses import dataclass
+
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import estimate_bytes
+from repro.cluster import Sized, estimate_bytes
 from repro.gen import random_spec
 from repro.paradigm import PARADIGM_SCRIPT, run_spec
-from repro.relational import Field, FieldType, Schema, Tuple
+from repro.relational import (
+    Field,
+    FieldType,
+    Schema,
+    StreamingHashJoin,
+    Table,
+    Tuple,
+    hash_join,
+)
+from repro.storage import (
+    AnnotationDocument,
+    EntityAnnotation,
+    EventAnnotation,
+    Sentence,
+)
 from tests.support.sizing_oracle import walk_bytes
 
 
@@ -30,6 +52,84 @@ class SubList(list):
     pass
 
 
+class SubDict(dict):
+    pass
+
+
+@dataclass(frozen=True)
+class Frozen:
+    name: str
+    payload: object
+
+
+@dataclass
+class Mutable:
+    count: int
+    payload: object
+
+
+class Plain:
+    """Attributes set per instance; none, one or several."""
+
+    def __init__(self, **state):
+        self.__dict__.update(state)
+
+
+class Slotted:
+    __slots__ = ("first", "second")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            setattr(self, name, value)
+
+
+class PropertyNbytes:
+    """A class-level ``nbytes`` that may or may not be an int."""
+
+    def __init__(self, nbytes, payload):
+        self._nbytes = nbytes
+        self.payload = payload
+
+    @property
+    def nbytes(self):
+        return self._nbytes
+
+
+class Blob(Sized):
+    """Knows its own size, which is not its state's."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def payload_bytes(self):
+        return 1000 + len(self.tag)
+
+
+class Computed:
+    """``nbytes`` answered by ``__getattr__``, not found on the class."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def __getattr__(self, name):
+        if name == "nbytes":
+            return 3
+        raise AttributeError(name)
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    GREEN = 2
+
+
+numpy_values = st.one_of(
+    st.lists(st.floats(allow_nan=False), max_size=6).map(np.array),
+    st.lists(st.integers(-(2**31), 2**31), max_size=6).map(np.array),
+    st.integers(-(2**40), 2**40).map(np.int64),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+
 scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -37,6 +137,41 @@ scalars = st.one_of(
     st.floats(allow_nan=False),
     st.text(max_size=9),
     st.binary(max_size=9),
+    st.sampled_from(Colour),
+    numpy_values,
+)
+
+words = st.text(max_size=6)
+offsets = st.tuples(st.integers(0, 99), st.integers(0, 99)).map(sorted)
+entities = st.builds(
+    lambda key, kind, span, text: EntityAnnotation("T" + key, kind, *span, text),
+    words, words, offsets, words,
+)
+events = st.builds(
+    lambda key, kind, ref, arguments: EventAnnotation(
+        "E" + key, kind, "T" + ref, tuple(arguments)
+    ),
+    words, words, words, st.lists(st.tuples(words, words), max_size=3),
+)
+blobs = st.builds(Blob, st.text(max_size=4))
+#: A proxy answers ``isinstance`` for its referent; the list keeps it alive.
+proxies = st.one_of(blobs, st.builds(Plain, a=st.integers())).map(
+    lambda referent: [referent, weakref.proxy(referent)]
+)
+
+annotations = st.one_of(
+    entities,
+    events,
+    st.builds(
+        AnnotationDocument,
+        words,
+        st.lists(entities, max_size=4),
+        st.lists(events, max_size=3),
+    ),
+    st.builds(
+        lambda doc_id, index, span, text: Sentence(doc_id, index, *span, text),
+        words, st.integers(0, 40), offsets, words,
+    ),
 )
 
 
@@ -55,20 +190,35 @@ flats = st.one_of(
     flat(numbers | st.booleans()),
     flat(numbers | st.none()),
     flat(st.text(max_size=6) | st.binary(max_size=6)),
+    st.sets(st.text(max_size=6) | numbers, max_size=8),
+    st.frozensets(st.text(max_size=6) | numbers, max_size=8),
 )
 
 
 def containers(inner):
     items = st.lists(inner, max_size=5)
+    mapping = st.dictionaries(st.text(max_size=4), inner, max_size=4)
     return st.one_of(
         items,
         items.map(tuple),
         items.map(SubList),
-        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        mapping,
+        mapping.map(SubDict),
+        st.builds(Frozen, st.text(max_size=4), inner),
+        st.builds(Mutable, st.integers(-9, 9), inner),
+        st.builds(lambda state: Plain(**state), st.dictionaries(
+            st.sampled_from(["a", "b", "nbytes"]), inner, max_size=3
+        )),
+        st.builds(lambda n, a: Plain(nbytes=n, a=a), st.integers(0, 99) | inner, inner),
+        st.lists(inner, max_size=2).map(lambda values: Slotted(*values)),
+        st.builds(PropertyNbytes, st.integers(0, 99) | inner, inner),
+        st.builds(Computed, inner),
     )
 
 
-nested = st.recursive(scalars | flats, containers, max_leaves=12)
+nested = st.recursive(
+    scalars | flats | annotations | blobs | proxies, containers, max_leaves=12
+)
 
 COLUMN_VALUES = {
     FieldType.INT: st.none() | st.integers(-(2**40), 2**40),
@@ -180,3 +330,53 @@ def test_a_value_mutated_after_the_first_sizing_keeps_its_first_size():
     tokens.append("c" * 100)
     assert estimate_bytes(row) == estimate_bytes([row]) - 24 == first
     assert walk_bytes(row) == first + 8 + 16 + 100
+
+
+@st.composite
+def join_sides(draw):
+    """Two fresh tables sharing an INT key ``k`` (probe keys may miss the
+    build side), plus other columns that never collide."""
+
+    def side(names):
+        columns = draw(st.lists(
+            st.tuples(st.sampled_from(names), st.sampled_from(FieldType)),
+            max_size=3, unique_by=lambda column: column[0],
+        ))
+        schema = Schema([Field("k", FieldType.INT)] + [Field(*c) for c in columns])
+        rows = []
+        for key in draw(st.lists(st.integers(0, 4) | st.none(), max_size=8)):
+            values = [key] + [draw(COLUMN_VALUES[f.ftype]) for f in schema.fields[1:]]
+            row_type = SubRow if draw(st.integers(0, 9)) == 0 else Tuple
+            rows.append(row_type(schema, values))
+        return Table(schema, rows)
+
+    return side(["a", "b", "c"]), side(["x", "y", "z"])
+
+
+def assert_sized_from_values(rows):
+    for row in rows:
+        assert row.payload_bytes() == walk_bytes(row.values)
+        assert estimate_bytes(row) == walk_bytes(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sides=join_sides(), warm=st.booleans())
+def test_join_outputs_are_sized_as_walked(sides, warm):
+    """Rows built from two sized rows (every join shape, ``concat``) cost
+    what the walk charges their values, whether or not either side had
+    been sized before the join."""
+    probe, build = sides
+    if warm:
+        probe.payload_bytes()
+        build.payload_bytes()
+    for how in ("inner", "left"):
+        join = StreamingHashJoin(build.schema, probe.schema, "k", "k", how=how)
+        for row in build.rows:
+            join.add_build_tuple(row)
+        join.finish_build()
+        assert_sized_from_values(out for row in probe.rows for out in join.probe(row))
+    for how in ("inner", "left"):
+        assert_sized_from_values(hash_join(probe, build, "k", "k", how=how).rows)
+    assert_sized_from_values(
+        left.concat(right) for left in probe.rows[:3] for right in build.rows[:3]
+    )
