@@ -7,7 +7,7 @@ substitution rationale.
 
 from repro.cluster.cluster import CONTROLLER, Cluster, build_cluster
 from repro.cluster.network import Network
-from repro.cluster.node import Node
+from repro.cluster.node import Mechanism, Node, charge
 from repro.cluster.serialization import (
     Codec,
     CodecSuite,
@@ -20,6 +20,8 @@ __all__ = [
     "CONTROLLER",
     "Cluster",
     "build_cluster",
+    "Mechanism",
+    "charge",
     "Network",
     "Node",
     "Codec",

@@ -34,7 +34,7 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.cluster import Cluster, build_cluster
+from repro.cluster import Cluster, build_cluster, charge
 from repro.config import ElasticConfig, JobsConfig
 from repro.errors import InvalidJobTransition, JobQueueFull
 from repro.jobs.bodies import JobResult, resolve_body
@@ -355,7 +355,7 @@ class JobService:
             self._job_terminal(job)
             self._kick()
             return
-        yield from node.compute(result.duration_s, cores=spec.cpus)
+        yield from charge(node, result.duration_s, cores=spec.cpus)
         self._release(job, node)
         job.complete(self.env.now, result)
         self._job_terminal(job)

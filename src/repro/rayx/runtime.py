@@ -43,7 +43,7 @@ import inspect
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from repro.cache.fingerprint import combine, fingerprint_function, fingerprint_value
-from repro.cluster import CONTROLLER, Cluster, Node
+from repro.cluster import CONTROLLER, Cluster, Mechanism, Node, charge
 from repro.config import ReproConfig
 from repro.errors import InjectedFault, RayxError
 from repro.rayx.objectref import ObjectRef
@@ -131,57 +131,40 @@ class TaskContext:
 
     def compute(self, cpu_seconds: float, cores: int = 1) -> Generator:
         """Occupy ``cores`` of this task's node for ``cpu_seconds``."""
-        return self._occupy("compute", cpu_seconds, cores)
+        return self._occupy("compute", cores, {"cores": cores}, cpu_seconds)
 
     def model_compute(self, flops: float) -> Generator:
         """Run framework (PyTorch-like) compute inside this task.
 
-        Ray pinned the framework to 1 CPU (paper Section IV-A), so the
-        duration is FLOPs over single-core throughput regardless of how
-        many cores the node has free.
+        Ray pinned the framework to ``torch_cores_per_task`` cores (1,
+        paper Section IV-A) with linear scaling, however many are free.
         """
-        config = self.runtime.config
-        cores = config.rayx.torch_cores_per_task
-        throughput = config.topology.machine.flops_per_core_per_s * cores
-        return self._occupy("model_compute", flops / throughput, cores, flops=flops)
+        cores = self.runtime.config.rayx.torch_cores_per_task
+        attrs = {"cores": cores, "flops": flops}
+        return self._occupy("model_compute", cores, attrs, flops=flops)
 
     def _occupy(
-        self, name: str, cpu_seconds: float, cores: int, **attrs: Any
+        self, name: str, cores: int, attrs: dict, seconds: float = 0.0, flops: float = 0.0
     ) -> Generator:
-        """Hold ``cores`` of the node for ``cpu_seconds`` under one span.
-
-        A node crash injected while the computation was in flight, or a
-        due task fault, surfaces here at the completion checkpoint — the
-        earliest timed boundary where a real runtime would observe the
-        loss.  A cache-hit replay (``free``) charges nothing.
+        """Charge this node in a ``compute`` span that closes after the
+        completion checkpoint.  A cache-hit replay (``free``) charges nothing.
         """
         if self.free:
             return
+        yield from charge(
+            self.node, seconds, flops=flops, cores=cores, span=name,
+            mechanism=Mechanism.COMPUTE, parent=self.span, attrs=attrs,
+            then=self._completed if self.runtime.env.faults.active else None,
+        )
+
+    def _completed(self, start: float) -> Generator:
+        """Raise a node crash since ``start`` or a due task fault: the
+        earliest timed boundary where a real runtime would see the loss."""
         env = self.runtime.env
-        tracer = env.tracer
-        start = env.now
-        span = None
-        if tracer.enabled:
-            span = tracer.start(
-                name,
-                category="compute",
-                node=self.node.name,
-                parent=self.span,
-                cores=cores,
-                **attrs,
-            )
-        try:
-            yield from self.node.compute(cpu_seconds, cores=cores)
-            if env.faults.active:
-                if env.faults.node_crashed_between(self.node.name, start, env.now):
-                    raise InjectedFault(
-                        f"node {self.node.name} crashed mid-compute", kind="node"
-                    )
-                if self.fault_label is not None:
-                    yield from self._task_fault()
-        finally:
-            if span is not None:
-                tracer.end(span)
+        if env.faults.node_crashed_between(self.node.name, start, env.now):
+            raise InjectedFault(f"node {self.node.name} crashed mid-compute", kind="node")
+        if self.fault_label is not None:
+            yield from self._task_fault()
 
     def _task_fault(self) -> Generator:
         """Raise the injected task fault due for ``fault_label``, if any.

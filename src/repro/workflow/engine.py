@@ -25,7 +25,7 @@ import copy
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.cache.fingerprint import combine, fingerprint_value
-from repro.cluster import CONTROLLER, Cluster, Codec, Node
+from repro.cluster import CONTROLLER, Cluster, Codec, Mechanism, Node, charge
 from repro.cluster.serialization import record_codec
 from repro.config import ReproConfig
 from repro.errors import OperatorError
@@ -521,15 +521,11 @@ class WorkflowController:
                 codec = self.cluster.codecs.python
                 decode_s = codec.decode_time(nbytes)
                 record_codec(self.tracer, codec, "decode", nbytes, 0, decode_s)
-                with self.tracer.span(
-                    "gather-sink",
-                    category="serialization",
-                    node=CONTROLLER,
-                    parent=self._exec_span,
-                    sink=op_id,
-                    nbytes=nbytes,
-                ):
-                    yield from controller_node.compute(decode_s)
+                yield from charge(
+                    controller_node, decode_s, span="gather-sink",
+                    mechanism=Mechanism.SERIALIZATION, parent=self._exec_span,
+                    attrs={"sink": op_id, "nbytes": nbytes},
+                )
                 results[op_id] = table
                 if isinstance(executor, _VisualizationExecutor):
                     charts[op_id] = executor.chart_spec()
@@ -705,7 +701,7 @@ class WorkflowController:
                 # Checkpoint at the epoch boundary: executor state
                 # before any tuple of this batch mutates it.
                 snapshot = copy.deepcopy(instance.executor)
-                yield from self._instance_compute(instance, wf_config.checkpoint_s)
+                yield from charge(instance.node, wf_config.checkpoint_s, account=instance)
             fault = (
                 faults.take_operator_fault(operator.operator_id, self.env.now)
                 if faults.active
@@ -739,7 +735,7 @@ class WorkflowController:
             # Injected crash mid-batch: half the tuples' work is done
             # and lost, then the operator restarts from the checkpoint.
             # KNOWN DEFECT (pinned in tests/workflow/test_charge_paths.py,
-            # sized in ROADMAP item 5): process_tuple's generator is
+            # sized in ROADMAP item 1(a)): process_tuple's generator is
             # dropped unconsumed, so the lost rows charge tuple_cost but
             # never their extra seconds / flops.  The fix moves a golden
             # cell, so this loop stays apart from the whole-batch one.
@@ -769,13 +765,11 @@ class WorkflowController:
         # itself survives repeated crashes of the same batch.
         instance.executor = copy.deepcopy(snapshot)
         try:
-            yield from self._spanned(
-                instance,
-                self.config.workflow.operator_restart_s,
-                f"restart:{instance.operator_id}[{instance.worker_index}]",
-                "faults.recovery",
-                parent=self._exec_span,
-                epoch=instance.epoch,
+            yield from charge(
+                instance.node, self.config.workflow.operator_restart_s,
+                span=f"restart:{instance.operator_id}[{instance.worker_index}]",
+                mechanism=Mechanism.RECOVERY, parent=self._exec_span,
+                attrs={"epoch": instance.epoch}, account=instance,
             )
         finally:
             if tracer.enabled:
@@ -785,36 +779,6 @@ class WorkflowController:
 
     # -- cost settlement -----------------------------------------------------------
 
-    def _instance_compute(
-        self, instance: _Instance, duration: float, cores: int = 1
-    ) -> Generator:
-        """Charge node compute and attribute it to the instance."""
-        if duration <= 0:
-            return
-        instance.busy_s += duration * cores
-        yield from instance.node.compute(duration, cores=cores)
-
-    def _spanned(
-        self,
-        instance: _Instance,
-        seconds: float,
-        name: str,
-        category: str,
-        **span_args: Any,
-    ) -> Generator:
-        """Charge ``seconds`` to the instance, in a span of ``span_args`` if traced."""
-        tracer = self.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start(
-                name, category=category, node=instance.node.name, **span_args
-            )
-        try:
-            yield from self._instance_compute(instance, seconds)
-        finally:
-            if span is not None:
-                tracer.end(span)
-
     def _codec_charge(
         self, instance: _Instance, direction: str, codec: Codec, batch: _Batch
     ) -> Generator:
@@ -823,27 +787,23 @@ class WorkflowController:
         price = codec.encode_time if direction == "encode" else codec.decode_time
         seconds = price(batch.nbytes, items)
         record_codec(self.tracer, codec, direction, batch.nbytes, items, seconds)
-        yield from self._spanned(
-            instance,
-            seconds + self.config.workflow.batch_handling_s,
-            f"{direction}:{codec.name}",
-            "serialization",
-            nbytes=batch.nbytes,
+        yield from charge(
+            instance.node, seconds + self.config.workflow.batch_handling_s,
+            span=f"{direction}:{codec.name}", mechanism=Mechanism.SERIALIZATION,
+            attrs={"nbytes": batch.nbytes}, account=instance,
         )
 
     def _charge(self, instance: _Instance, seconds: float, flops: float) -> Generator:
+        node = instance.node
         if seconds > 0:
-            yield from self._instance_compute(instance, seconds)
+            yield from charge(node, seconds, account=instance)
         if flops > 0:
             wf_config = self.config.workflow
-            machine = self.config.topology.machine
-            cores = instance.operator.framework_cores
-            if cores is None:
-                cores = wf_config.torch_cores_per_operator
-            cores = min(cores, instance.node.num_cpus)
-            effective = 1.0 + (cores - 1) * wf_config.multicore_efficiency
-            duration = flops / (machine.flops_per_core_per_s * effective)
-            yield from self._instance_compute(instance, duration, cores=cores)
+            cores = instance.operator.framework_cores or wf_config.torch_cores_per_operator
+            yield from charge(
+                node, flops=flops, cores=min(cores, node.num_cpus),
+                efficiency=wf_config.multicore_efficiency, account=instance,
+            )
 
     def _settle_charges(
         self, instance: _Instance, cache_key: Optional[str] = None
@@ -922,8 +882,9 @@ class WorkflowController:
         cost = self.cluster.cache.lookup_s
         if self.tracer.enabled:
             self.tracer.metrics.counter("cache.lookup.seconds").add(cost)
-        yield from self._spanned(
-            instance, cost, f"cache.hit:{label}", "cache", lookup_s=cost
+        yield from charge(
+            instance.node, cost, span=f"cache.hit:{label}", mechanism=Mechanism.CACHE,
+            attrs={"lookup_s": cost}, account=instance,
         )
 
     # -- emission --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The ways a batch is paid for, and the divergences that are kept.
 
-``WorkflowController`` has one spanned charge, one codec charge, one
+``WorkflowController`` pays every vCPU second through
+``repro.cluster.charge``, and has one codec charge, one
 probe/memoise pair and one channel put (``docs/architecture.md``, "How
 a batch is paid for").  What still differs between a charged batch, a
 cached one, a fault replay, a flush, a lifecycle settle and the sink
@@ -265,7 +266,7 @@ def test_a_crashed_half_batch_charges_tuple_cost_but_not_the_lost_extra_work():
     ``workflow-overhead gotta`` cell from 0.52 s to 26.37 s and with it
     the ``cli_all_quick`` ``sha256.stdout`` golden cell in
     ``bench/golden.json``, which only a ``benchmark`` PR may re-record
-    (ROADMAP item 5).  Until then these floats are the behaviour.
+    (ROADMAP item 1(a)).  Until then these floats are the behaviour.
     """
     clean = Run()
     faulted = Run(schedule=M_FAULT)
