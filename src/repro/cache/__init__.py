@@ -27,12 +27,13 @@ point of a cold-vs-warm sweep:
 >>> cache.hit_rate > 0
 True
 
-or per-config via ``ReproConfig(cache=CacheConfig(enabled=True))``
-(a fresh per-cluster instance), or from the command line with
-``python -m repro fig13c --cache on`` (``python -m repro cache``
-prints the spec grammar).
+or for one cluster via ``build_cluster(env, cache=ResultCache(...))``,
+or from the command line with ``python -m repro fig13c --cache on``
+(``python -m repro cache`` prints the spec grammar).  The explicit
+argument beats the installed instance, which beats a fresh dormant
+cache per cluster.
 
-With the default config the cache is dormant and every timing stays
+By default the cache is dormant and every timing stays
 bit-identical to the seed — pinned by ``tests/obs/test_timing_regression.py``
 the same way ``repro.obs``/``repro.faults``/``repro.sched``/
 ``repro.mem`` are.  Enabled-but-cold runs are *also* bit-identical:

@@ -8,10 +8,10 @@ from repro.config import ClusterTopologyConfig, MachineConfig, ReproConfig, defa
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.serialization import CodecSuite, make_codecs
-from repro.cache import ResultCache, current_cache
+from repro.cache import CacheConfig, ResultCache, current_cache
 from repro.errors import DrainError, UnknownNode
 from repro.faults.injector import current_injector
-from repro.mem import MemoryManager, current_memory_config
+from repro.mem import MemoryConfig, MemoryManager, current_memory_config
 from repro.obs.tracer import current_tracer
 from repro.sim import Environment
 
@@ -82,28 +82,20 @@ class Cluster:
         self.network = Network(env, topology.network)
         self.codecs: CodecSuite = make_codecs(config.serialization)
         #: Memory-pressure layer (``repro.mem``), resolved like the
-        #: tracer: explicit argument, else the globally installed
-        #: policy, else the config's (dormant by default).  Always
+        #: tracer (the one order of :class:`repro.layer.Slot`).  Always
         #: constructed — a dormant manager is pure bookkeeping and the
         #: single ``mem.active`` flag keeps call sites branch-cheap.
-        mem_config = memory
-        if mem_config is None:
-            mem_config = current_memory_config()
-        if mem_config is None:
-            mem_config = config.memory
-        self.memory = MemoryManager(self, mem_config)
+        if memory is None:
+            memory = current_memory_config()
+        self.memory = MemoryManager(self, memory if memory is not None else MemoryConfig())
         self.faults.register_memory(self.memory)
-        #: Result cache (``repro.cache``), resolved like the tracer:
-        #: explicit argument, else the globally installed *instance*
-        #: (shared across clusters — that persistence is what makes a
-        #: cold-vs-warm sweep possible), else a fresh per-cluster
-        #: instance from the config (dormant by default).
-        resolved_cache = cache
-        if resolved_cache is None:
-            resolved_cache = current_cache()
-        if resolved_cache is None:
-            resolved_cache = ResultCache(config.cache)
-        self.cache = resolved_cache
+        #: Result cache (``repro.cache``), resolved like the tracer: an
+        #: installed *instance* is shared across clusters (that
+        #: persistence is what makes a cold-vs-warm sweep possible); the
+        #: dormant default is a fresh instance per cluster.
+        if cache is None:
+            cache = current_cache()
+        self.cache = cache if cache is not None else ResultCache(CacheConfig())
 
     # -- topology ------------------------------------------------------------
 

@@ -564,24 +564,6 @@ class ReproConfig:
     rayx: RayxConfig = field(default_factory=RayxConfig)
     workflow: WorkflowConfig = field(default_factory=WorkflowConfig)
     models: ModelConfig = field(default_factory=ModelConfig)
-    #: Memory-pressure policy (see :mod:`repro.mem`).  The default is
-    #: fully dormant; an explicitly installed policy
-    #: (``repro.mem.memory_managed``) takes precedence over this field.
-    memory: MemoryConfig = field(default_factory=MemoryConfig)
-    #: Placement-policy name consulted by both engines' schedulers (see
-    #: :mod:`repro.sched`).  ``None`` falls back to the globally
-    #: installed policy (``repro.sched.scheduling``), else the seed-
-    #: identical ``round_robin`` default.
-    scheduler: Optional[str] = None
-    #: Result-caching policy (see :mod:`repro.cache`).  The default is
-    #: fully dormant; an explicitly installed cache
-    #: (``repro.cache.cached``) takes precedence over this field.
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    #: Elastic-membership/autoscaler policy (see :mod:`repro.elastic`).
-    #: The default is fully dormant; an explicitly installed config
-    #: (``repro.elastic.elastic_enabled``) takes precedence over this
-    #: field.
-    elastic: ElasticConfig = field(default_factory=ElasticConfig)
 
 
 DEFAULT_CONFIG = ReproConfig()

@@ -74,7 +74,11 @@ def replay_static_and_elastic(
         flood_s, heavy_rate, light_rate, light_horizon_s=tail_s
     )
     outcomes = {}
-    static = JobService(JobsConfig(enabled=True), cluster=_make_cluster(4))
+    # The static fleet names its (dormant) policy, so ``--elastic``
+    # cannot attach an autoscaler to the baseline.
+    static = JobService(
+        JobsConfig(enabled=True), cluster=_make_cluster(4), elastic=ElasticConfig()
+    )
     outcomes["static-4"] = static.simulate(arrivals=list(arrivals))
     if not static.queue.drained:
         raise ExperimentError("static-4: queue did not drain")

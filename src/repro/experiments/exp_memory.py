@@ -20,20 +20,22 @@ Each of the four tasks runs three ways under the script paradigm:
    run must complete, with recorded spills, and produce rows identical
    to the clean run.
 
-The report shows clean time, pressured time and the spill overhead —
-the price of finishing at all.  All times are virtual and
-bit-reproducible.
+Each run names its own memory policy, so an installed one (``--mem``)
+changes nothing here.  The report shows clean time, pressured time and
+the spill overhead — the price of finishing at all.  All times are
+virtual and bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 
-from repro.config import MemoryConfig, default_config
+from repro.cluster import build_cluster
+from repro.config import MemoryConfig
 from repro.errors import ExperimentError, InsufficientResources
 from repro.metrics import ExperimentReport
-from repro.tasks import PARADIGM_SCRIPT, TASKS, fresh_cluster
+from repro.sim import Environment
+from repro.tasks import PARADIGM_SCRIPT, TASKS
 
 __all__ = ["run_memory", "shrunken_ram_bytes"]
 
@@ -80,15 +82,12 @@ def run_memory(
     for task, dataset in data.items():
         run_on = partial(TASKS[task].run, PARADIGM_SCRIPT, dataset, workers=4)
         # The clean run doubles as the RAM probe.
-        clean_cluster = fresh_cluster()
+        clean_cluster = build_cluster(Environment(), memory=MemoryConfig())
         clean = run_on(cluster=clean_cluster)
         ram = shrunken_ram_bytes(clean_cluster)
 
-        dormant = replace(
-            default_config(), memory=MemoryConfig(node_ram_bytes=ram)
-        )
         try:
-            run_on(cluster=fresh_cluster(dormant))
+            run_on(cluster=build_cluster(Environment(), memory=MemoryConfig(node_ram_bytes=ram)))
         except InsufficientResources:
             pass
         else:
@@ -97,11 +96,9 @@ def run_memory(
                 "with InsufficientResources but completed"
             )
 
-        policy = replace(
-            default_config(),
-            memory=MemoryConfig(enabled=True, node_ram_bytes=ram),
+        pressured_cluster = build_cluster(
+            Environment(), memory=MemoryConfig(enabled=True, node_ram_bytes=ram)
         )
-        pressured_cluster = fresh_cluster(policy)
         pressured = run_on(cluster=pressured_cluster)
         memory = pressured_cluster.memory
         if memory.spill_count == 0:

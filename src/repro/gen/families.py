@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import GenSpecError
 from repro.gen.generator import _records
-from repro.paradigm import PARADIGMS, SpecRun, run_spec
+from repro.paradigm import SpecRun, check_paradigm, run_spec
 from repro.workflow.spec.model import SPEC_VERSION
 
 __all__ = [
@@ -340,6 +340,5 @@ def run_family(
 ) -> SpecRun:
     """Run family ``name`` under one paradigm on a fresh (or given)
     cluster; the run's ``rows`` are the sink row multiset."""
-    if paradigm not in PARADIGMS:
-        raise GenSpecError(f"unknown paradigm {paradigm!r} (have: script, workflow)")
+    check_paradigm(paradigm, GenSpecError)
     return run_spec(family_spec(name, seed=seed, scale=scale), paradigm, cluster=cluster)

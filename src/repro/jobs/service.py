@@ -111,8 +111,8 @@ class JobService:
         self.blocked = {"quota": 0, "capacity": 0, "backpressure": 0, "placement": 0}
         self.requeued = 0
         #: Elastic membership (``repro.elastic``), resolved like every
-        #: other layer: explicit argument, else the globally installed
-        #: config, else the cluster config's field (dormant default).
+        #: slot-backed layer: explicit argument (a config or a spec
+        #: string), else the installed config, else the dormant default.
         from repro.elastic import (  # local: repro.elastic imports repro.config only
             Autoscaler,
             current_elastic_config,
@@ -123,14 +123,8 @@ class JobService:
             elastic = parse_elastic_spec(elastic)
         if elastic is None:
             elastic = current_elastic_config()
-        if elastic is None:
-            elastic = getattr(cluster.config, "elastic", None)
-        self.elastic = elastic
-        self.autoscaler = (
-            Autoscaler(self, elastic)
-            if elastic is not None and elastic.enabled
-            else None
-        )
+        self.elastic = elastic if elastic is not None else ElasticConfig()
+        self.autoscaler = Autoscaler(self, self.elastic) if self.elastic.enabled else None
         cluster.add_membership_listener(self._membership_changed)
 
     # -- membership (repro.elastic) -----------------------------------------

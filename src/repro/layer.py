@@ -206,8 +206,13 @@ class Slot:
     a typo fails at install time rather than mid-run, and before the
     slot is touched.  ``default`` is what :meth:`current` reports while
     nothing is installed (the layer's null object, where it has one).
-    Consumers decide where the installed value ranks against explicit
-    arguments and config fields; the slot encodes no order.
+
+    Every slot-backed layer (``obs``, ``faults``, ``sched``, ``mem``,
+    ``cache``, ``elastic``) resolves in one order: the explicit
+    argument, else the installed value, else the dormant default.  An
+    argument counts as given when it is not None — never test it for
+    truth (an empty :class:`repro.cache.ResultCache` is falsy).
+    ``ReproConfig`` holds cost constants only and selects no layer.
     """
 
     def __init__(self, coerce: Callable[[Any], Any], default: Any = None) -> None:

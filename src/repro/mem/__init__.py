@@ -22,11 +22,12 @@ Selecting a policy follows the tracer/injector/scheduler pattern:
 >>> with memory_managed("on,ram=2GiB"):
 ...     run = run_gotta_script(fresh_cluster(), paragraphs)
 
-or per-config via ``ReproConfig(memory=MemoryConfig(...))``, or from
-the command line with ``python -m repro fig13d --mem on,ram=2GiB``
-(``python -m repro mem`` prints the spec grammar).
+or for one cluster via ``build_cluster(env, memory=MemoryConfig(...))``,
+or from the command line with ``python -m repro fig13d --mem on,ram=2GiB``
+(``python -m repro mem`` prints the spec grammar).  The explicit
+argument beats the installed policy, which beats the dormant default.
 
-With the default config the manager is dormant and every timing stays
+By default the manager is dormant and every timing stays
 bit-identical to the seed — pinned by ``tests/obs/test_timing_regression.py``
 the same way ``repro.obs``/``repro.faults``/``repro.sched`` are.
 """

@@ -12,7 +12,7 @@ starts no span and bumps no counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Type, Union
 
 from repro.cluster import Cluster, build_cluster
 from repro.rayx.compile import compile_script_plan
@@ -27,6 +27,7 @@ __all__ = [
     "PARADIGM_WORKFLOW",
     "SinkDiff",
     "SpecRun",
+    "check_paradigm",
     "diff_rows",
     "run_both",
     "run_spec",
@@ -36,6 +37,12 @@ PARADIGM_WORKFLOW = "workflow"
 PARADIGM_SCRIPT = "script"
 #: In the order :func:`run_both` executes them.
 PARADIGMS = (PARADIGM_WORKFLOW, PARADIGM_SCRIPT)
+
+
+def check_paradigm(paradigm: str, error: Type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``paradigm`` is one of :data:`PARADIGMS`."""
+    if paradigm not in PARADIGMS:
+        raise error(f"unknown paradigm {paradigm!r} (have: script, workflow)")
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,7 @@ def run_spec(
 ) -> SpecRun:
     """Execute ``spec`` (parsed, or the raw document) under ``paradigm``
     on ``cluster`` — by default a fresh testbed."""
-    if paradigm not in PARADIGMS:
-        raise ValueError(f"unknown paradigm {paradigm!r} (have: script, workflow)")
+    check_paradigm(paradigm)
     if not isinstance(spec, WorkflowSpec):
         spec = WorkflowSpec.from_json(spec)
     if cluster is None:

@@ -261,7 +261,7 @@ class RayxRuntime:
         #: Placement layer (``repro.sched``): every node decision —
         #: submission, retry resubmission, lineage reconstruction and
         #: actor placement — goes through this scheduler.
-        self.scheduler = Scheduler(cluster, config=self.config)
+        self.scheduler = Scheduler(cluster)
         self.scheduler.store = self.store
         self.driver_context = TaskContext(self, cluster.controller)
         self.tasks_submitted = 0

@@ -21,9 +21,10 @@ Selecting a policy follows the tracer/injector pattern:
 >>> with scheduling("locality"):
 ...     run = run_kge_script(fresh_cluster(), dataset, num_cpus=4)
 
-or per-config via ``ReproConfig(scheduler="locality")``, or from the
-command line with ``python -m repro fig13d --scheduler locality``
-(``python -m repro sched`` prints the catalogue).
+or for one engine session via ``Scheduler(cluster, policy="locality")``,
+or from the command line with ``python -m repro fig13d --scheduler locality``
+(``python -m repro sched`` prints the catalogue).  The explicit
+argument beats the installed policy, which beats ``round_robin``.
 
 The default ``round_robin`` policy reproduces the seed's placement
 bit-identically — pinned by ``tests/obs/test_timing_regression.py`` —

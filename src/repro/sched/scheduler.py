@@ -17,15 +17,14 @@ decision to the observability layer (``sched.place`` spans,
 clock — no events are scheduled, so the default ``round_robin`` policy
 keeps every timing bit-identical to the seed.
 
-Policy resolution mirrors the tracer/injector pattern: an explicit
-``policy`` argument wins, else :attr:`repro.config.ReproConfig.scheduler`,
-else the globally installed policy (see :func:`repro.sched.scheduling`),
-else ``round_robin``.
+The policy resolves like every slot-backed layer: the explicit
+``policy`` argument, else the installed policy (see
+:func:`repro.sched.scheduling`), else ``round_robin``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Dict, List, Set, Union
 
 from repro.sched.policy import (
     COUNTED_KINDS,
@@ -37,7 +36,6 @@ from repro.sched.policy import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.cluster import Cluster, Node
-    from repro.config import ReproConfig
 
 __all__ = ["NodeAccount", "Scheduler"]
 
@@ -71,23 +69,16 @@ class Scheduler:
         self,
         cluster: "Cluster",
         policy: Union[PlacementPolicy, str, None] = None,
-        config: Optional["ReproConfig"] = None,
     ) -> None:
         from repro.sched import current_policy_name  # local: avoid cycle
 
         self.cluster = cluster
         self.env = cluster.env
-        config = config or cluster.config
-        if isinstance(policy, PlacementPolicy):
-            self.policy = policy
-        else:
-            name = (
-                policy
-                or getattr(config, "scheduler", None)
-                or current_policy_name()
-                or DEFAULT_POLICY
-            )
-            self.policy = make_policy(name)
+        if policy is None:
+            policy = current_policy_name()
+        if policy is None:
+            policy = DEFAULT_POLICY
+        self.policy = policy if isinstance(policy, PlacementPolicy) else make_policy(policy)
         self.workers: List["Node"] = list(cluster.workers)
         self._positions: Dict[str, int] = {
             worker.name: position for position, worker in enumerate(self.workers)

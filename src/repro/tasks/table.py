@@ -20,6 +20,7 @@ from repro.cluster import Cluster
 from repro.datasets.fsqa import generate_fsqa
 from repro.datasets.maccrobat import generate_maccrobat
 from repro.datasets.wildfire import generate_wildfire_tweets
+from repro.paradigm import check_paradigm
 from repro.tasks.base import PARADIGM_SCRIPT, PARADIGM_WORKFLOW, TaskRun, fresh_cluster
 from repro.tasks.dice import run_dice_script, run_dice_workflow
 from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
@@ -79,8 +80,7 @@ class PaperTask:
     ) -> TaskRun:
         """Run this task under ``paradigm`` on ``cluster`` — by default
         a fresh testbed — with ``workers``-way parallelism."""
-        if paradigm not in self.sides:
-            raise ValueError(f"unknown paradigm {paradigm!r} (have: script, workflow)")
+        check_paradigm(paradigm)
         runner, knob = self.sides[paradigm]
         if knob is not None:
             task_options[knob] = workers

@@ -272,7 +272,7 @@ class WorkflowController:
         self._instances: Dict[str, List[_Instance]] = {}
         #: Placement layer (``repro.sched``): operator-instance layout
         #: goes through this scheduler, one per controller session.
-        self.scheduler = Scheduler(cluster, config=self.config)
+        self.scheduler = Scheduler(cluster)
         #: Pause gate: None while running; an un-triggered event while
         #: paused (instances wait on it before touching the next batch).
         self._pause_gate = None

@@ -13,7 +13,6 @@ from repro.cache import (
     uninstall_cache,
 )
 from repro.cluster import build_cluster
-from repro.config import ReproConfig
 from repro.errors import CacheSpecError
 from repro.sim import Environment
 
@@ -152,17 +151,12 @@ def test_installed_instance_survives_cluster_rebuilds():
     assert current_cache() is None
 
 
-def test_config_field_builds_fresh_instance_per_cluster():
-    config = ReproConfig(cache=CacheConfig(enabled=True))
-    first = build_cluster(Environment(), config)
-    second = build_cluster(Environment(), config)
-    assert first.cache.active and second.cache.active
-    assert first.cache is not second.cache
-
-
 def test_default_is_dormant():
-    cluster = build_cluster(Environment())
-    assert not cluster.cache.active
+    # Nothing installed: each cluster gets its own fresh, dormant cache.
+    first = build_cluster(Environment())
+    second = build_cluster(Environment())
+    assert not first.cache.active and not second.cache.active
+    assert first.cache is not second.cache
 
 
 def test_cached_context_restores_previous():

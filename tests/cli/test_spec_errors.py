@@ -42,6 +42,10 @@ BAD_SPECS = {
     ],
     "elastic": ["banana", "min=lots", "shape=warp9", "interval=nan", "up=-inf"],
 }
+#: Malformed in every grammar: an unknown key, an empty spec and an
+#: empty fragment.
+for _specs in BAD_SPECS.values():
+    _specs.extend(spec for spec in ("bogus=1", "", "on,,off") if spec not in _specs)
 
 #: Healthy invocations: (argv, text expected on stdout).
 GOOD_SPECS = [
@@ -90,6 +94,7 @@ def test_matrix_covers_every_row_of_the_cli_table():
 def test_bad_option_spec_exits_2_with_grammar(capsys, option, spec, hint):
     code, out, err = run_cli(capsys, option, spec, "fig13d", "--quick")
     assert code == 2
+    assert out == ""  # nothing ran
     assert option in err
     assert hint in err
     assert "Traceback" not in err
@@ -131,6 +136,13 @@ def test_layer_flags_are_installed_while_a_subcommand_runs(capsys, monkeypatch):
     assert current_memory_config() is None  # scopes closed on the way out
 
 
+@pytest.mark.parametrize("sub", SUBCOMMANDS.values(), ids=lambda sub: sub.name)
+def test_surplus_arguments_exit_2_with_usage(capsys, sub):
+    code, out, err = run_cli(capsys, sub.name, "on", "extra")
+    assert code == 2
+    assert f"repro: {sub.name}: usage: {sub.usage}" in err
+
+
 def test_unknown_scheduler_exits_2_with_catalogue(capsys):
     code, out, err = run_cli(capsys, "--scheduler", "banana", "fig13d")
     assert code == 2
@@ -156,6 +168,7 @@ def test_bad_subcommand_spec_exits_2_with_grammar(capsys, subcommand, spec, hint
     assert code == 2
     assert f"repro: {subcommand}:" in err
     assert hint in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,9 @@
 """Node RAM accounting: validation, peak tracking, ceiling, gauges."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import build_cluster
-from repro.config import MachineConfig, MemoryConfig, default_config
+from repro.config import MachineConfig, MemoryConfig
 from repro.errors import InsufficientResources
 from repro.obs import Tracer
 from repro.sim import Environment
@@ -102,11 +100,9 @@ def test_gauges_stay_silent_without_a_tracer():
 
 
 def test_peak_respects_ceiling_under_spilling():
-    config = replace(
-        default_config(),
-        memory=MemoryConfig(enabled=True, node_ram_bytes=10_000),
+    cluster = build_cluster(
+        Environment(), memory=MemoryConfig(enabled=True, node_ram_bytes=10_000)
     )
-    cluster = build_cluster(Environment(), config)
     env = cluster.env
     memory = cluster.memory
     node = cluster.node("worker-0")
@@ -127,8 +123,7 @@ def test_peak_respects_ceiling_under_spilling():
 
 
 def test_node_ram_bytes_override_clamps_every_node():
-    config = replace(default_config(), memory=MemoryConfig(node_ram_bytes=123))
-    cluster = build_cluster(Environment(), config)
+    cluster = build_cluster(Environment(), memory=MemoryConfig(node_ram_bytes=123))
     for name in cluster.node_names():
         assert cluster.node(name).ram_limit == 123
     # Dormant policy: the clamp alone makes allocations fail hard.

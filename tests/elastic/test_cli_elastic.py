@@ -53,15 +53,6 @@ def test_elastic_option_composes_with_jobs(capsys):
     assert err == ""
 
 
-def test_bad_elastic_option_exits_2_before_running(capsys):
-    code, out, err = run_cli(
-        capsys, "--elastic", "banana", "fig12a", "--quick"
-    )
-    assert code == 2
-    assert "--elastic" in err
-    assert ELASTIC_SPEC_HELP in err
-
-
 def test_elastic_option_off_is_inert(capsys):
     code, out, err = run_cli(
         capsys, "jobs", "on,rate=20,horizon=2", "--elastic", "off"

@@ -9,7 +9,7 @@ import inspect
 
 import pytest
 
-from repro.cli import QUICK_EXPERIMENTS
+from repro.cli import QUICK_EXPERIMENTS, main
 from repro.experiments import ALL_EXPERIMENTS, EXPERIMENTS
 from repro.experiments.exp_language import run_table1
 from repro.experiments.exp_modularity import run_fig12a, run_fig12b
@@ -154,3 +154,17 @@ def test_self_asserting_extension_experiment_quick(experiment_id):
     for row in report.rows:
         if row.series.endswith("overhead"):  # recovery / spilling cost
             assert row.measured >= 0.0, row
+
+
+@pytest.mark.parametrize(
+    "experiment_id, flag", [("memory", "--mem"), ("elasticity", "--elastic")]
+)
+def test_an_experiment_that_sets_its_own_layer_ignores_the_flag(capsys, experiment_id, flag):
+    """Each run names its policy as the explicit argument, which beats
+    the installed one.  ``memory --mem on`` used to crash (the installed
+    policy rescued the dormant run it expects to die) and ``elasticity
+    --elastic on`` autoscaled its static baseline."""
+    assert main([experiment_id, "--quick"]) == 0
+    bare = capsys.readouterr().out
+    assert main([experiment_id, "--quick", flag, "on"]) == 0
+    assert capsys.readouterr().out == bare

@@ -66,12 +66,6 @@ def test_bad_jobs_spec_exits_2_with_grammar(capsys, spec):
     assert "Traceback" not in err
 
 
-def test_jobs_usage_error_exits_2(capsys):
-    code, out, err = run_cli(capsys, "jobs", "on", "extra")
-    assert code == 2
-    assert "usage: repro jobs [SPEC]" in err
-
-
 def test_jobs_option_routes_experiments_through_the_service(capsys):
     code, out, err = run_cli(capsys, "--jobs", "on", "fig12a", "--quick")
     assert code == 0
@@ -82,13 +76,6 @@ def test_jobs_option_off_is_the_direct_path(capsys):
     code, out, err = run_cli(capsys, "--jobs", "off", "fig12a", "--quick")
     assert code == 0
     assert "job service" not in out
-
-
-def test_bad_jobs_option_exits_2_before_running_experiments(capsys):
-    code, out, err = run_cli(capsys, "--jobs", "banana", "fig12a", "--quick")
-    assert code == 2
-    assert "--jobs" in err
-    assert JOBS_SPEC_HELP in err
 
 
 def test_fairshare_experiment_runs_quick(capsys):

@@ -1,12 +1,10 @@
 """Unit tests for the memory manager, the spec parser and the install
 API, then a paper task walked down a RAM ladder end to end."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import build_cluster
-from repro.config import GIB, KIB, MIB, MemoryConfig, default_config
+from repro.config import GIB, KIB, MIB, MemoryConfig
 from repro.datasets import generate_fsqa, generate_maccrobat
 from repro.errors import InsufficientResources, MemSpecError
 from repro.experiments.exp_memory import shrunken_ram_bytes
@@ -29,11 +27,10 @@ NODE = "worker-0"
 
 
 def make_cluster(ram=10_000, enabled=True, **kwargs):
-    config = replace(
-        default_config(),
+    return build_cluster(
+        Environment(),
         memory=MemoryConfig(enabled=enabled, node_ram_bytes=ram, **kwargs),
     )
-    return build_cluster(Environment(), config)
 
 
 def run(cluster, gen_fn):

@@ -8,13 +8,11 @@ that makes ``--mem`` safe to add to any experiment: the policy decides
 *when* bytes move between RAM and disk and nothing else.
 """
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
-from repro.config import MIB, MemoryConfig, default_config
+from repro.config import MIB, MemoryConfig
 from repro.faults import FaultSchedule, faults_injected
 from repro.rayx import run_script
 from repro.relational import FieldType, Schema, Table, column_greater
@@ -55,10 +53,7 @@ def workflow_outputs(mem_config=None):
 
 
 def _cluster(mem_config):
-    config = default_config()
-    if mem_config is not None:
-        config = replace(config, memory=mem_config)
-    return build_cluster(Environment(), config)
+    return build_cluster(Environment(), memory=mem_config)
 
 
 def _pressure_rams(probe_fn):

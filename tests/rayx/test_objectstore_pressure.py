@@ -12,19 +12,17 @@ integration:
   ``KeyError`` instead of :class:`ObjectNotFound`.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.cluster import build_cluster, estimate_bytes
-from repro.config import MemoryConfig, default_config
+from repro.config import MemoryConfig
 from repro.errors import InjectedFault, ObjectNotFound
 from repro.rayx import ObjectRef, RayxRuntime
 from repro.sim import Environment
 
 
-def make_runtime(config=None):
-    cluster = build_cluster(Environment(), config)
+def make_runtime(memory=None):
+    cluster = build_cluster(Environment(), memory=memory)
     return cluster, RayxRuntime(cluster)
 
 
@@ -168,10 +166,7 @@ def test_bytes_live_tracks_replicas_not_history():
 
 
 def _tiny_ram_config(ram_bytes):
-    return replace(
-        default_config(),
-        memory=MemoryConfig(enabled=True, node_ram_bytes=ram_bytes),
-    )
+    return MemoryConfig(enabled=True, node_ram_bytes=ram_bytes)
 
 
 def test_put_under_pressure_spills_lru_and_get_restores():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.config import ReproConfig
 from repro.errors import UnknownPolicy
 from repro.obs import Tracer, tracing
 from repro.sched import (
@@ -18,9 +17,9 @@ from repro.sched import (
 from repro.sim import Environment
 
 
-def make_scheduler(policy=None, config=None, tracer=None):
-    cluster = build_cluster(Environment(), config=config, tracer=tracer)
-    return Scheduler(cluster, policy=policy, config=config)
+def make_scheduler(policy=None, tracer=None):
+    cluster = build_cluster(Environment(), tracer=tracer)
+    return Scheduler(cluster, policy=policy)
 
 
 # -- accounting --------------------------------------------------------------
@@ -77,14 +76,10 @@ def test_explicit_policy_instance_wins():
 def test_policy_resolution_order():
     assert make_scheduler().policy.name == "round_robin"
     assert make_scheduler(policy="packed").policy.name == "packed"
-    config = ReproConfig(scheduler="spread")
-    assert make_scheduler(config=config).policy.name == "spread"
-    # Explicit name beats the config.
-    assert make_scheduler(policy="packed", config=config).policy.name == "packed"
     with scheduling("least_loaded"):
         assert make_scheduler().policy.name == "least_loaded"
-        # Config beats the global install.
-        assert make_scheduler(config=config).policy.name == "spread"
+        # Explicit name beats the global install.
+        assert make_scheduler(policy="packed").policy.name == "packed"
     assert make_scheduler().policy.name == "round_robin"
 
 

@@ -1,15 +1,25 @@
 """The shared layer scaffolding: ``repro.layer.Grammar`` and ``Slot``."""
 
 import re
+from typing import Any, Callable, NamedTuple
 
 import pytest
 
+from repro.cache import ResultCache, cached
 from repro.cache.spec import CACHE_GRAMMAR
+from repro.cluster import build_cluster
 from repro.config import CacheConfig, ElasticConfig, JobsConfig, MemoryConfig
+from repro.elastic import elastic_enabled, parse_elastic_spec
 from repro.elastic.spec import ELASTIC_GRAMMAR
+from repro.faults import NULL_INJECTOR, FaultInjector, FaultSchedule, faults_injected
+from repro.jobs import JobService
 from repro.jobs.spec import JOBS_GRAMMAR
 from repro.layer import Field, Grammar, Slot, choice, finite, on_off, size
+from repro.mem import memory_managed
 from repro.mem.spec import MEM_GRAMMAR
+from repro.obs import NULL_TRACER, Tracer, tracing
+from repro.sched import Scheduler, scheduling
+from repro.sim import Environment
 
 
 class ToySpecError(Exception):
@@ -187,3 +197,74 @@ def test_nested_scopes_restore_the_previous_value_also_on_exception():
                 raise RuntimeError("boom")
         assert slot.current() == 20
     assert slot.current() is None
+
+
+# -- the one order ------------------------------------------------------------
+
+
+class Row(NamedTuple):
+    """One slot-backed layer, seen through the constructor that resolves it."""
+
+    scope: Callable  # the layer's ``with`` helper
+    installed: Any  # what is handed to ``scope``
+    explicit: Any  # what is handed to ``resolve``
+    expected: Any  # what ``explicit`` resolves to
+    resolve: Callable[[Any], Any]  # explicit argument (or None) -> resolved value
+    is_dormant: Callable[[Any], bool]
+
+
+def _cluster(**layer):
+    return build_cluster(Environment(), **layer)
+
+
+_TRACER, _INJECTOR, _CACHE = Tracer(), FaultInjector(FaultSchedule()), ResultCache(CacheConfig())
+_RAM_123 = MemoryConfig(node_ram_bytes=123)
+
+LAYERS = {
+    "obs": Row(
+        tracing, Tracer(), _TRACER, _TRACER,
+        lambda tracer: _cluster(tracer=tracer).tracer,
+        lambda tracer: tracer is NULL_TRACER,
+    ),
+    "faults": Row(
+        faults_injected, FaultSchedule(), _INJECTOR, _INJECTOR,
+        lambda faults: _cluster(faults=faults).faults,
+        lambda faults: faults is NULL_INJECTOR,
+    ),
+    "sched": Row(
+        scheduling, "least_loaded", "packed", "packed",
+        lambda policy: Scheduler(_cluster(), policy=policy).policy.name,
+        lambda name: name == "round_robin",
+    ),
+    "mem": Row(
+        memory_managed, "on", _RAM_123, _RAM_123,
+        lambda memory: _cluster(memory=memory).memory.config,
+        lambda config: config == MemoryConfig(),
+    ),
+    # The installed cache is empty, hence falsy: it must still win.
+    "cache": Row(
+        cached, "on", _CACHE, _CACHE,
+        lambda cache: _cluster(cache=cache).cache,
+        lambda cache: not cache.active and len(cache) == 0,
+    ),
+    "elastic": Row(
+        elastic_enabled, "on,min=1,max=8", "on,max=4", parse_elastic_spec("on,max=4"),
+        lambda elastic: JobService(cluster=_cluster(), elastic=elastic).elastic,
+        lambda config: config == ElasticConfig(),
+    ),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_explicit_beats_installed_beats_dormant(layer):
+    row = LAYERS[layer]
+    assert row.is_dormant(row.resolve(None))
+    assert row.resolve(row.explicit) == row.expected
+    with row.scope(row.installed) as installed:
+        assert not row.is_dormant(installed)
+        assert row.resolve(None) == installed
+        assert row.resolve(row.explicit) == row.expected
+        with row.scope(row.explicit):
+            assert row.resolve(None) == row.expected
+        assert row.resolve(None) == installed
+    assert row.is_dormant(row.resolve(None))
