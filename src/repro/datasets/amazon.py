@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.config import ModelConfig, default_config
-from repro.datasets.synth import SyllableNameGenerator, pick
+from repro.datasets.synth import BulkDraws, SyllableNameGenerator, pick
 from repro.ml.models.kge import TransEModel
 from repro.relational import FieldType, Schema, Table
 
@@ -66,7 +64,7 @@ def generate_catalog(
         raise ValueError(
             f"out_of_stock_fraction must be in [0, 1), got {out_of_stock_fraction}"
         )
-    rng = np.random.RandomState(seed)
+    rng = BulkDraws(seed)
     names = SyllableNameGenerator(rng)
     products: List[Product] = []
     for index in range(num_products):

@@ -7,12 +7,17 @@ character offsets into the original text.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List
 
 __all__ = ["Sentence", "split_sentences", "TextDocument"]
 
-_TERMINATORS = ".!?"
+#: One sentence: it starts at a non-whitespace character and runs, as
+#: short as possible, to a terminator followed by whitespace, else to
+#: the end of the text.  Whitespace is ``str.isspace()``: ``re``'s
+#: ``\s`` matches exactly those code points.
+_SENTENCE_RE = re.compile(r"(?=\S).*?(?:[.!?](?=\s)|\Z)", re.S)
 
 
 @dataclass(frozen=True)
@@ -49,25 +54,7 @@ def split_sentences(doc_id: str, text: str) -> List[Sentence]:
     text is the exact slice, so ``text[s.start:s.end] == s.text`` holds
     (a property test asserts this invariant).
     """
-    sentences: List[Sentence] = []
-    cursor = 0
-    length = len(text)
-    index = 0
-    while cursor < length:
-        # Skip leading whitespace between sentences.
-        while cursor < length and text[cursor].isspace():
-            cursor += 1
-        if cursor >= length:
-            break
-        start = cursor
-        end = cursor
-        while end < length:
-            char = text[end]
-            if char in _TERMINATORS and (end + 1 >= length or text[end + 1].isspace()):
-                end += 1  # include the terminator
-                break
-            end += 1
-        sentences.append(Sentence(doc_id, index, start, end, text[start:end]))
-        index += 1
-        cursor = end
-    return sentences
+    return [
+        Sentence(doc_id, index, match.start(), match.end(), match.group())
+        for index, match in enumerate(_SENTENCE_RE.finditer(text))
+    ]

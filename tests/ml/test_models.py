@@ -19,6 +19,7 @@ from repro.ml import (
     multilabel_scores,
     precision,
     recall,
+    tokenizer,
 )
 
 MODELS = default_config().models
@@ -42,6 +43,19 @@ def test_tokenizer_vocab_bounds():
 def test_tokenizer_empty_text():
     assert HashingTokenizer().tokenize("") == []
     assert HashingTokenizer().num_tokens("...") == 0
+
+
+def test_token_counts_are_the_word_counts_under_a_bounded_memo(monkeypatch):
+    """``num_tokens`` memoises one count per text for the process; a
+    count is the length of the text's word stream at any vocabulary."""
+    monkeypatch.setattr(tokenizer, "_COUNTS", {})
+    monkeypatch.setattr(tokenizer, "_COUNTS_CAP", 8)
+    small, large = HashingTokenizer(vocab_size=2), HashingTokenizer()
+    texts = [f"Tweet {i}: smoke, fire & ash!" * (i % 3) for i in range(30)]
+    for text in texts + texts[::-1]:
+        for tok in (small, large, small):
+            assert tok.num_tokens(text) == len(tok.words(text)) == len(tok.tokenize(text))
+            assert len(tokenizer._COUNTS) <= 8
 
 
 def test_tokenizer_rejects_tiny_vocab():

@@ -1,6 +1,8 @@
 """Property-based tests for storage formats and payload sizing."""
 
+import re
 import string
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +18,42 @@ from repro.storage import (
     serialize_annotations,
     split_sentences,
 )
+from tests.support.sentence_oracle import sentence_spans
 
 # -- sentence splitting ----------------------------------------------------------
 
 texts = st.text(
     alphabet=string.ascii_letters + string.digits + " .!?,\n\t", max_size=400
 )
+
+
+#: Every whitespace code point ``str.isspace`` knows, the terminators,
+#: and anything at all.
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+tricky = st.one_of(
+    st.text(alphabet="ab .!?" + WHITESPACE, max_size=60),
+    st.text(max_size=60),
+)
+
+
+def test_regex_whitespace_is_str_isspace():
+    """The splitter's premise, on every code point."""
+    space = re.compile(r"\s")
+    assert all(
+        bool(space.match(char)) == char.isspace()
+        for char in map(chr, range(sys.maxunicode + 1))
+    )
+
+
+@settings(max_examples=500)
+@given(tricky)
+def test_sentences_are_the_character_loops_sentences(text):
+    """The one-scan splitter returns the frozen loop's spans."""
+    sentences = split_sentences("doc", text)
+    assert [(s.start, s.end) for s in sentences] == sentence_spans(text)
+    assert [s.text for s in sentences] == [text[a:b] for a, b in sentence_spans(text)]
+    assert [s.index for s in sentences] == list(range(len(sentences)))
+    assert all(s.doc_id == "doc" for s in sentences)
 
 
 @given(texts)
