@@ -163,12 +163,6 @@ class WorkflowConfig:
     #: Intra-operator parallel efficiency for model compute (Amdahl-ish
     #: discount when using multiple cores inside one operator).
     multicore_efficiency: float = 0.285
-    #: Run the logical optimizer (``repro.workflow.optimize``) on every
-    #: workflow before compilation: operator fusion, dead-column
-    #: pruning, language-aware placement hints.  Off by default — the
-    #: calibrated experiment timings are pinned against unoptimized
-    #: plans.
-    optimize: bool = False
     #: Recovery knobs (only consulted when a fault schedule is active).
     #: Cost of snapshotting an operator instance's state at an epoch
     #: boundary (one checkpoint per consumed batch).

@@ -159,32 +159,6 @@ class Workflow:
         self._links.append(attempted)
         return attempted
 
-    def splice(self, link: Link, operator: LogicalOperator) -> LogicalOperator:
-        """Route ``link`` through a new one-in/one-out ``operator``: drop
-        it, append its two halves (links keep the order they were made
-        in; the engine opens channels in that order)."""
-        index = self._links.index(link)  # raises before any edit
-        self.add_operator(operator)
-        del self._links[index]
-        self.link(self._operators[link.producer_id], operator, link.output_port)
-        self.link(operator, self._operators[link.consumer_id], input_port=link.input_port)
-        return operator
-
-    def unsplice(self, operator: LogicalOperator) -> Link:
-        """Inverse of :meth:`splice`: drop ``operator`` and its two
-        links, append the link joining its neighbours directly."""
-        (in_link,) = self.in_links(operator.operator_id)
-        (out_link,) = self.out_links(operator.operator_id)
-        self._links.remove(in_link)
-        self._links.remove(out_link)
-        del self._operators[operator.operator_id]
-        return self.link(
-            self._operators[in_link.producer_id],
-            self._operators[out_link.consumer_id],
-            in_link.output_port,
-            out_link.input_port,
-        )
-
     def _require_operator(
         self, operator_id: str, attempted: Optional[Link] = None
     ) -> LogicalOperator:

@@ -425,10 +425,6 @@ class WorkflowController:
                 node=CONTROLLER,
             )
         try:
-            if self.config.workflow.optimize:
-                from repro.workflow.optimize import optimize_workflow
-
-                self.workflow = optimize_workflow(self.workflow)
             self.workflow.compile_schemas()  # validates + captures schemas
             self._build_plan()
             wf_config = self.config.workflow

@@ -221,20 +221,6 @@ class LogicalOperator(abc.ABC):
 
     # -- compile-time ---------------------------------------------------------------
 
-    def required_input_columns(
-        self, port: int, required_output: Optional[frozenset] = None
-    ) -> Optional[frozenset]:
-        """Columns this operator needs on input ``port``.
-
-        ``required_output`` is the set of output columns downstream
-        still needs (None = all of them).  Returns the input columns
-        that must survive for the operator to produce that output —
-        or None when the requirement is unknowable (UDFs, operators
-        whose semantics depend on whole rows), which blocks the
-        optimizer's dead-column pruning upstream of this port.
-        """
-        return None
-
     @abc.abstractmethod
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         """Propagate schemas; raise :class:`InvalidWorkflow` on mismatch."""

@@ -46,11 +46,6 @@ class FilterOperator(LogicalOperator):
         super().__init__(operator_id, language, num_workers, per_tuple_work_s)
         self.predicate = predicate
 
-    def required_input_columns(self, port, required_output=None):
-        if required_output is None or self.predicate.columns is None:
-            return None
-        return frozenset(required_output) | self.predicate.columns
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         return schema
@@ -83,9 +78,6 @@ class ProjectionOperator(LogicalOperator):
             raise InvalidWorkflow(f"projection {operator_id!r} keeps no columns")
         super().__init__(operator_id, language, num_workers, per_tuple_work_s)
         self.columns = list(columns)
-
-    def required_input_columns(self, port, required_output=None):
-        return frozenset(self.columns)
 
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas

@@ -50,10 +50,6 @@ class LimitOperator(LogicalOperator):
         super().__init__(operator_id, language, 1, per_tuple_work_s)
         self.limit = limit
 
-    def required_input_columns(self, port, required_output=None):
-        # Pure pass-through: whatever downstream needs, nothing more.
-        return required_output
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         return schema

@@ -3,16 +3,8 @@
 The paper's GUI paradigm compiles a declarative operator graph, which
 is exactly what makes *logical optimization* possible — a freedom the
 script paradigm gives up by encoding the plan in imperative Python.
-This module implements three rule passes that run between the spec
+This module implements two rule passes that run between the spec
 layer and the engine's physical plan:
-
-``prune_dead_columns``
-    Dead-column elimination: a backward pass propagates the column
-    sets operators actually read (declarative predicates and
-    projections know theirs; UDFs report "unknown" and block the
-    pass), then inserts :class:`ProjectionOperator`s on links where
-    the requirement is a strict subset of the flowing schema —
-    shrinking every downstream batch, encode and transfer.
 
 ``fuse_adjacent``
     Operator fusion: maximal linear chains of same-language,
@@ -30,9 +22,9 @@ layer and the engine's physical plan:
     codec, but the placement-dependent network transfer on the
     paper's KGE pain-point edges (Python<->Scala) goes away.
 
-All passes are opt-in (``WorkflowConfig.optimize``, default False):
-with the optimizer off, compiled plans execute bit-identically to the
-hand-built seed plans — pinned by the timing-regression suite.
+Nothing runs them implicitly: a caller opts in by handing its plan
+to :func:`optimize_workflow`, so every other plan executes exactly as
+it was built — pinned by the timing-regression suite.
 """
 
 from __future__ import annotations
@@ -42,14 +34,12 @@ from typing import Container, Dict, Iterable, List, Optional, Sequence
 from repro.relational import Schema, Tuple
 from repro.workflow.dag import Link, Workflow
 from repro.workflow.operator import LogicalOperator, OperatorExecutor
-from repro.workflow.operators import ProjectionOperator
 
 __all__ = [
     "FusedOperator",
     "fuse_adjacent",
     "optimize_workflow",
     "placement_groups",
-    "prune_dead_columns",
 ]
 
 
@@ -151,12 +141,6 @@ class FusedOperator(LogicalOperator):
     def tuple_cost_s(self, port: int = 0) -> float:
         return self.chain[0].tuple_cost_s(port)
 
-    def required_input_columns(self, port, required_output=None):
-        required = required_output
-        for op in reversed(self.chain):
-            required = op.required_input_columns(0, required)
-        return required
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         schema = self.chain[0].output_schema(input_schemas)
         for op in self.chain[1:]:
@@ -247,75 +231,9 @@ def _rebuild(
     return rebuilt
 
 
-# -- dead-column pruning -------------------------------------------------------
-
-
-def _required_columns(workflow: Workflow) -> Dict[Link, Optional[frozenset]]:
-    """Backward pass: columns each link must carry (None = all)."""
-    required_on_link: Dict[Link, Optional[frozenset]] = {}
-    for operator in reversed(workflow.topological_order()):
-        op_id = operator.operator_id
-        # Required *output* columns: the union over the out-links;
-        # sinks keep every column.
-        needs = [required_on_link[link] for link in workflow.out_links(op_id)]
-        required_out = None if not needs or None in needs else frozenset().union(*needs)
-        for link in workflow.in_links(op_id):
-            need = operator.required_input_columns(link.input_port, required_out)
-            key = operator.partition_key(link.input_port)
-            if need is not None:
-                need = frozenset(need) | ({key} if key is not None else frozenset())
-            required_on_link[link] = need
-    return required_on_link
-
-
-def prune_dead_columns(workflow: Workflow) -> Workflow:
-    """Insert projections on links carrying provably dead columns."""
-    schemas = workflow.compile_schemas()
-    required = _required_columns(workflow)
-    rebuilt = _rebuild(workflow, {})
-    pruners: List[ProjectionOperator] = []
-    for link, need in required.items():
-        if need is None:
-            continue
-        producer = workflow.operators[link.producer_id]
-        schema = schemas[link.producer_id]
-        keep = [name for name in schema.names if name in need]
-        if not keep or len(keep) >= len(schema.names):
-            continue
-        pruner = ProjectionOperator(
-            _mint(f"prune:{link.producer_id}->{link.consumer_id}", rebuilt.operators),
-            keep,
-            language=producer.language,
-            num_workers=producer.num_workers,
-        )
-        pruners.append(rebuilt.splice(link, pruner))
-    return _drop_identity_pruners(rebuilt, pruners)
-
-
-def _drop_identity_pruners(
-    workflow: Workflow, pruners: Sequence[ProjectionOperator]
-) -> Workflow:
-    """Remove pruners made redundant by pruning further upstream.
-
-    Requirements only grow walking upstream, so once the earliest
-    projection of a chain narrows the stream, the pruners inserted on
-    later links arrive at exactly the columns they keep.  One schema
-    pass finds them: an identity projection changes nothing, so the
-    removals never invalidate the compiled schemas.
-    """
-    if not pruners:
-        return workflow
-    schemas = workflow.compile_schemas()
-    for pruner in pruners:
-        (in_link,) = workflow.in_links(pruner.operator_id)
-        if schemas[in_link.producer_id].names == pruner.columns:
-            workflow.unsplice(pruner)
-    return workflow
-
-
 def _mint(base: str, taken: Container[str]) -> str:
     """``base``, or the first of ``base~2``, ``base~3``, ... not in
-    ``taken``: a pass-made operator never shares an id with another."""
+    ``taken``: a fused chain never shares an id with another operator."""
     candidate, suffix = base, 1
     while candidate in taken:
         suffix += 1
@@ -362,12 +280,10 @@ def placement_groups(workflow: Workflow) -> Dict[str, str]:
 
 
 def optimize_workflow(workflow: Workflow) -> Workflow:
-    """Run the three rule passes; returns a new workflow.
+    """Run both rule passes; returns a new workflow.
 
-    Prune runs before fuse so inserted projections can themselves be
-    fused into their neighbours; placement hints are derived from the
-    final operator graph.
+    Placement hints are derived from the fused operator graph.
     """
-    optimized = fuse_adjacent(prune_dead_columns(workflow))
+    optimized = fuse_adjacent(workflow)
     optimized.placement_hints = placement_groups(optimized)
     return optimized

@@ -192,20 +192,6 @@ def test_operators_and_links_are_read_only_views():
     assert [repr(link) for link in wf.links] == ["src[0] -> keep[0]", "keep[0] -> sink[0]"]
 
 
-def test_splice_and_unsplice_keep_link_order():
-    wf = linear_workflow()
-    middle = ProjectionOperator("middle", ["id", "score"])
-    wf.splice(wf.links[0], middle)
-    assert [repr(link) for link in wf.links] == [
-        "keep[0] -> sink[0]",
-        "src[0] -> middle[0]",
-        "middle[0] -> keep[0]",
-    ]
-    wf.unsplice(middle)
-    assert list(wf.operators) == ["src", "keep", "sink"]
-    assert [repr(link) for link in wf.links] == ["keep[0] -> sink[0]", "src[0] -> keep[0]"]
-
-
 def test_one_run_of_a_spec_under_both_paradigms_sorts_at_most_six_times():
     """Two spec parses, then per paradigm one sort to compile schemas
     and one to lay out the plan (``sys.setprofile``, no wall clock)."""

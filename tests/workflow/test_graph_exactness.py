@@ -10,7 +10,10 @@ the naive and the optimized plan; and the optimized plan's virtual
 elapsed time and sink row multisets under both paradigms.  The sha256
 literals were recorded before the graph's order, edit and routing code
 moved behind ``Workflow``; any change to a plan either engine builds
-must reproduce them to the bit.
+must reproduce them to the bit.  When dead-column pruning left the
+optimizer, ``random`` and ``families`` were re-recorded from the
+previous code's ``fuse_adjacent`` followed by ``placement_groups``
+(pruning never touched a paper plan, so ``paper`` kept its value).
 """
 
 import hashlib
@@ -34,8 +37,8 @@ from repro.workflow.spec import WorkflowSpec, build_workflow
 
 DIGESTS = {
     "paper": "b0227bc2d735e846d1e1ac4a2328c3efc643bd4b0f98d8dc6baa27c0b2d714c9",
-    "random": "0a5453a97c9f7996674403d47975790a12974f1c24ca0a1a256bd57a1d96f297",
-    "families": "63912a5875e60085ce0ceec4cde2223fc187213489e10b2532c490760688f6d1",
+    "random": "4dc433da2c62f514e0418220022c636e61130f0b3b7118cea76bc573269eedaa",
+    "families": "8a71c3af88cfedf403d13135a9993b2cc39e4827710c28e0dd69e0d1dba9abcb",
 }
 
 TASK_MODULES = ("dice", "gotta", "kge", "wef")
