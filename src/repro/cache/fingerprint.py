@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from typing import Any, Iterable
+from typing import Any, Dict, Iterable
 from weakref import WeakKeyDictionary
 
 __all__ = [
@@ -96,8 +96,16 @@ def _digest(parts: Iterable[bytes]) -> str:
 
 
 def combine(*parts: Any) -> str:
-    """Hash any mix of strings/ints/floats/digests into one digest."""
-    return _digest(str(p).encode("utf-8", "backslashreplace") for p in parts)
+    """Hash any mix of strings/ints/floats/digests into one digest.
+
+    One ``blake2b`` call over each part's text followed by a NUL: the
+    bytes :func:`_digest` would feed it part by part (UTF-8 encodes
+    character by character, so encoding the joined text once gives the
+    same bytes).  No parts hash no bytes.
+    """
+    text = "\x00".join(map(str, parts)) + "\x00" if parts else ""
+    data = text.encode("utf-8", "backslashreplace")
+    return hashlib.blake2b(data, digest_size=_DIGEST_BYTES).hexdigest()
 
 
 #: Recursion bound for structural fingerprinting — deep enough for any
@@ -111,6 +119,12 @@ _ATOM_PREFIX = {
     cls: b"atom\x00" + cls.__name__.encode("utf-8") + b"\x00"
     for cls in (type(None), bool, int, float, str, bytes)
 }
+_STR_PREFIX = _ATOM_PREFIX[str]
+
+#: Digests of exact-``str`` atoms: the same column values and ids
+#: recur batch after batch.  Bounded; reaching the cap empties it.
+_STR_DIGESTS: Dict[str, str] = {}
+_STR_DIGESTS_CAP = 4096
 
 
 def fingerprint_value(value: Any, _depth: int = 0) -> str:
@@ -127,16 +141,33 @@ def fingerprint_value(value: Any, _depth: int = 0) -> str:
     determinism.
     """
     cls = type(value)
+    if cls is str:
+        digest = _STR_DIGESTS.get(value)
+        if digest is None:
+            if len(_STR_DIGESTS) >= _STR_DIGESTS_CAP:
+                _STR_DIGESTS.clear()
+            data = _STR_PREFIX + value.encode("utf-8", "backslashreplace") + b"\x00"
+            digest = hashlib.blake2b(data, digest_size=_DIGEST_BYTES).hexdigest()
+            _STR_DIGESTS[value] = digest
+        return digest
     prefix = _ATOM_PREFIX.get(cls)
     if prefix is not None:
         data = prefix + str(value).encode("utf-8", "backslashreplace") + b"\x00"
         return hashlib.blake2b(data, digest_size=_DIGEST_BYTES).hexdigest()
-    if cls is tuple and _depth < _MAX_DEPTH:
+    if (cls is tuple or cls is list) and _depth < _MAX_DEPTH:
+        # A string item the memo knows skips the call.
+        memo = _STR_DIGESTS.get
+        depth = _depth + 1
         return combine(
-            "seq", "tuple", *[fingerprint_value(item, _depth + 1) for item in value]
+            "seq",
+            cls.__name__,
+            *[
+                (type(item) is str and memo(item)) or fingerprint_value(item, depth)
+                for item in value
+            ],
         )
-    # Subclasses of the atom types (``numpy.float64``, int enums) and
-    # everything else take the general path below.
+    # Subclasses of the atom types (``numpy.float64``, int enums), of
+    # tuple and list, and everything else take the general path below.
     if isinstance(value, (bool, int, float, str, bytes)):
         return combine("atom", type(value).__name__, value)
     if isinstance(value, type):

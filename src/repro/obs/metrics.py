@@ -119,13 +119,23 @@ class Histogram:
         )
 
 
+#: Label value types whose equal values always have equal text, so a
+#: call's own spelling of them may stand for their canonical key.  Not
+#: ``float``: ``0.0 == -0.0``, and a NaN equals nothing, itself included.
+_SPELLABLE = frozenset({str, int, bool, type(None)})
+
+
 class MetricsRegistry:
     """Get-or-create store of instruments, deterministic iteration order."""
 
-    __slots__ = ("_instruments",)
+    __slots__ = ("_instruments", "_handles")
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, LabelKey], Any] = {}
+        #: Labelled instruments by the call's own spelling: kind, name,
+        #: the labels as passed, then their value types (``1``, ``1.0``
+        #: and ``True`` compare equal but label different series).
+        self._handles: Dict[tuple, Any] = {}
 
     # -- get-or-create -----------------------------------------------------
 
@@ -140,11 +150,26 @@ class MetricsRegistry:
 
     def _get_or_create(self, kind: str, cls: type, name: str, labels: Dict) -> Any:
         # Unlabelled metrics (the majority of traced-path calls) skip
-        # the sort/stringify canonicalisation entirely.
-        key = (kind, name, _label_key(labels) if labels else ())
+        # the sort/stringify canonicalisation entirely; a labelled call
+        # pays it once per spelling.
+        if not labels:
+            return self._resolve(kind, cls, name, ())
+        spelling = (kind, name, *labels.items(), *map(type, labels.values()))
+        try:
+            instrument = self._handles.get(spelling)
+        except TypeError:  # an unhashable label value
+            return self._resolve(kind, cls, name, _label_key(labels))
+        if instrument is None:
+            instrument = self._resolve(kind, cls, name, _label_key(labels))
+            if all(type(value) in _SPELLABLE for value in labels.values()):
+                self._handles[spelling] = instrument
+        return instrument
+
+    def _resolve(self, kind: str, cls: type, name: str, labels: LabelKey) -> Any:
+        key = (kind, name, labels)
         instrument = self._instruments.get(key)
         if instrument is None:
-            instrument = cls(name, key[2])
+            instrument = cls(name, labels)
             self._instruments[key] = instrument
         return instrument
 
@@ -194,6 +219,7 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._instruments.clear()
+        self._handles.clear()
 
 
 class _NullInstrument:

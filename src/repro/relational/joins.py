@@ -13,7 +13,7 @@ Two shapes are provided:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List
+from typing import Any, Dict, Iterable, Iterator, List, Tuple as PyTuple
 
 from repro.errors import SchemaError
 from repro.relational.schema import Schema
@@ -122,6 +122,23 @@ class StreamingHashJoin:
     def finish_build(self) -> None:
         """Mark the build side complete; probing may begin."""
         self._build_done = True
+
+    def snapshot(self) -> PyTuple[bool, Dict[Any, List[Tuple]]]:
+        """The build state: ``_build_done`` and the index.
+
+        A finished index is only read from then on, so the snapshot
+        shares it; an unfinished one is copied list by list.
+        """
+        if self._build_done:
+            return True, self._index
+        return False, {key: list(rows) for key, rows in self._index.items()}
+
+    def restore(self, state: PyTuple[bool, Dict[Any, List[Tuple]]]) -> None:
+        """Roll back to a :meth:`snapshot`; it stays valid for another restore."""
+        self._build_done, index = state
+        if not self._build_done:
+            index = {key: list(rows) for key, rows in index.items()}
+        self._index = index
 
     @property
     def build_size(self) -> int:

@@ -3,7 +3,7 @@ the built-in ``tuple``)."""
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Sequence, Union
+from typing import Any, Dict, Mapping, Sequence, Tuple as PyTuple, Union
 
 from repro.cluster.serialization import (
     _OBJECT_OVERHEAD,
@@ -41,6 +41,16 @@ class Tuple:
         # is the object itself; also keeps operator-state checkpoints
         # (repro.workflow recovery) from tripping over __setattr__.
         return self
+
+    def __getstate__(self) -> PyTuple[None, Dict[str, Any]]:
+        # The slot state as an unsized row has it: a row's pickle (and
+        # so every fingerprint of it) is the same before and after
+        # payload_bytes() caches the size.
+        return None, {"schema": self.schema, "values": self.values, "_nbytes": -1}
+
+    def __setstate__(self, state: PyTuple[None, Dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     # -- constructors --------------------------------------------------------
 

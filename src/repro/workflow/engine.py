@@ -21,7 +21,6 @@ and are therefore pipeline breakers, exactly as in a real engine.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.cache.fingerprint import combine, fingerprint_value
@@ -696,7 +695,7 @@ class WorkflowController:
             if faults.active and snapshot is None:
                 # Checkpoint at the epoch boundary: executor state
                 # before any tuple of this batch mutates it.
-                snapshot = copy.deepcopy(instance.executor)
+                snapshot = instance.executor.snapshot()
                 yield from charge(instance.node, wf_config.checkpoint_s, account=instance)
             fault = (
                 faults.take_operator_fault(operator.operator_id, self.env.now)
@@ -746,9 +745,7 @@ class WorkflowController:
             yield from self._charge(instance, partial_s, partial_f)
             yield from self._restart_from_checkpoint(instance, snapshot)
 
-    def _restart_from_checkpoint(
-        self, instance: _Instance, snapshot: OperatorExecutor
-    ) -> Generator:
+    def _restart_from_checkpoint(self, instance: _Instance, snapshot: Any) -> Generator:
         """Roll the executor back to the epoch checkpoint and recover."""
         faults = self.env.faults
         faults.retries += 1
@@ -757,9 +754,9 @@ class WorkflowController:
         start = self.env.now
         if tracer.enabled:
             tracer.metrics.counter("faults.retries").inc()
-        # A fresh copy of the snapshot each time, so the snapshot
-        # itself survives repeated crashes of the same batch.
-        instance.executor = copy.deepcopy(snapshot)
+        # Restoring leaves the snapshot intact, so it survives
+        # repeated crashes of the same batch.
+        instance.executor.restore(snapshot)
         try:
             yield from charge(
                 instance.node, self.config.workflow.operator_restart_s,

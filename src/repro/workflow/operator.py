@@ -10,12 +10,17 @@ Executors do real Python work on tuples and *declare* virtual-time
 charges through :meth:`OperatorExecutor.charge` /
 :meth:`OperatorExecutor.charge_flops`; the worker loop converts pending
 charges into simulated node compute after each call.
+
+Under fault injection the engine checkpoints an executor at every
+batch boundary with :meth:`OperatorExecutor.snapshot` and rolls it back
+with :meth:`OperatorExecutor.restore`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterable, Optional, Sequence, Tuple as PyTuple
+import copy
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple as PyTuple
 
 from repro.errors import InvalidWorkflow
 from repro.relational import Schema, Tuple
@@ -24,6 +29,7 @@ from repro.workflow.language import OperatorLanguage
 __all__ = [
     "LogicalOperator",
     "OperatorExecutor",
+    "DeclaredStateExecutor",
     "SourceExecutor",
     "PendingCharge",
 ]
@@ -95,8 +101,48 @@ class OperatorExecutor(abc.ABC):
     def close(self) -> None:
         """Tear down (symmetric with :meth:`open`)."""
 
+    # -- checkpoints -----------------------------------------------------------
 
-class SourceExecutor(OperatorExecutor):
+    def snapshot(self) -> Any:
+        """A copy of this executor's mutable state (the fault checkpoint).
+
+        The default deep-copies every attribute.  The logical operators
+        the executor references are plan data shared by every worker,
+        so they stay shared: a restored executor still writes its
+        artifacts (trained models) onto the real operator.  Executors
+        that know their state derive from :class:`DeclaredStateExecutor`
+        instead and copy exactly that.
+        """
+        return copy.deepcopy(vars(self), self._plan_memo())
+
+    def restore(self, state: Any) -> None:
+        """Roll back to ``state``; the same state may be restored again."""
+        self.__dict__ = copy.deepcopy(state, self._plan_memo())
+
+    def _plan_memo(self) -> Dict[int, Any]:
+        return {
+            id(value): value
+            for value in vars(self).values()
+            if isinstance(value, LogicalOperator)
+        }
+
+
+class DeclaredStateExecutor(OperatorExecutor):
+    """An executor whose checkpoint is its pending charge plus declared state.
+
+    Subclasses with state of their own extend :meth:`snapshot` and
+    :meth:`restore` through ``super()``; everything else they hold
+    (schemas, functions, configuration) never changes after creation.
+    """
+
+    def snapshot(self) -> Any:
+        return self.pending.seconds, self.pending.flops
+
+    def restore(self, state: Any) -> None:
+        self.pending.seconds, self.pending.flops = state
+
+
+class SourceExecutor(DeclaredStateExecutor):
     """Executor of a source operator: produces rather than consumes."""
 
     @abc.abstractmethod

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import enum
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import InvalidWorkflow
 from repro.relational import Field, FieldType, Schema, Tuple
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import DeclaredStateExecutor, LogicalOperator
 
 __all__ = ["AggregationFunction", "GroupByOperator", "SortOperator", "TopKOperator"]
 
@@ -52,7 +53,7 @@ class _GroupState:
         return self.maximum
 
 
-class _GroupByExecutor(OperatorExecutor):
+class _GroupByExecutor(DeclaredStateExecutor):
     def __init__(
         self,
         group_key: str,
@@ -66,6 +67,15 @@ class _GroupByExecutor(OperatorExecutor):
         self._fn = fn
         self._out_schema = out_schema
         self._groups: Dict[Any, _GroupState] = {}
+
+    def snapshot(self):
+        groups = {key: copy.copy(state) for key, state in self._groups.items()}
+        return super().snapshot(), groups
+
+    def restore(self, state) -> None:
+        pending, groups = state
+        super().restore(pending)
+        self._groups = {key: copy.copy(group) for key, group in groups.items()}
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         state = self._groups.setdefault(row[self._group_key], _GroupState())
@@ -141,17 +151,33 @@ class GroupByOperator(LogicalOperator):
         )
 
 
-class _SortExecutor(OperatorExecutor):
-    def __init__(self, key: str, reverse: bool, per_tuple_sort_cost_s: float) -> None:
+class _BufferExecutor(DeclaredStateExecutor):
+    """Buffers its input rows until ``on_finish`` (sort, top-k)."""
+
+    def __init__(self) -> None:
         super().__init__()
-        self._key = key
-        self._reverse = reverse
         self._rows: List[Tuple] = []
-        self._per_tuple_sort_cost_s = per_tuple_sort_cost_s
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         self._rows.append(row)
         return ()
+
+    def snapshot(self):
+        # Append-only until on_finish: a row count is the state.
+        return super().snapshot(), len(self._rows)
+
+    def restore(self, state) -> None:
+        pending, count = state
+        super().restore(pending)
+        del self._rows[count:]
+
+
+class _SortExecutor(_BufferExecutor):
+    def __init__(self, key: str, reverse: bool, per_tuple_sort_cost_s: float) -> None:
+        super().__init__()
+        self._key = key
+        self._reverse = reverse
+        self._per_tuple_sort_cost_s = per_tuple_sort_cost_s
 
     def on_finish(self, port: int) -> Iterable[Tuple]:
         # Charge the sort itself (n log n, approximated linearly here
@@ -195,17 +221,12 @@ class SortOperator(LogicalOperator):
         )
 
 
-class _TopKExecutor(OperatorExecutor):
+class _TopKExecutor(_BufferExecutor):
     def __init__(self, key: str, k: int, reverse: bool) -> None:
         super().__init__()
         self._key = key
         self._k = k
         self._reverse = reverse
-        self._rows: List[Tuple] = []
-
-    def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
-        self._rows.append(row)
-        return ()
 
     def on_finish(self, port: int) -> Iterable[Tuple]:
         self._rows.sort(key=lambda row: row[self._key], reverse=self._reverse)

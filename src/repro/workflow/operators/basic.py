@@ -11,7 +11,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.errors import InvalidWorkflow
 from repro.relational import Predicate, Schema, Tuple
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import DeclaredStateExecutor, LogicalOperator
 
 __all__ = [
     "FilterOperator",
@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-class _FilterExecutor(OperatorExecutor):
+class _FilterExecutor(DeclaredStateExecutor):
     def __init__(self, predicate: Predicate) -> None:
         super().__init__()
         self._predicate = predicate
@@ -54,7 +54,7 @@ class FilterOperator(LogicalOperator):
         return _FilterExecutor(self.predicate)
 
 
-class _ProjectionExecutor(OperatorExecutor):
+class _ProjectionExecutor(DeclaredStateExecutor):
     def __init__(self, names: Sequence[str]) -> None:
         super().__init__()
         self._names = list(names)
@@ -87,7 +87,7 @@ class ProjectionOperator(LogicalOperator):
         return _ProjectionExecutor(self.columns)
 
 
-class _MapExecutor(OperatorExecutor):
+class _MapExecutor(DeclaredStateExecutor):
     def __init__(
         self,
         schema: Schema,
@@ -149,7 +149,7 @@ class MapOperator(LogicalOperator):
         )
 
 
-class _FlatMapExecutor(OperatorExecutor):
+class _FlatMapExecutor(DeclaredStateExecutor):
     def __init__(
         self,
         schema: Schema,
@@ -193,7 +193,7 @@ class FlatMapOperator(LogicalOperator):
         return _FlatMapExecutor(self._output_schema, self.fn, self.extra_seconds_fn)
 
 
-class _UnionExecutor(OperatorExecutor):
+class _UnionExecutor(DeclaredStateExecutor):
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         yield row
 

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 from repro.errors import InvalidWorkflow
 from repro.relational import Schema, StreamingHashJoin, Tuple
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import DeclaredStateExecutor, LogicalOperator
 
 __all__ = ["HashJoinOperator", "BUILD_PORT", "PROBE_PORT"]
 
@@ -21,7 +21,7 @@ BUILD_PORT = 0
 PROBE_PORT = 1
 
 
-class _HashJoinExecutor(OperatorExecutor):
+class _HashJoinExecutor(DeclaredStateExecutor):
     def __init__(
         self,
         build_schema: Schema,
@@ -35,6 +35,14 @@ class _HashJoinExecutor(OperatorExecutor):
         self._join = StreamingHashJoin(
             build_schema, probe_schema, build_key, probe_key, how=how, suffix=suffix
         )
+
+    def snapshot(self):
+        return super().snapshot(), self._join.snapshot()
+
+    def restore(self, state) -> None:
+        pending, join = state
+        super().restore(pending)
+        self._join.restore(join)
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         if port == BUILD_PORT:

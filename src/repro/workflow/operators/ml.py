@@ -18,12 +18,13 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.errors import InvalidWorkflow
 from repro.relational import Field, FieldType, Schema, Tuple
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import DeclaredStateExecutor, LogicalOperator
 
 __all__ = ["ModelApplyOperator", "TrainOperator", "TRAIN_SUMMARY_SCHEMA"]
 
 
-class _ModelApplyExecutor(OperatorExecutor):
+class _ModelApplyExecutor(DeclaredStateExecutor):
+    # The model is loaded in open() and only read afterwards.
     def __init__(self, operator: "ModelApplyOperator") -> None:
         super().__init__()
         self._op = operator
@@ -102,11 +103,20 @@ TRAIN_SUMMARY_SCHEMA = Schema(
 )
 
 
-class _TrainExecutor(OperatorExecutor):
+class _TrainExecutor(DeclaredStateExecutor):
     def __init__(self, operator: "TrainOperator") -> None:
         super().__init__()
         self._op = operator
         self._examples = []
+
+    def snapshot(self):
+        # Append-only until on_finish: an example count is the state.
+        return super().snapshot(), len(self._examples)
+
+    def restore(self, state) -> None:
+        pending, count = state
+        super().restore(pending)
+        del self._examples[count:]
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         self._examples.append((row[self._op.text_field], row[self._op.label_field]))

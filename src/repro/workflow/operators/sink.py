@@ -13,12 +13,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.errors import InvalidWorkflow
 from repro.relational import Schema, Table, Tuple
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import DeclaredStateExecutor, LogicalOperator
 
 __all__ = ["SinkOperator", "VisualizationOperator"]
 
 
-class _SinkExecutor(OperatorExecutor):
+class _SinkExecutor(DeclaredStateExecutor):
     def __init__(self, schema: Schema) -> None:
         super().__init__()
         self.schema = schema
@@ -27,6 +27,15 @@ class _SinkExecutor(OperatorExecutor):
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         self.rows.append(row)
         return ()
+
+    def snapshot(self):
+        # Append-only until the run ends: a row count is the state.
+        return super().snapshot(), len(self.rows)
+
+    def restore(self, state) -> None:
+        pending, count = state
+        super().restore(pending)
+        del self.rows[count:]
 
     def collected(self) -> Table:
         return Table(self.schema, self.rows)

@@ -12,16 +12,23 @@ from typing import Iterable, Optional, Sequence, Set
 from repro.errors import InvalidWorkflow
 from repro.relational import Schema, Tuple
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import DeclaredStateExecutor, LogicalOperator
 from repro.workflow.partitioning import stable_hash
 
 __all__ = ["LimitOperator", "DistinctOperator", "SampleOperator"]
 
 
-class _LimitExecutor(OperatorExecutor):
+class _LimitExecutor(DeclaredStateExecutor):
     def __init__(self, limit: int) -> None:
         super().__init__()
         self._remaining = limit
+
+    def snapshot(self):
+        return super().snapshot(), self._remaining
+
+    def restore(self, state) -> None:
+        pending, self._remaining = state
+        super().restore(pending)
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         if self._remaining > 0:
@@ -58,11 +65,19 @@ class LimitOperator(LogicalOperator):
         return _LimitExecutor(self.limit)
 
 
-class _DistinctExecutor(OperatorExecutor):
+class _DistinctExecutor(DeclaredStateExecutor):
     def __init__(self, key: Optional[str]) -> None:
         super().__init__()
         self._key = key
         self._seen: Set = set()
+
+    def snapshot(self):
+        return super().snapshot(), frozenset(self._seen)
+
+    def restore(self, state) -> None:
+        pending, seen = state
+        super().restore(pending)
+        self._seen = set(seen)
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         witness = row[self._key] if self._key else tuple(row.values)
@@ -109,12 +124,19 @@ class DistinctOperator(LogicalOperator):
         return _DistinctExecutor(self.key)
 
 
-class _SampleExecutor(OperatorExecutor):
+class _SampleExecutor(DeclaredStateExecutor):
     def __init__(self, rate_denominator: int, key: Optional[str]) -> None:
         super().__init__()
         self._denominator = rate_denominator
         self._key = key
         self._counter = 0
+
+    def snapshot(self):
+        return super().snapshot(), self._counter
+
+    def restore(self, state) -> None:
+        pending, self._counter = state
+        super().restore(pending)
 
     def process_tuple(self, row: Tuple, port: int) -> Iterable[Tuple]:
         if self._key is not None:

@@ -33,7 +33,11 @@ from typing import Container, Dict, Iterable, List, Optional, Sequence
 
 from repro.relational import Schema, Tuple
 from repro.workflow.dag import Link, Workflow
-from repro.workflow.operator import LogicalOperator, OperatorExecutor
+from repro.workflow.operator import (
+    DeclaredStateExecutor,
+    LogicalOperator,
+    OperatorExecutor,
+)
 
 __all__ = [
     "FusedOperator",
@@ -46,7 +50,7 @@ __all__ = [
 # -- fusion --------------------------------------------------------------------
 
 
-class _FusedExecutor(OperatorExecutor):
+class _FusedExecutor(DeclaredStateExecutor):
     """Runs a chain of sub-executors inside one physical instance.
 
     The engine's consumer loop charges the *head* operator's per-tuple
@@ -62,6 +66,15 @@ class _FusedExecutor(OperatorExecutor):
         super().__init__()
         self._executors = list(executors)
         self._stage_costs = list(stage_costs)
+
+    def snapshot(self):
+        return super().snapshot(), [executor.snapshot() for executor in self._executors]
+
+    def restore(self, state) -> None:
+        pending, states = state
+        super().restore(pending)
+        for executor, executor_state in zip(self._executors, states):
+            executor.restore(executor_state)
 
     def _drain(self, executor: OperatorExecutor) -> None:
         seconds, flops = executor.pending.take()

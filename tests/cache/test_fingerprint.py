@@ -196,3 +196,26 @@ def test_deep_nesting_hits_depth_limit_not_recursion_error():
     for _ in range(50):
         deep = [deep]
     assert fingerprint_value(deep) == fingerprint_value(deep)
+
+
+def test_row_fingerprints_do_not_depend_on_sizing():
+    from repro.relational import FieldType, Schema, Table, Tuple
+    from repro.workflow.engine import _operator_fingerprint
+    from repro.workflow.operators import TableSource
+
+    schema = Schema.of(id=FieldType.INT, text=FieldType.STRING)
+    row = Tuple(schema, [1, "a"])
+    table = Table(schema, [row])
+    source = TableSource("scan", table)
+    before = (
+        fingerprint_value([row]),
+        fingerprint_value(table),
+        _operator_fingerprint(source),
+    )
+    row.payload_bytes()
+    after = (
+        fingerprint_value([row]),
+        fingerprint_value(table),
+        _operator_fingerprint(source),
+    )
+    assert after == before

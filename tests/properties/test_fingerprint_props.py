@@ -11,12 +11,14 @@ and containers nested past the depth limit.
 """
 
 from collections import namedtuple
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.cache.fingerprint as fingerprint
 from repro.cache import cached
-from repro.cache.fingerprint import _MAX_DEPTH, fingerprint_value
+from repro.cache.fingerprint import _MAX_DEPTH, combine, fingerprint_value
 from repro.cluster import build_cluster
 from repro.relational import FieldType, Schema, Table, Tuple
 from repro.sim import Environment
@@ -154,6 +156,62 @@ def test_nesting_past_the_depth_limit_digests_as_the_oracle(value):
 def test_row_value_lists_digest_as_the_oracle(values):
     assert_oracle_digest(values)
     assert_oracle_digest(tuple(values))
+
+
+combine_parts = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        SURROGATES,
+        st.text(alphabet="\x00a", max_size=4),
+        st.integers(),
+        st.floats(),
+        st.none(),
+        st.booleans(),
+        st.binary(max_size=4),
+        st.integers(-5, 5).map(SubInt),
+        st.text(max_size=4).map(SubStr),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=combine_parts)
+@example(parts=[])
+@example(parts=[""])
+@example(parts=["a\x00", "b"])
+@example(parts=["a", "\x00b"])
+@example(parts=["\ud800", "\udc00"])
+@example(parts=["\ud83d\ude00"])
+def test_combine_is_the_per_part_update_loop(parts):
+    """One hash call over the joined text, the same bytes as the frozen
+    loop of two ``update`` calls per part; no parts hash no bytes."""
+    assert combine(*parts) == oracle.combine(*parts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.text(max_size=4) | SURROGATES | st.integers(0, 3), max_size=12),
+    cap=st.integers(1, 4),
+)
+def test_the_str_atom_memo_never_changes_a_digest(values, cap):
+    """Memo on (warm, filling to its cap and emptying) or off (cleared
+    before every call): every digest is the oracle's."""
+    values = values + values + [values]
+    want = [oracle.fingerprint_value(value) for value in values]
+    with mock.patch.object(fingerprint, "_STR_DIGESTS", {}), mock.patch.object(
+        fingerprint, "_STR_DIGESTS_CAP", cap
+    ):
+        warm = []
+        for value in values:
+            warm.append(fingerprint_value(value))
+            assert len(fingerprint._STR_DIGESTS) <= cap
+        cold = []
+        for value in values:
+            fingerprint._STR_DIGESTS.clear()
+            cold.append(fingerprint_value(value))
+    assert warm == want
+    assert cold == want
 
 
 def test_distinct_atoms_keep_distinct_digests():

@@ -1,5 +1,8 @@
 """Unit tests for Tuple and Table."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError, TypeMismatch
@@ -131,3 +134,25 @@ def test_table_limit_rejects_negative():
 def test_table_head_and_is_empty():
     assert len(make_table().head(2)) == 2
     assert Table(SCHEMA).is_empty()
+
+
+def test_rows_and_tables_survive_pickle_and_shallow_copy():
+    plain = row(1, "a", 0.5)
+    sized = row(2, "b", 1.5)
+    sized.payload_bytes()
+    joined = Tuple.joined(SCHEMA.concat(SCHEMA), plain, sized)
+    for original in (plain, sized, joined):
+        for twin in (pickle.loads(pickle.dumps(original)), copy.copy(original)):
+            assert twin == original
+            assert twin.payload_bytes() == original.payload_bytes()
+            with pytest.raises(AttributeError):
+                twin.values = ()
+    table = Table(SCHEMA, [plain, sized])
+    assert pickle.loads(pickle.dumps(table)).rows == table.rows
+
+
+def test_a_rows_pickle_does_not_depend_on_its_size_cache():
+    fresh = row(1, "a", 0.5)
+    before = pickle.dumps(fresh, protocol=4)
+    fresh.payload_bytes()
+    assert pickle.dumps(fresh, protocol=4) == before

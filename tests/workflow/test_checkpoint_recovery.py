@@ -104,3 +104,51 @@ def test_every_operator_state_completes_after_recovery():
     description = "\n".join(faulted.progress.describe())
     assert description.count("completed") == 3
     assert "failed" not in description
+
+
+class _TinyModel:
+    name = "tiny"
+
+    def train_epoch(self, examples, learning_rate):
+        return float(len(examples))
+
+    def train_step_flops(self, text):
+        return 1.0
+
+
+def test_a_restarted_train_operator_keeps_its_trained_model():
+    from repro.workflow.operators import TrainOperator
+
+    table = Table.from_rows(
+        Schema.of(text=FieldType.STRING, label=FieldType.INT),
+        [[f"t{i}", i % 2] for i in range(50)],
+    )
+    wf = Workflow("train-restart")
+    src = wf.add_operator(TableSource("scan", table))
+    train = wf.add_operator(TrainOperator("train", _TinyModel, epochs=1))
+    sink = wf.add_operator(SinkOperator("results"))
+    wf.link(src, train)
+    wf.link(train, sink)
+    schedule = FaultSchedule(events=(FaultEvent(0.0, "operator", target="train"),))
+    with faults_injected(schedule) as injector:
+        result = run_workflow(build_cluster(Environment()), wf)
+    assert injector.retries == 1
+    assert len(result.table().rows) == 1
+    assert isinstance(train.trained_model, _TinyModel)
+
+
+def test_a_restarted_wef_ensemble_keeps_its_trained_models():
+    from repro.tasks.table import TASKS
+
+    task = TASKS["wef"]
+    data = task.dataset(40)
+    clean = task.run("workflow", data)
+    schedule = FaultSchedule(
+        events=(FaultEvent(0.0, "operator", target="train-framing-ensemble"),)
+    )
+    with faults_injected(schedule) as injector:
+        faulted = task.run("workflow", data)
+    assert injector.retries == 1
+    assert faulted.output.rows == clean.output.rows
+    assert sorted(faulted.extras["models"]) == sorted(clean.extras["models"])
+    assert len(faulted.extras["models"]) == 4
