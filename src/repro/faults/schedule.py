@@ -164,11 +164,16 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """Seeded pseudo-random schedule; identical for identical args.
 
-        Counts are per kind; timestamps are uniform over
+        Counts are per kind and must be >= 0; timestamps are uniform over
         ``[0.05, 0.95] * horizon_s`` so faults land inside the run, not
         at its edges.  Node targets cycle deterministically through
         ``node_names``.
         """
+        counts = dict(tasks=tasks, operators=operators, nodes=nodes, links=links,
+                      replicas=replicas, ooms=ooms)
+        for kind, count in counts.items():
+            if count < 0:
+                raise ValueError(f"{kind}: a fault count must be >= 0, got {count}")
         rng = random.Random(seed)
         names = list(node_names)
         events: List[FaultEvent] = []
@@ -246,10 +251,13 @@ class FaultSchedule:
                 raise FaultSpecError(
                     f"fault schedule {spec!r} is not valid JSON: {exc}"
                 ) from None
-        kwargs = FAULT_GRAMMAR.parse(spec)
-        if "seed" not in kwargs:
-            raise FaultSpecError("fault spec needs a seed (e.g. 'seed=7,tasks=2')")
-        return cls.generate(kwargs.pop("seed"), note=spec, **kwargs)
+
+        def from_keywords(seed: Optional[int] = None, **kwargs: Any) -> "FaultSchedule":
+            if seed is None:
+                raise FaultSpecError("fault spec needs a seed (e.g. 'seed=7,tasks=2')")
+            return cls.generate(seed, note=spec, **kwargs)
+
+        return FAULT_GRAMMAR.build(spec, from_keywords)
 
     # -- serialization -----------------------------------------------------
 

@@ -14,6 +14,7 @@ from typing import Optional
 from repro.errors import GenSpecError
 from repro.gen.families import FAMILIES
 from repro.gen.generator import GenConfig
+from repro.layer import finite
 
 __all__ = ["GenRequest", "parse_gen_spec", "describe_gen"]
 
@@ -49,10 +50,9 @@ def _positive_int(key: str, raw: str) -> int:
 
 def _fraction(key: str, raw: str) -> float:
     try:
-        value = float(raw)
+        return finite(raw)
     except ValueError:
-        raise GenSpecError(f"{key}: expected a number, got {raw!r}") from None
-    return value
+        raise GenSpecError(f"{key}: expected a finite number, got {raw!r}") from None
 
 
 def parse_gen_spec(text: str) -> GenRequest:

@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.cluster import Cluster, build_cluster, charge
 from repro.config import ElasticConfig, JobsConfig
+from repro.elastic import Autoscaler, current_elastic_config, parse_elastic_spec
 from repro.errors import InvalidJobTransition, JobQueueFull
 from repro.jobs.bodies import JobResult, resolve_body
 from repro.jobs.fairshare import FairShare
@@ -113,12 +114,6 @@ class JobService:
         #: Elastic membership (``repro.elastic``), resolved like every
         #: slot-backed layer: explicit argument (a config or a spec
         #: string), else the installed config, else the dormant default.
-        from repro.elastic import (  # local: repro.elastic imports repro.config only
-            Autoscaler,
-            current_elastic_config,
-            parse_elastic_spec,
-        )
-
         if isinstance(elastic, str):
             elastic = parse_elastic_spec(elastic)
         if elastic is None:

@@ -64,6 +64,9 @@ def test_whitespace_and_empty_parts_are_tolerated():
         ("count=0", ">= 1"),
         ("family=zzz", "unknown family"),
         ("scale=0", "> 0"),
+        ("scale=nan", "finite"),
+        ("family=raster,scale=inf", "finite"),
+        ("family=stream,fanout=-inf", "finite"),
         ("run=maybe", "on or off"),
         ("emit=", "file path"),
         ("nonsense=1", "unknown key"),

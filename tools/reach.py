@@ -122,11 +122,6 @@ def standard_runs(out: Path) -> dict:
     repro = [py, "-m", "repro"]
     specs = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "examples/workflows").glob("*.json"))
     demo = "examples/workflows/demo.json"
-    resolve_types = (
-        "from repro.workflow.spec import read_spec, operator_factory; "
-        "[operator_factory(o.type) for f in ('kge','wef') "
-        "for o in read_spec(f'examples/workflows/{f}.json').operators]"
-    )
     examples = sorted((ROOT / "examples").glob("*.py"))
     return {
         "tests": [[py, "-m", "pytest", "-q", "-p", "no:cacheprovider"]],
@@ -142,7 +137,6 @@ def standard_runs(out: Path) -> dict:
              "--mem", "on", "--cache", "on"],
             [*repro, "fig13a", "fig13d", "fig14a", "scenarios", "--quick",
              "--cache", "on"],
-            [py, "-c", resolve_types],
             [*repro, "gen", "count=10"],
             *([*repro, "gen", f"family={family},run=off"]
               for family in ("stream", "smallsteps", "raster")),
