@@ -41,8 +41,6 @@ from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.spec import (
     MACHINE_SHAPES,
     describe_elastic,
-    elastic_config_from_json,
-    elastic_config_to_json,
     machine_shape,
     parse_elastic_spec,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "machine_shape",
     "parse_elastic_spec",
     "describe_elastic",
-    "elastic_config_to_json",
-    "elastic_config_from_json",
     "install_elastic",
     "uninstall_elastic",
     "current_elastic_config",

@@ -7,8 +7,7 @@ spec expands to.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any, Dict
+from typing import Dict
 
 from repro.config import GIB, ElasticConfig, MachineConfig
 from repro.errors import ElasticSpecError
@@ -20,8 +19,6 @@ __all__ = [
     "machine_shape",
     "parse_elastic_spec",
     "describe_elastic",
-    "elastic_config_to_json",
-    "elastic_config_from_json",
 ]
 
 #: Named machine shapes for heterogeneous fleets.  ``default`` is the
@@ -95,16 +92,6 @@ def parse_elastic_spec(spec: str) -> ElasticConfig:
     16
     """
     return ELASTIC_GRAMMAR.build(spec, ElasticConfig)
-
-
-def elastic_config_to_json(config: ElasticConfig) -> Dict[str, Any]:
-    """Plain-JSON dump of a config (benchmark documents)."""
-    return asdict(config)
-
-
-def elastic_config_from_json(doc: Dict[str, Any]) -> ElasticConfig:
-    """Inverse of :func:`elastic_config_to_json` (validates on construction)."""
-    return ElasticConfig(**doc)
 
 
 def describe_elastic(config: ElasticConfig) -> str:

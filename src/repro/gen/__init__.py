@@ -2,8 +2,8 @@
 
 ROADMAP's "scenario diversity" layer.  Everything here produces valid
 ``repro/workflow-spec@1`` documents (:mod:`repro.workflow.spec`), so a
-generated workload is data, not code: it validates, optimizes, and
-compiles to *both* paradigms like any hand-written spec.
+generated workload is data, not code: it validates and compiles to
+*both* paradigms like any hand-written spec.
 
 * :mod:`generator` — the seeded random-DAG generator, parameterized by
   depth / fan-out / selectivity / language mix / data size

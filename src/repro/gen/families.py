@@ -294,19 +294,25 @@ def raster_spec(seed: int = 0, scale: float = 1.0) -> Dict[str, Any]:
     }
 
 
-#: name -> (builder, one-line description).
-FAMILIES: Dict[str, Tuple[Callable[..., Dict[str, Any]], str]] = {
+#: name -> (builder, one-line description, largest ``scale`` accepted).
+#: Rows, chain length and tile bytes grow linearly with ``scale``; 64 is
+#: the largest any benchmark runs (``stream@64``), and ``family_spec``
+#: refuses more before the builder allocates anything.
+FAMILIES: Dict[str, Tuple[Callable[..., Dict[str, Any]], str, float]] = {
     "stream": (
         stream_spec,
         "micro-batch DICE variant: timed arrivals, pipelining gap",
+        64.0,
     ),
     "smallsteps": (
         smallsteps_spec,
         "Snakemake-style deep chain of >=30 short operators",
+        64.0,
     ),
     "raster": (
         raster_spec,
         "raster tiling: large pixel blobs, zonal statistics",
+        64.0,
     ),
 }
 
@@ -314,11 +320,15 @@ FAMILIES: Dict[str, Tuple[Callable[..., Dict[str, Any]], str]] = {
 def family_spec(name: str, seed: int = 0, scale: float = 1.0) -> Dict[str, Any]:
     """The spec document of family ``name`` at ``(seed, scale)``."""
     try:
-        builder, _ = FAMILIES[name]
+        builder, _, max_scale = FAMILIES[name]
     except KeyError:
         raise GenSpecError(
             f"unknown family {name!r} (have: {sorted(FAMILIES)})"
         ) from None
+    if not scale <= max_scale:
+        raise GenSpecError(
+            f"scale: family {name!r} takes at most {max_scale:g}, got {scale:g}"
+        )
     return builder(seed=seed, scale=scale)
 
 
@@ -327,7 +337,7 @@ def family_catalogue() -> str:
     width = max(len(name) for name in FAMILIES)
     return "\n".join(
         f"  {name:<{width}}  {description}"
-        for name, (_, description) in FAMILIES.items()
+        for name, (_, description, _) in FAMILIES.items()
     )
 
 

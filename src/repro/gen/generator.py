@@ -2,7 +2,7 @@
 
 Produces *valid-by-construction* ``repro/workflow-spec@1`` documents:
 every spec is self-contained (declarative configs only — no ``$param``
-bindings), so it can be loaded, optimized, and executed under either
+bindings), so it can be loaded, validated, and executed under either
 paradigm without any runtime context.
 
 The generator is parameterized by a :class:`GenConfig`:

@@ -60,12 +60,7 @@ from repro.jobs.model import (
 )
 from repro.jobs.queue import JobQueue
 from repro.jobs.service import JobService, percentile
-from repro.jobs.spec import (
-    describe_jobs,
-    jobs_config_from_json,
-    jobs_config_to_json,
-    parse_jobs_spec,
-)
+from repro.jobs.spec import describe_jobs, parse_jobs_spec
 from repro.jobs.traffic import Arrival, TrafficGenerator, merge_arrivals
 
 __all__ = [
@@ -85,8 +80,6 @@ __all__ = [
     "resolve_body",
     "parse_jobs_spec",
     "describe_jobs",
-    "jobs_config_to_json",
-    "jobs_config_from_json",
     "percentile",
     "QUEUED",
     "ADMITTED",

@@ -31,6 +31,7 @@ by submission order, so a config maps to exactly one execution.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -42,7 +43,6 @@ from repro.jobs.bodies import JobResult, resolve_body
 from repro.jobs.fairshare import FairShare
 from repro.jobs.model import Job, JobSpec
 from repro.jobs.queue import JobQueue
-from repro.jobs.spec import jobs_config_from_json, jobs_config_to_json
 from repro.jobs.traffic import Arrival, TrafficGenerator
 from repro.sched import PlacementRequest, Scheduler
 from repro.sim import Environment
@@ -500,7 +500,7 @@ class JobService:
     def snapshot(self) -> Dict[str, Any]:
         """JSON document capturing config, clock and full queue state."""
         return {
-            "config": jobs_config_to_json(self.config),
+            "config": asdict(self.config),
             "now": self.env.now,
             "queue": self.queue.to_json(),
         }
@@ -525,7 +525,7 @@ class JobService:
         """
         if not isinstance(snapshot, dict):
             snapshot = json.loads(Path(snapshot).read_text())
-        config = jobs_config_from_json(snapshot["config"])
+        config = JobsConfig(**snapshot["config"])
         if cluster is None:
             cluster = build_cluster(Environment(initial_time=float(snapshot["now"])))
         queue = JobQueue.from_json(snapshot["queue"])

@@ -7,9 +7,6 @@ expands to (and runs the traffic when it says ``on``).
 
 from __future__ import annotations
 
-from dataclasses import asdict
-from typing import Any, Dict
-
 from repro.config import JobsConfig
 from repro.errors import JobsSpecError
 from repro.layer import Field, Grammar, choice, finite, size
@@ -20,8 +17,6 @@ __all__ = [
     "JOBS_GRAMMAR",
     "parse_jobs_spec",
     "describe_jobs",
-    "jobs_config_to_json",
-    "jobs_config_from_json",
 ]
 
 _placement = choice(
@@ -84,16 +79,6 @@ def parse_jobs_spec(spec: str) -> JobsConfig:
     50.0
     """
     return JOBS_GRAMMAR.build(spec, JobsConfig)
-
-
-def jobs_config_to_json(config: JobsConfig) -> Dict[str, Any]:
-    """Plain-JSON dump of a config (service snapshots)."""
-    return asdict(config)
-
-
-def jobs_config_from_json(doc: Dict[str, Any]) -> JobsConfig:
-    """Inverse of :func:`jobs_config_to_json` (validates on construction)."""
-    return JobsConfig(**doc)
 
 
 def _fmt_quota(value, size: bool = False) -> str:

@@ -240,7 +240,7 @@ def compile_script_plan(
 
     ``source`` may be a :class:`WorkflowSpec`, a raw spec document
     (``dict``), or an already-built :class:`Workflow` — the latter lets
-    callers compile the output of the logical optimizer.
+    callers compile a plan assembled in code.
     """
     if isinstance(source, Workflow):
         workflow = source

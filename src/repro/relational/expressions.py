@@ -35,10 +35,10 @@ class Predicate:
     """A boolean function of a tuple with a description.
 
     ``columns`` optionally names the input columns the predicate reads
-    (None = unknown, e.g. an arbitrary UDF).  Neither evaluation nor
-    any optimizer pass reads it; it stays because a filter's cache
-    fingerprint hashes its predicate's attributes, so dropping it
-    would change every filter's cache key.
+    (None = unknown, e.g. an arbitrary UDF).  Evaluation never reads
+    it; it stays because a filter's cache fingerprint hashes its
+    predicate's attributes, so dropping it would change every
+    filter's cache key.
     """
 
     def __init__(

@@ -108,7 +108,6 @@ class PlacementRequest:
         "tenant",
         "cpus",
         "ram_bytes",
-        "colocate_key",
         "index",
     )
 
@@ -125,7 +124,6 @@ class PlacementRequest:
         tenant: str = "",
         cpus: int = 1,
         ram_bytes: int = 0,
-        colocate_key: Optional[str] = None,
     ) -> None:
         if kind not in (
             "task",
@@ -158,11 +156,6 @@ class PlacementRequest:
         #: policy turns these into post-placement dominant shares.
         self.cpus = cpus
         self.ram_bytes = ram_bytes
-        #: Co-location group label (workflow optimizer's language-aware
-        #: placement): all requests sharing a key land on the node the
-        #: first one chose.  None (the default) leaves every policy's
-        #: behaviour untouched.
-        self.colocate_key = colocate_key
         #: Monotonic placement position, filled in by the scheduler.
         self.index = 0
 

@@ -90,9 +90,6 @@ class Scheduler:
         #: gives the locality policy its replica map.
         self.store = None
         self._counter = 0
-        #: First-placement node per co-location group (``colocate_key``
-        #: hints from the workflow optimizer); later members follow.
-        self._colocated: Dict[str, "Node"] = {}
         #: Telemetry mirrored into tracer counters; the replacement
         #: count makes recovery placement observable per run.
         self.placements = 0
@@ -168,12 +165,7 @@ class Scheduler:
         if request.kind in COUNTED_KINDS:
             request.index = self._counter
             self._counter += 1
-        if request.colocate_key is not None and request.colocate_key in self._colocated:
-            node = self._colocated[request.colocate_key]
-        else:
-            node = self.policy.choose(request, self)
-            if request.colocate_key is not None:
-                self._colocated[request.colocate_key] = node
+        node = self.policy.choose(request, self)
         account = self.accounts.get(node.name)
         if account is not None:
             account.outstanding += 1

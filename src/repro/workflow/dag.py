@@ -94,11 +94,6 @@ class Workflow:
         self.name = name
         self._operators: Dict[str, LogicalOperator] = {}
         self._links: List[Link] = []
-        #: Co-location hints (operator_id -> group label), filled by
-        #: the logical optimizer; the engine forwards them to
-        #: ``repro.sched`` as ``colocate_key``s.  Empty on hand-built
-        #: workflows, so placement stays seed-identical by default.
-        self.placement_hints: Dict[str, str] = {}
 
     @property
     def operators(self) -> Mapping[str, LogicalOperator]:

@@ -327,9 +327,6 @@ class WorkflowController:
                 operator_id=operator.operator_id,
                 worker_index=worker_index,
                 num_workers=operator.num_workers,
-                colocate_key=self.workflow.placement_hints.get(
-                    operator.operator_id
-                ),
             )
         )
 

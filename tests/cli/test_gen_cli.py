@@ -71,6 +71,9 @@ def test_gen_emit_count_appends_seed(capsys, tmp_path):
         ("bogus=1", "unknown key"),
         ("justaflag", "key=value"),
         ("fanout=2.0", "fan_out"),
+        # Used to overflow (raster) or hang (stream, smallsteps).
+        *((f"family={family},scale=1e300,run=off", "takes at most 64")
+          for family in ("stream", "smallsteps", "raster")),
     ],
 )
 def test_bad_gen_specs_exit_2_with_grammar(capsys, spec, fragment):

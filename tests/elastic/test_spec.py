@@ -1,5 +1,8 @@
 """Spec grammar, shape catalogue and the install pattern of repro.elastic."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import ElasticConfig
@@ -7,8 +10,6 @@ from repro.elastic import (
     MACHINE_SHAPES,
     current_elastic_config,
     describe_elastic,
-    elastic_config_from_json,
-    elastic_config_to_json,
     elastic_enabled,
     install_elastic,
     machine_shape,
@@ -71,7 +72,7 @@ def test_shape_catalogue():
 
 def test_json_round_trip():
     config = parse_elastic_spec("on,min=2,max=6,shape=highmem")
-    assert elastic_config_from_json(elastic_config_to_json(config)) == config
+    assert ElasticConfig(**json.loads(json.dumps(asdict(config)))) == config
 
 
 def test_describe_mentions_the_bounds_and_shape():

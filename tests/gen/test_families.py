@@ -65,6 +65,16 @@ def test_scale_grows_the_workload():
     assert len(large.operators) > len(small.operators)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_scale_is_capped_per_family_before_anything_is_built(family):
+    _, _, max_scale = FAMILIES[family]
+    assert max_scale >= 64  # the largest size the benchmark runs
+    assert family_spec(family, scale=max_scale)["operators"]
+    for scale in (max_scale * 1.01, 1e300, float("nan")):
+        with pytest.raises(GenSpecError, match="scale"):
+            family_spec(family, scale=scale)
+
+
 def test_unknown_paradigm_is_rejected():
     with pytest.raises(GenSpecError, match="paradigm"):
         run_family("stream", paradigm="notebook")

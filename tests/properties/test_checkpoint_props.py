@@ -10,9 +10,8 @@ process part of the next batch (one or more times over), restore, then
 replay; every output, every pending charge and the final state must
 equal the oracle's.
 
-Every operator type in the spec registry is covered, plus the fused
-chain's executor.  Only the two task executors keep the deep-copy
-default; a test pins that list.
+Every operator type in the spec registry is covered.  Only the two
+task executors keep the deep-copy default; a test pins that list.
 """
 
 import functools
@@ -61,7 +60,6 @@ from repro.workflow.operators import (
     UnionOperator,
     VisualizationOperator,
 )
-from repro.workflow.optimize import FusedOperator
 from repro.workflow.spec import operator_types
 from tests.support import checkpoint_oracle as oracle
 
@@ -103,17 +101,6 @@ def _apply(model, row):
 
 def _join_build(how):
     return HashJoinOperator("join", build_key="k", probe_key="k", how=how)
-
-
-def _fused():
-    return FusedOperator(
-        [
-            FilterOperator("keep", column_greater("v", -1.0)),
-            MapOperator("double", SCHEMA, _double, flops_per_tuple=3.0),
-            TopKOperator("top", "v", 4),
-        ],
-        "keep+double+top",
-    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,7 +163,6 @@ CONSUMERS = {
     "train": lambda: TrainOperator(
         "train", _TinyModel, text_field="s", label_field="k", epochs=2
     ),
-    "fused": _fused,
 }
 
 #: Task operators: name -> (fresh operator, the real input table).
@@ -219,7 +205,7 @@ SOURCES = {
 
 def test_every_registered_operator_type_is_covered():
     covered = {name.split("/")[0] for name in [*CONSUMERS, *TASK_CONSUMERS, *SOURCES]}
-    assert covered == set(operator_types()) | {"fused"}
+    assert covered == set(operator_types())
 
 
 def _compile(operator, schemas):

@@ -17,14 +17,11 @@ from repro.relational import FieldType, Schema, Table
 from repro.sim import Environment
 from repro.workflow import Workflow, run_workflow
 from repro.workflow.operators import (
-    FilterOperator,
     HashJoinOperator,
     SinkOperator,
     TableSource,
 )
-from repro.workflow.optimize import optimize_workflow
 from repro.workflow.spec import WorkflowSpec
-from repro.relational import column_greater
 
 SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
 
@@ -102,31 +99,6 @@ def test_hash_partitioned_join_matches_engine():
     tables = compile_script_plan(make()).run()
     assert tables["out"].multiset() == engine.table().multiset()
     assert len(tables["out"]) == 30
-
-
-def test_optimized_workflow_compiles_to_fewer_tasks():
-    wf = Workflow("chain")
-    src = wf.add_operator(TableSource("scan", bindings()["rows"]))
-    a = wf.add_operator(FilterOperator("a", column_greater("score", 0.2)))
-    b = wf.add_operator(FilterOperator("b", column_greater("score", 0.5)))
-    sink = wf.add_operator(SinkOperator("view"))
-    wf.link(src, a)
-    wf.link(a, b)
-    wf.link(b, sink)
-    plain = compile_script_plan(wf)
-
-    wf2 = Workflow("chain")
-    src = wf2.add_operator(TableSource("scan", bindings()["rows"]))
-    a = wf2.add_operator(FilterOperator("a", column_greater("score", 0.2)))
-    b = wf2.add_operator(FilterOperator("b", column_greater("score", 0.5)))
-    sink = wf2.add_operator(SinkOperator("view"))
-    wf2.link(src, a)
-    wf2.link(a, b)
-    wf2.link(b, sink)
-    fused = compile_script_plan(optimize_workflow(wf2))
-
-    assert fused.num_tasks < plain.num_tasks
-    assert plain.run()["view"].multiset() == fused.run()["view"].multiset()
 
 
 def test_compile_validates_like_the_gui():

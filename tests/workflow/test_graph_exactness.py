@@ -1,19 +1,16 @@
 """Exactness pin for everything that orders, edits or routes a DAG.
 
-Three corpora of plans: the six paper plans the optimizer test runs
-(captured as the engine's ``WorkflowResult.workflow``), forty random
-generator specs and the three generator families.  For each plan the
-digest covers its topological order; what ``optimize_workflow`` makes
-of it (operator ids and classes in dict order, every link's ``repr`` in
-list order, the placement hints); the script compiler's task list for
-the naive and the optimized plan; and the optimized plan's virtual
-elapsed time and sink row multisets under both paradigms.  The sha256
-literals were recorded before the graph's order, edit and routing code
-moved behind ``Workflow``; any change to a plan either engine builds
-must reproduce them to the bit.  When dead-column pruning left the
-optimizer, ``random`` and ``families`` were re-recorded from the
-previous code's ``fuse_adjacent`` followed by ``placement_groups``
-(pruning never touched a paper plan, so ``paper`` kept its value).
+Three corpora of plans: the six paper plans (captured as the engine's
+``WorkflowResult.workflow``), forty random generator specs and the
+three generator families.  For each plan the digest covers its
+topological order, the script compiler's task list, and the plan's
+virtual elapsed time and sink row multisets under both paradigms (the
+workflow engine and ``ScriptPlan``).  The sha256 literals were recorded
+before the graph's order, edit and routing code moved behind
+``Workflow``, and re-recorded over the naive plans alone, on the code
+that still had the logical optimizer, when that optimizer was deleted;
+any change to a plan either engine builds or runs must reproduce them
+to the bit.
 """
 
 import hashlib
@@ -32,13 +29,12 @@ from repro.tasks.gotta import run_gotta_workflow
 from repro.tasks.kge import run_kge_workflow
 from repro.tasks.wef import run_wef_workflow
 from repro.workflow import run_workflow
-from repro.workflow.optimize import optimize_workflow
 from repro.workflow.spec import WorkflowSpec, build_workflow
 
 DIGESTS = {
-    "paper": "b0227bc2d735e846d1e1ac4a2328c3efc643bd4b0f98d8dc6baa27c0b2d714c9",
-    "random": "4dc433da2c62f514e0418220022c636e61130f0b3b7118cea76bc573269eedaa",
-    "families": "8a71c3af88cfedf403d13135a9993b2cc39e4827710c28e0dd69e0d1dba9abcb",
+    "paper": "a5b570a6030fa180db49258ba0568bee9024b25495b908d722f9307a74c8cee0",
+    "random": "dc572088b1fe5f782592fcfdc08186d9b9f1c1791ec7662da14f09086c3bd73b",
+    "families": "1487ef97514386d434e0b88c1df903428ff9ddfddeee7caa9655ead1bfbc629b",
 }
 
 TASK_MODULES = ("dice", "gotta", "kge", "wef")
@@ -58,17 +54,10 @@ def _tables(tables):
 def plan_lines(name, naive):
     lines = [name, repr([op.operator_id for op in naive.topological_order()])]
     lines.append(repr(_tasks(naive)))
-    optimized = optimize_workflow(naive)
-    lines.append(
-        repr([(op_id, type(op).__name__) for op_id, op in optimized.operators.items()])
-    )
-    lines.append(repr([repr(link) for link in optimized.links]))
-    lines.append(repr(sorted(optimized.placement_hints.items())))
-    lines.append(repr(_tasks(optimized)))
-    result = run_workflow(build_cluster(Environment()), optimized)
+    result = run_workflow(build_cluster(Environment()), naive)
     lines.append(repr((result.elapsed_s, _tables(result.results))))
     cluster = build_cluster(Environment())
-    tables = ScriptPlan(optimized).run(cluster=cluster)
+    tables = ScriptPlan(naive).run(cluster=cluster)
     lines.append(repr((cluster.env.now, _tables(tables))))
     return lines
 

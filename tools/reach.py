@@ -17,9 +17,10 @@ Usage::
     python tools/reach.py report OUT [OUT ...]
 
 The standard set is tier-1 (``python -m pytest -q``), the ``cli-smoke``
-commands of ``.github/workflows/ci.yml``, ``bench/run.py --quick
---trace 0`` (the traced pass's ``cProfile`` would replace the profiler)
-and ``examples/*.py``.  Each lands in its own subdirectory of OUT, so a
+commands of ``.github/workflows/ci.yml`` (read from that file, see
+:func:`ci_smoke_commands`), ``bench/run.py --quick --trace 0`` (the
+traced pass's ``cProfile`` would replace the profiler) and
+``examples/*.py``.  Each lands in its own subdirectory of OUT, so a
 report over every subdirectory but ``OUT/tests`` lists what only tests
 reach.
 
@@ -45,6 +46,8 @@ import ast
 import atexit
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -53,6 +56,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+CI = ROOT / ".github" / "workflows" / "ci.yml"
 #: Where each profiled interpreter writes its hits (set by ``collect``).
 OUT_ENV = "REPRO_REACH_OUT"
 
@@ -116,31 +120,60 @@ def collect(out: Path, command: list) -> int:
     return subprocess.run(command, cwd=ROOT, env=env).returncode
 
 
+def ci_smoke_commands(text: str) -> list:
+    """The ``python -m repro`` arguments the ``cli-smoke`` job runs, in order.
+
+    ``text`` is the CI workflow file; it is read line by line, since
+    a YAML parser is not a dependency.  Continued lines are joined; a
+    ``$VAR`` bound by a step's ``for VAR in GLOB; do`` loop expands
+    over the sorted glob; a command that reads any other variable (a
+    file the step itself writes) is left out; repeats are run once.
+    """
+    job = re.split(r"\n  \S", text.split("\n  cli-smoke:\n", 1)[1], 1)[0]
+    commands = []
+    for step in re.split(r"\n      - ", job)[1:]:
+        step = step.replace("\\\n", " ")
+        loops = dict(re.findall(r"for (\w+) in (\S+); do", step))
+        for line in step.splitlines():
+            if "-m repro" not in line:
+                continue
+            lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            tokens = [*lexer, ";"]
+            starts = [
+                i + 3 for i in range(len(tokens))
+                if tokens[i:i + 3] == ["python", "-m", "repro"]
+            ]
+            for start in starts:
+                end = next(i for i in range(start, len(tokens))
+                           if tokens[i][0] in lexer.punctuation_chars)
+                if tokens[end][0] in "<>" and tokens[end - 1].isdigit():
+                    end -= 1  # the file descriptor of ``2>&1``
+                argv = tokens[start:end]
+                names = set(re.findall(r"\$(\w+)", " ".join(argv)))
+                if not names:
+                    runs = [argv]
+                elif len(names) == 1 and names <= loops.keys():
+                    (name,) = names
+                    runs = [[tok.replace("$" + name, str(path.relative_to(ROOT)))
+                             for tok in argv]
+                            for path in sorted(ROOT.glob(loops[name]))]
+                else:
+                    continue
+                for run in runs:
+                    if run not in commands:
+                        commands.append(run)
+    return commands
+
+
 def standard_runs(out: Path) -> dict:
     """The standard set: group name -> commands, run from the repo root."""
     py = sys.executable
-    repro = [py, "-m", "repro"]
-    specs = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "examples/workflows").glob("*.json"))
-    demo = "examples/workflows/demo.json"
     examples = sorted((ROOT / "examples").glob("*.py"))
     return {
         "tests": [[py, "-m", "pytest", "-q", "-p", "no:cacheprovider"]],
-        "cli": [
-            [*repro, "--list"],
-            [*repro, "jobs", "on,rate=400,horizon=2,tenants=8,duration=1"],
-            *([*repro, "compile", spec] for spec in specs),
-            [*repro, "--workflow", demo],
-            [*repro, "--workflow", demo, "--mem", "banana"],
-            [*repro, "fig13d", "--quick", "--faults", "seed=7,tasks=2,nodes=1",
-             "--cache", "on"],
-            [*repro, "fig13a", "--quick", "--faults", "seed=7,operators=3",
-             "--mem", "on", "--cache", "on"],
-            [*repro, "fig13a", "fig13d", "fig14a", "scenarios", "--quick",
-             "--cache", "on"],
-            [*repro, "gen", "count=10"],
-            *([*repro, "gen", f"family={family},run=off"]
-              for family in ("stream", "smallsteps", "raster")),
-        ],
+        "cli": [[py, "-m", "repro", *argv]
+                for argv in ci_smoke_commands(CI.read_text(encoding="utf-8"))],
         "bench": [[py, "bench/run.py", "--quick", "--trace", "0",
                    "--out", str(out / "bench-result.json")]],
         "examples": [
