@@ -17,7 +17,7 @@ missing reuse layer:
 
 Selecting a cache follows the tracer/injector/scheduler/mem pattern,
 with one twist: what is installed is a cache *instance*, which
-survives ``fresh_cluster()`` rebuilds — that persistence is the whole
+survives ``fresh_cluster()`` rebuilds — outliving a cluster is the whole
 point of a cold-vs-warm sweep:
 
 >>> from repro.cache import cached

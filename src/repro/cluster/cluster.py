@@ -91,7 +91,7 @@ class Cluster:
         self.faults.register_memory(self.memory)
         #: Result cache (``repro.cache``), resolved like the tracer: an
         #: installed *instance* is shared across clusters (that
-        #: persistence is what makes a cold-vs-warm sweep possible); the
+        #: sharing is what makes a cold-vs-warm sweep possible); the
         #: dormant default is a fresh instance per cluster.
         if cache is None:
             cache = current_cache()

@@ -294,6 +294,10 @@ class MemoryConfig:
             )
         if self.spill_write_bytes_per_s <= 0 or self.spill_read_bytes_per_s <= 0:
             raise ValueError("spill bandwidths must be positive")
+        if self.spill_base_s < 0:
+            raise ValueError(
+                f"spill_base_s must be >= 0, got {self.spill_base_s}"
+            )
         if self.node_ram_bytes is not None and self.node_ram_bytes <= 0:
             raise ValueError(
                 f"node_ram_bytes must be positive, got {self.node_ram_bytes}"

@@ -13,16 +13,6 @@ from repro.datasets.amazon import (
     user_ids,
 )
 from repro.datasets.fsqa import FsqaParagraph, QAExample, generate_fsqa
-from repro.datasets.persistence import (
-    load_catalog,
-    load_fsqa,
-    load_maccrobat,
-    load_tweets,
-    save_catalog,
-    save_fsqa,
-    save_maccrobat,
-    save_tweets,
-)
 from repro.datasets.maccrobat import (
     EVENT_TRIGGER_TYPES,
     CaseReport,
@@ -46,14 +36,6 @@ __all__ = [
     "FsqaParagraph",
     "QAExample",
     "generate_fsqa",
-    "load_catalog",
-    "load_fsqa",
-    "load_maccrobat",
-    "load_tweets",
-    "save_catalog",
-    "save_fsqa",
-    "save_maccrobat",
-    "save_tweets",
     "EVENT_TRIGGER_TYPES",
     "CaseReport",
     "generate_maccrobat",

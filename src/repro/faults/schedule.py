@@ -94,7 +94,9 @@ class FaultEvent:
         if self.duration_s < 0:
             raise FaultSpecError(f"negative duration: {self.duration_s}")
         if self.factor < 1.0:
-            raise FaultSpecError(f"link factor must be >= 1, got {self.factor}")
+            raise FaultSpecError(
+                f"{self.kind} factor must be >= 1, got {self.factor}"
+            )
         if self.delay_s < 0:
             raise FaultSpecError(f"negative delay: {self.delay_s}")
 
@@ -164,16 +166,18 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """Seeded pseudo-random schedule; identical for identical args.
 
-        Counts are per kind and must be >= 0; timestamps are uniform over
-        ``[0.05, 0.95] * horizon_s`` so faults land inside the run, not
-        at its edges.  Node targets cycle deterministically through
-        ``node_names``.
+        Counts are per kind and must be >= 0, as must ``horizon_s``;
+        timestamps are uniform over ``[0.05, 0.95] * horizon_s`` so
+        faults land inside the run, not at its edges.  Node targets
+        cycle deterministically through ``node_names``.
         """
         counts = dict(tasks=tasks, operators=operators, nodes=nodes, links=links,
                       replicas=replicas, ooms=ooms)
         for kind, count in counts.items():
             if count < 0:
                 raise ValueError(f"{kind}: a fault count must be >= 0, got {count}")
+        if horizon_s < 0:
+            raise ValueError(f"horizon: must be >= 0, got {horizon_s}")
         rng = random.Random(seed)
         names = list(node_names)
         events: List[FaultEvent] = []

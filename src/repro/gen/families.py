@@ -317,18 +317,24 @@ FAMILIES: Dict[str, Tuple[Callable[..., Dict[str, Any]], str, float]] = {
 }
 
 
-def family_spec(name: str, seed: int = 0, scale: float = 1.0) -> Dict[str, Any]:
-    """The spec document of family ``name`` at ``(seed, scale)``."""
-    try:
-        builder, _, max_scale = FAMILIES[name]
-    except KeyError:
-        raise GenSpecError(
-            f"unknown family {name!r} (have: {sorted(FAMILIES)})"
-        ) from None
+def _check_scale(name: str, scale: float) -> None:
+    """Refuse a scale above family ``name``'s maximum (or NaN)."""
+    max_scale = FAMILIES[name][2]
     if not scale <= max_scale:
         raise GenSpecError(
             f"scale: family {name!r} takes at most {max_scale:g}, got {scale:g}"
         )
+
+
+def family_spec(name: str, seed: int = 0, scale: float = 1.0) -> Dict[str, Any]:
+    """The spec document of family ``name`` at ``(seed, scale)``."""
+    try:
+        builder = FAMILIES[name][0]
+    except KeyError:
+        raise GenSpecError(
+            f"unknown family {name!r} (have: {sorted(FAMILIES)})"
+        ) from None
+    _check_scale(name, scale)
     return builder(seed=seed, scale=scale)
 
 

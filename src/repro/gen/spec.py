@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import GenSpecError
-from repro.gen.families import FAMILIES
+from repro.gen.families import FAMILIES, _check_scale
 from repro.gen.generator import GenConfig
 from repro.layer import finite
 
@@ -123,6 +123,8 @@ def parse_gen_spec(text: str) -> GenRequest:
                 f"unknown key {key!r} (valid: seed, count, family, scale, "
                 f"depth, sources, fanout, selectivity, rows, run, emit)"
             )
+    if fields["family"] is not None:
+        _check_scale(fields["family"], fields["scale"])
     config = GenConfig(seed=fields["seed"], **knobs)
     return GenRequest(
         seed=fields["seed"],

@@ -17,7 +17,7 @@ Transitions outside the arrows raise
 silently corrupting the queue.
 
 Jobs serialize to plain JSON dicts (:meth:`Job.to_json` /
-:meth:`Job.from_json`) — the persistence substrate of
+:meth:`Job.from_json`) — the save/load substrate of
 :class:`repro.jobs.JobQueue`.  The runtime-only body callable is *not*
 serialized; a resumed queue re-resolves bodies by name from the
 registry (:mod:`repro.jobs.bodies`).
@@ -230,7 +230,7 @@ class Job:
         self.admitted_s = None
         self.started_s = None
 
-    # -- persistence -------------------------------------------------------
+    # -- save / load -------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
         return {

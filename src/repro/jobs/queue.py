@@ -122,7 +122,7 @@ class JobQueue:
         """True when every job is in a terminal state."""
         return all(job.terminal for job in self._jobs.values())
 
-    # -- persistence -------------------------------------------------------
+    # -- save / load -------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
         return {

@@ -495,7 +495,7 @@ class JobService:
             out["elastic"] = self.autoscaler.summary()
         return out
 
-    # -- persistence -------------------------------------------------------
+    # -- save / load -------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON document capturing config, clock and full queue state."""

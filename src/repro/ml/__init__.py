@@ -1,4 +1,4 @@
-"""ML substrate: tokenizer, models, training, metrics.
+"""ML substrate: tokenizer, models, metrics.
 
 The three model families of the paper's tasks — BERT classifiers
 (WEF), a BART QA generator (GOTTA), and a TransE knowledge-graph model
@@ -20,7 +20,6 @@ from repro.ml.models.bart import MASK_TOKEN, SimBartGenerator
 from repro.ml.models.bert import SimBertClassifier
 from repro.ml.models.kge import TransEModel
 from repro.ml.tokenizer import HashingTokenizer
-from repro.ml.train import Trainer, TrainingRun
 
 __all__ = [
     "DataLoader",
@@ -36,6 +35,4 @@ __all__ = [
     "SimBertClassifier",
     "TransEModel",
     "HashingTokenizer",
-    "Trainer",
-    "TrainingRun",
 ]

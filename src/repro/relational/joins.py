@@ -2,10 +2,10 @@
 
 Two shapes are provided:
 
-* :func:`hash_join` — classic build/probe over two complete tables, the
-  form the script implementations use (the paper's DICE/KGE scripts
-  "load the annotations into memory as a hash table and loop through
-  the sentences while probing").
+* :func:`hash_join` — classic build/probe over two complete tables.  No
+  script implementation calls it (the task code joins by dict lookup);
+  it is the reference that ``test_streaming_join_equals_batch_join``
+  and other tests compare executor output against.
 * :class:`StreamingHashJoin` — build side materialized once, probe side
   consumed tuple-at-a-time; this is the operator core the workflow
   engine pipelines.
@@ -52,7 +52,8 @@ def hash_join(
 ) -> Table:
     """Join two tables by equality on one key per side.
 
-    ``how`` is one of:
+    The batch reference for :class:`StreamingHashJoin`: tests compare
+    the engines' join output against it.  ``how`` is one of:
 
     * ``inner`` — matching pairs only;
     * ``left`` — every left row, right columns null when unmatched;

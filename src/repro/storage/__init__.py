@@ -1,6 +1,6 @@
-"""Dataset file formats: BRAT annotations, clinical text, JSONL, CSV."""
+"""Dataset formats: BRAT annotations, clinical text, CSV parsing."""
 
-from repro.storage.csvio import read_csv, table_from_csv, table_to_csv, write_csv
+from repro.storage.csvio import table_from_csv
 from repro.storage.brat import (
     AnnotationDocument,
     EntityAnnotation,
@@ -8,30 +8,15 @@ from repro.storage.brat import (
     parse_annotations,
     serialize_annotations,
 )
-from repro.storage.jsonl import (
-    dumps_jsonl,
-    iter_jsonl,
-    loads_jsonl,
-    read_jsonl,
-    write_jsonl,
-)
 from repro.storage.textio import Sentence, TextDocument, split_sentences
 
 __all__ = [
-    "read_csv",
     "table_from_csv",
-    "table_to_csv",
-    "write_csv",
     "AnnotationDocument",
     "EntityAnnotation",
     "EventAnnotation",
     "parse_annotations",
     "serialize_annotations",
-    "dumps_jsonl",
-    "iter_jsonl",
-    "loads_jsonl",
-    "read_jsonl",
-    "write_jsonl",
     "Sentence",
     "TextDocument",
     "split_sentences",

@@ -1,35 +1,24 @@
-"""CSV reading/writing for relational tables.
+"""CSV parsing for relational tables.
 
-A minimal, dependency-free CSV layer (stdlib ``csv``) so tables can be
-exchanged with spreadsheet-paradigm tools — the third paradigm the
-paper's introduction mentions alongside scripts and workflows.  Typed
-round-trips: values are serialized per the schema's field types and
-parsed back accordingly.
+A minimal, dependency-free CSV reader (stdlib ``csv``) so a workflow's
+``csv_source`` can scan spreadsheet-paradigm content — the third
+paradigm the paper's introduction mentions alongside scripts and
+workflows.  Values are parsed per the schema's field types; an empty
+cell is null.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from pathlib import Path
-from typing import Any, List, Union
+from typing import Any, List
 
 from repro.errors import StorageError
 from repro.relational import FieldType, Schema, Table
 
-__all__ = ["table_to_csv", "table_from_csv", "write_csv", "read_csv"]
-
-PathLike = Union[str, Path]
+__all__ = ["table_from_csv"]
 
 _NULL = ""
-
-
-def _serialize(value: Any) -> str:
-    if value is None:
-        return _NULL
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def _parse(text: str, ftype: FieldType) -> Any:
@@ -47,16 +36,6 @@ def _parse(text: str, ftype: FieldType) -> Any:
         return text  # STRING and ANY stay textual
     except ValueError as exc:
         raise StorageError(f"cannot parse {text!r} as {ftype.value}") from exc
-
-
-def table_to_csv(table: Table) -> str:
-    """Serialize a table to CSV text (header row = field names)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(table.schema.names)
-    for row in table:
-        writer.writerow([_serialize(value) for value in row.values])
-    return buffer.getvalue()
 
 
 def table_from_csv(content: str, schema: Schema) -> Table:
@@ -94,13 +73,3 @@ def table_from_csv(content: str, schema: Schema) -> Table:
         )
     return Table.from_rows(schema, rows)
 
-
-def write_csv(path: PathLike, table: Table) -> int:
-    """Write a table to ``path``; returns the number of data rows."""
-    Path(path).write_text(table_to_csv(table), encoding="utf-8")
-    return len(table)
-
-
-def read_csv(path: PathLike, schema: Schema) -> Table:
-    """Read a table of ``schema`` from ``path``."""
-    return table_from_csv(Path(path).read_text(encoding="utf-8"), schema)

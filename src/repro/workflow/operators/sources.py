@@ -57,10 +57,10 @@ class TableSource(LogicalOperator):
 
 
 class JsonlSource(TableSource):
-    """Scan records parsed from JSONL content (Figure 9's source).
+    """Scan already-parsed dict records (Figure 9's JSONL source).
 
-    ``schema`` names the fields to extract from each record; missing
-    fields become None.
+    It takes the records, not JSONL text.  ``schema`` names the fields
+    to extract from each record; missing fields become None.
     """
 
     def __init__(

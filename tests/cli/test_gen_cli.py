@@ -79,6 +79,7 @@ def test_gen_emit_count_appends_seed(capsys, tmp_path):
 def test_bad_gen_specs_exit_2_with_grammar(capsys, spec, fragment):
     code, out, err = run_cli(capsys, "gen", spec)
     assert code == 2
+    assert out == ""
     assert fragment in err
     assert GEN_SPEC_HELP.splitlines()[0] in err
 

@@ -26,9 +26,16 @@ LAYERS = [sub for sub in SUBCOMMANDS.values() if sub.parse is not None]
 #: traceback (``ram=inf``, ``1e400``), hang the traffic generator
 #: (``horizon=nan``, ``rate=inf``) or print ``nan`` timestamps.
 BAD_SPECS = {
-    "faults": ["seed=banana", "bogus=1", "banana", "seed=1,horizon=nan,tasks=1", "seed=1,tasks=-1"],
+    "faults": [
+        "seed=banana",
+        "bogus=1",
+        "banana",
+        "seed=1,horizon=nan,tasks=1",
+        "seed=1,tasks=-1",
+        "seed=1,horizon=-1",
+    ],
     "sched": ["banana"],
-    "mem": ["banana", "ram=lots", "ram=inf", "spill=nan"],
+    "mem": ["banana", "ram=lots", "ram=inf", "spill=nan", "on,base=-1"],
     "cache": ["banana", "cap=lots", "cap=inf", "lookup=nan"],
     "jobs": [
         "banana",

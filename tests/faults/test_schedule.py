@@ -94,6 +94,9 @@ def test_from_spec_equals_generate():
         ("seed=7,bogus=1", "unknown fault spec key"),
         ("seed=seven", "bad value"),
         ("seed=7,tasks=lots", "bad value"),
+        # Used to pass with no faults, or name the derived event time.
+        ("seed=1,horizon=-1", "horizon: must be >= 0"),
+        ("seed=1,ooms=1,oom_factor=0", "oom factor must be >= 1"),
     ],
 )
 def test_from_spec_rejects_bad_input(spec, message):

@@ -159,7 +159,7 @@ def test_requeue_refuses_terminal_jobs():
         job.requeue()
 
 
-# -- persistence --------------------------------------------------------------
+# -- save / load --------------------------------------------------------------
 
 
 def test_job_json_round_trip_preserves_state_and_stamps():

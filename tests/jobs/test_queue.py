@@ -66,7 +66,7 @@ def test_max_queue_must_be_positive():
         JobQueue(max_queue=0)
 
 
-# -- persistence --------------------------------------------------------------
+# -- save / load --------------------------------------------------------------
 
 
 def test_snapshot_round_trip(tmp_path):

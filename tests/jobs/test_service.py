@@ -1,4 +1,4 @@
-"""The job service: admission, quotas, backpressure, persistence, telemetry."""
+"""The job service: admission, quotas, backpressure, save/load, telemetry."""
 
 import pytest
 
@@ -230,7 +230,7 @@ def test_open_loop_rejections_do_not_stop_traffic():
     assert summary["counts"]["completed"] == summary["jobs"]
 
 
-# -- persistence --------------------------------------------------------------
+# -- save / load --------------------------------------------------------------
 
 
 def test_save_and_resume_queued_jobs(tmp_path):

@@ -1,4 +1,4 @@
-"""Unit tests for the ML substrate (tokenizer, models, trainer, metrics)."""
+"""Unit tests for the ML substrate (tokenizer, models, metrics)."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.ml import (
     SimBartGenerator,
     SimBertClassifier,
     TextDataset,
-    Trainer,
     TransEModel,
     accuracy,
     exact_match,
@@ -127,26 +126,6 @@ def test_bert_empty_epoch_rejected():
 def test_bert_encode_empty_text_is_zero_vector():
     model = SimBertClassifier("m", MODELS)
     assert np.allclose(model.encode("..."), 0.0)
-
-
-# -- Trainer --------------------------------------------------------------------------
-
-
-def test_trainer_tracks_loss_and_flops():
-    model = SimBertClassifier("m", MODELS)
-    run = Trainer(epochs=3).fit(model, separable_examples(20))
-    assert run.epochs == 3
-    assert run.converged
-    assert run.total_flops > 0
-
-
-def test_trainer_validation():
-    with pytest.raises(ValueError):
-        Trainer(epochs=0)
-    with pytest.raises(ValueError):
-        Trainer(learning_rate=0)
-    with pytest.raises(MLError):
-        Trainer().fit(SimBertClassifier("m", MODELS), [])
 
 
 # -- SimBART ------------------------------------------------------------------------------

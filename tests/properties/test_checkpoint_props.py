@@ -193,7 +193,7 @@ SOURCES = {
     ),
     "csv_source": lambda: CsvSource("csv", "k,v,s\n1,0.5,a\n2,1.5,b\n", SCHEMA),
     "jsonl_source": lambda: JsonlSource(
-        "jsonl", [{"k": 1, "v": 0.5, "s": "a"}, {"k": 2}], SCHEMA
+        "records", [{"k": 1, "v": 0.5, "s": "a"}, {"k": 2}], SCHEMA
     ),
     "micro_batch_source": lambda: repro.gen.operators.MicroBatchSource(
         "micro", [{"k": i, "v": 0.5, "s": "a"} for i in range(5)], SCHEMA,

@@ -12,8 +12,6 @@ from repro.storage import (
     AnnotationDocument,
     EntityAnnotation,
     EventAnnotation,
-    dumps_jsonl,
-    loads_jsonl,
     parse_annotations,
     serialize_annotations,
     split_sentences,
@@ -127,7 +125,7 @@ def test_brat_roundtrip(document):
     parsed.validate_references()
 
 
-# -- JSONL roundtrip ---------------------------------------------------------------------
+# -- payload sizing ---------------------------------------------------------------------------
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=20),
@@ -135,15 +133,6 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=3),
     max_leaves=10,
 )
-records = st.lists(st.dictionaries(st.text(max_size=8), json_values, max_size=4), max_size=10)
-
-
-@given(records)
-def test_jsonl_roundtrip(record_list):
-    assert loads_jsonl(dumps_jsonl(record_list)) == record_list
-
-
-# -- payload sizing ---------------------------------------------------------------------------
 
 
 @given(json_values)

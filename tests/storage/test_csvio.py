@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.relational import FieldType, Schema, Table
-from repro.storage import read_csv, table_from_csv, table_to_csv, write_csv
+from repro.relational import FieldType, Schema
+from repro.storage import table_from_csv
 
 SCHEMA = Schema.of(
     id=FieldType.INT,
@@ -14,32 +14,18 @@ SCHEMA = Schema.of(
 )
 
 
-def make_table():
-    return Table.from_rows(
-        SCHEMA,
-        [
-            [1, "widget", 9.99, True],
-            [2, "gizmo", 0.5, False],
-            [3, None, None, None],
-        ],
-    )
-
-
 def test_roundtrip_in_memory():
-    table = make_table()
-    again = table_from_csv(table_to_csv(table), SCHEMA)
-    assert again.to_dicts() == table.to_dicts()
-
-
-def test_roundtrip_on_disk(tmp_path):
-    path = tmp_path / "t.csv"
-    assert write_csv(path, make_table()) == 3
-    assert read_csv(path, SCHEMA).to_dicts() == make_table().to_dicts()
-
-
-def test_header_written_first():
-    text = table_to_csv(make_table())
-    assert text.splitlines()[0] == "id,name,price,active"
+    text = (
+        "id,name,price,active\n"
+        "1,widget,9.99,true\n"
+        "2,gizmo,0.5,false\n"
+        "3,,,\n"
+    )
+    assert table_from_csv(text, SCHEMA).to_dicts() == [
+        {"id": 1, "name": "widget", "price": 9.99, "active": True},
+        {"id": 2, "name": "gizmo", "price": 0.5, "active": False},
+        {"id": 3, "name": None, "price": None, "active": None},
+    ]
 
 
 def test_nulls_roundtrip_as_empty():
@@ -90,6 +76,12 @@ def test_ragged_row_rejected():
 
 
 def test_quoted_commas_roundtrip():
-    table = Table.from_rows(SCHEMA, [[1, "a,b,c", 1.0, True]])
-    again = table_from_csv(table_to_csv(table), SCHEMA)
-    assert again[0]["name"] == "a,b,c"
+    text = 'id,name,price,active\n1,"a,b,c",1.0,true\n'
+    table = table_from_csv(text, SCHEMA)
+    assert len(table) == 1
+    assert table[0].as_dict() == {
+        "id": 1,
+        "name": "a,b,c",
+        "price": 1.0,
+        "active": True,
+    }

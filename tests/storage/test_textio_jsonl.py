@@ -1,16 +1,6 @@
-"""Unit tests for sentence splitting and JSONL IO."""
+"""Unit tests for sentence splitting."""
 
-import pytest
-
-from repro.errors import StorageError
-from repro.storage import (
-    TextDocument,
-    dumps_jsonl,
-    loads_jsonl,
-    read_jsonl,
-    split_sentences,
-    write_jsonl,
-)
+from repro.storage import TextDocument, split_sentences
 
 
 def test_split_simple_sentences():
@@ -65,36 +55,3 @@ def test_text_document_sentences():
     assert len(doc.sentences()) == 2
     assert doc.sentences()[0].doc_id == "d1"
 
-
-def test_jsonl_roundtrip_in_memory():
-    records = [{"a": 1}, {"b": [1, 2], "c": "x"}]
-    assert loads_jsonl(dumps_jsonl(records)) == records
-
-
-def test_jsonl_file_roundtrip(tmp_path):
-    path = tmp_path / "data.jsonl"
-    records = [{"id": i, "text": f"t{i}"} for i in range(5)]
-    assert write_jsonl(path, records) == 5
-    assert read_jsonl(path) == records
-
-
-def test_jsonl_skips_blank_lines():
-    assert loads_jsonl('{"a": 1}\n\n{"b": 2}\n') == [{"a": 1}, {"b": 2}]
-
-
-def test_jsonl_rejects_invalid_json():
-    with pytest.raises(StorageError):
-        loads_jsonl("{broken\n")
-
-
-def test_jsonl_rejects_non_objects():
-    with pytest.raises(StorageError):
-        loads_jsonl("[1, 2, 3]\n")
-
-
-def test_iter_jsonl_streams(tmp_path):
-    from repro.storage import iter_jsonl
-
-    path = tmp_path / "s.jsonl"
-    write_jsonl(path, [{"i": i} for i in range(3)])
-    assert [r["i"] for r in iter_jsonl(path)] == [0, 1, 2]

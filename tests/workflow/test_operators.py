@@ -46,7 +46,7 @@ def test_a_source_executor_has_no_input_port():
 
 def test_jsonl_source_extracts_fields():
     records = [{"id": 1, "score": 0.5, "extra": "ignored"}, {"id": 2}]
-    wf = Workflow("jsonl")
+    wf = Workflow("records")
     src = wf.add_operator(JsonlSource("src", records, SCHEMA))
     sink = wf.add_operator(SinkOperator("sink"))
     wf.link(src, sink)
