@@ -48,7 +48,7 @@ from repro.cache.fingerprint import (
     fingerprint_function,
     fingerprint_value,
 )
-from repro.cache.spec import describe_cache, parse_cache_spec
+from repro.cache.spec import parse_cache_spec
 from repro.config import CacheConfig
 from repro.layer import Slot
 
@@ -60,7 +60,6 @@ __all__ = [
     "fingerprint_function",
     "fingerprint_value",
     "parse_cache_spec",
-    "describe_cache",
     "install_cache",
     "uninstall_cache",
     "current_cache",

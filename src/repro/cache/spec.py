@@ -7,13 +7,11 @@ to.
 
 from __future__ import annotations
 
-from repro.cache.fingerprint import combine
 from repro.config import CacheConfig
 from repro.errors import CacheSpecError
 from repro.layer import Field, Grammar, finite, size
-from repro.mem.spec import format_size
 
-__all__ = ["CACHE_GRAMMAR", "parse_cache_spec", "describe_cache"]
+__all__ = ["CACHE_GRAMMAR", "parse_cache_spec"]
 
 CACHE_GRAMMAR = Grammar(
     noun="cache",
@@ -38,30 +36,3 @@ def parse_cache_spec(spec: str) -> CacheConfig:
     True
     """
     return CACHE_GRAMMAR.build(spec, CacheConfig)
-
-
-def describe_cache(config: CacheConfig) -> str:
-    """Aligned text description of a cache policy (the CLI's output)."""
-    lines = [
-        "cache policy: "
-        + (
-            "lineage-keyed result caching ON"
-            if config.enabled
-            else "dormant (seed path)"
-        ),
-        f"  per-node capacity  "
-        + (
-            format_size(config.capacity_bytes)
-            if config.capacity_bytes is not None
-            else "unbounded"
-        ),
-        f"  hit lookup cost    {config.lookup_s * 1e3:.3f}ms",
-        f"  epoch              {config.epoch}",
-        f"  key prefix         {combine('task', config.epoch)[:12]}…",
-    ]
-    if config.enabled:
-        lines.append(
-            "  (misses charge nothing: an enabled-but-cold run stays "
-            "bit-identical to the seed)"
-        )
-    return "\n".join(lines)

@@ -142,41 +142,29 @@ from pathlib import Path
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
 
 from repro.experiments import ALL_EXPERIMENTS, QUICK_EXPERIMENTS
-from repro.cache import ResultCache, cached, describe_cache, parse_cache_spec
+from repro.cache import ResultCache, cached, parse_cache_spec
 from repro.cache.spec import CACHE_GRAMMAR
-from repro.config import CacheConfig, ElasticConfig, JobsConfig, MemoryConfig
-from repro.elastic import describe_elastic, elastic_enabled, parse_elastic_spec
+from repro.config import JobsConfig
+from repro.elastic import elastic_enabled, parse_elastic_spec
 from repro.elastic.spec import ELASTIC_GRAMMAR
 from repro.errors import (
-    CacheSpecError,
-    ElasticSpecError,
     FaultSpecError,
     GenSpecError,
     InvalidWorkflow,
-    JobsSpecError,
-    MemSpecError,
     UnknownPolicy,
     WorkflowSpecError,
 )
 from repro.faults import FaultSchedule, faults_injected
 from repro.faults.schedule import FAULT_SPEC_HINT
-from repro.jobs import describe_jobs, parse_jobs_spec
+from repro.jobs import parse_jobs_spec
 from repro.jobs.spec import JOBS_GRAMMAR
-from repro.mem import describe_memory, memory_managed, parse_mem_spec
+from repro.mem import memory_managed, parse_mem_spec
 from repro.mem.spec import MEM_GRAMMAR
 from repro.obs import format_breakdown, tracing, write_chrome_trace
 from repro.paradigm import diff_rows, run_both
 from repro.sched import policy_catalogue, scheduling, valid_policy
 
 __all__ = ["main", "QUICK_EXPERIMENTS"]
-
-#: Shown by the bare ``mem`` / ``cache`` / ``jobs`` / ``elastic``
-#: subcommands alongside the default policy, and appended to their spec
-#: errors: rendered from the field tables the parsers run on.
-MEM_SPEC_HELP = MEM_GRAMMAR.help()
-CACHE_SPEC_HELP = CACHE_GRAMMAR.help()
-JOBS_SPEC_HELP = JOBS_GRAMMAR.help()
-ELASTIC_SPEC_HELP = ELASTIC_GRAMMAR.help()
 
 #: Appended to workflow-spec errors from ``compile`` and ``--workflow``.
 WORKFLOW_SPEC_HELP = """\
@@ -514,15 +502,16 @@ class Subcommand:
         return f"repro {self.name}" + spec.get(self.arity, f" {self.metavar}")
 
 
-def _layer(
-    name, parse, describe, default, errors, grammar, flag_help, then=None, **run
-):
+def _layer(name, parse, grammar, flag_help, then=None, **run):
     """Row of a layer whose spec expands to a config: ``repro NAME
-    [SPEC]`` describes it, ``--NAME SPEC`` installs it for the run."""
+    [SPEC]`` prints it through ``grammar.describe`` (bare: the dormant
+    ``off`` config), ``--NAME SPEC`` installs it for the run."""
+    help_text = grammar.help()
     return Subcommand(
         name, "optional",
-        _inspect(parse, describe, grammar, default, then),
-        errors, grammar, flag=name, flag_help=flag_help, parse=parse, **run,
+        _inspect(parse, grammar.describe, help_text, lambda: parse("off"), then),
+        (grammar.error,), help_text, flag=name, flag_help=flag_help, parse=parse,
+        **run,
     )
 
 
@@ -553,16 +542,14 @@ SUBCOMMANDS = {
             scope=scheduling,
         ),
         _layer(
-            "mem", parse_mem_spec, describe_memory, MemoryConfig,
-            (MemSpecError,), MEM_SPEC_HELP,
+            "mem", parse_mem_spec, MEM_GRAMMAR,
             "run with a memory-pressure policy installed; SPEC is "
             "'on,ram=2gib,spill=0.7,...' (inspect with the 'mem' "
             "subcommand: 'repro mem SPEC')",
             scope=memory_managed,
         ),
         _layer(
-            "cache", parse_cache_spec, describe_cache, CacheConfig,
-            (CacheSpecError,), CACHE_SPEC_HELP,
+            "cache", parse_cache_spec, CACHE_GRAMMAR,
             "run with lineage-keyed result caching installed; SPEC is "
             "'on,cap=1gib,lookup=0.0001,...' (inspect with the 'cache' "
             "subcommand: 'repro cache SPEC')",
@@ -583,16 +570,14 @@ SUBCOMMANDS = {
         ),
         # No scope: the parsed config is handed to _run_experiments.
         _layer(
-            "jobs", parse_jobs_spec, describe_jobs, JobsConfig,
-            (JobsSpecError,), JOBS_SPEC_HELP,
+            "jobs", parse_jobs_spec, JOBS_GRAMMAR,
             "run the named experiments as jobs submitted through the "
             "multi-tenant job service; SPEC is 'on,rate=50,policy=drf,...' "
             "(inspect with the 'jobs' subcommand: 'repro jobs SPEC')",
             then=_run_traffic,
         ),
         _layer(
-            "elastic", parse_elastic_spec, describe_elastic, ElasticConfig,
-            (ElasticSpecError,), ELASTIC_SPEC_HELP,
+            "elastic", parse_elastic_spec, ELASTIC_GRAMMAR,
             "install an elastic-membership/autoscaler policy for the "
             "run; SPEC is 'on,min=1,max=16,provision=5,...' (inspect with "
             "the 'elastic' subcommand: 'repro elastic SPEC')",

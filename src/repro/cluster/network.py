@@ -71,22 +71,3 @@ class Network:
             if span is not None:
                 tracer.end(span)
         return nbytes
-
-    def broadcast_time(self, src: str, destinations: int, nbytes: int) -> float:
-        """Cost of sending one payload to ``destinations`` other nodes.
-
-        Modelled as sequential unicasts from the source — this is the
-        distribution pattern the paper credits Texera with for the
-        GOTTA model ("loaded the model and distributed it through the
-        network to each worker").
-
-        A broadcast overlapping a link-degradation window pays the same
-        sampled factor :meth:`transfer` charges its unicasts — sampled
-        once at broadcast start, covering every destination, so the
-        charge matches ``destinations`` equivalent unicasts issued at
-        the same instant.
-        """
-        if destinations < 0:
-            raise ValueError(f"negative destination count: {destinations}")
-        factor = self.env.faults.link_factor(self.env.now)
-        return destinations * self.config.transfer_time(nbytes) * factor

@@ -40,7 +40,6 @@ from repro.config import ElasticConfig
 from repro.elastic.autoscaler import Autoscaler
 from repro.elastic.spec import (
     MACHINE_SHAPES,
-    describe_elastic,
     machine_shape,
     parse_elastic_spec,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "MACHINE_SHAPES",
     "machine_shape",
     "parse_elastic_spec",
-    "describe_elastic",
     "install_elastic",
     "uninstall_elastic",
     "current_elastic_config",

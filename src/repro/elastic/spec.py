@@ -18,7 +18,6 @@ __all__ = [
     "MACHINE_SHAPES",
     "machine_shape",
     "parse_elastic_spec",
-    "describe_elastic",
 ]
 
 #: Named machine shapes for heterogeneous fleets.  ``default`` is the
@@ -92,30 +91,3 @@ def parse_elastic_spec(spec: str) -> ElasticConfig:
     16
     """
     return ELASTIC_GRAMMAR.build(spec, ElasticConfig)
-
-
-def describe_elastic(config: ElasticConfig) -> str:
-    """Aligned text description of an elastic config (the CLI's output)."""
-    shape = MACHINE_SHAPES.get(config.shape)
-    shape_text = config.shape
-    if shape is not None:
-        shape_text += (
-            f" ({shape.num_cpus} vCPU, {shape.ram_bytes // GIB} GiB, "
-            f"{shape.flops_per_core_per_s:.1e} FLOP/s/core)"
-        )
-    lines = [
-        "elasticity: "
-        + ("autoscaler ON" if config.enabled else "dormant (static cluster)"),
-        f"  fleet              {config.min_nodes}..{config.max_nodes} workers",
-        f"  cadence            every {config.interval_s:g}s, "
-        f"provision latency {config.provision_s:g}s",
-        f"  scale up           queue > {config.up_queue_per_node:g}/worker, "
-        f"or load >= {config.up_load:.0%}, or RAM >= {config.up_ram:.0%} "
-        f"(+{config.step}/decision)",
-        f"  scale down         idle >= {config.idle_s:g}s, empty queue, "
-        f"cooldown {config.cooldown_s:g}s",
-        f"  new-node shape     {shape_text}",
-        f"  on scale-down      "
-        + ("drain (migrate replicas)" if config.drain else "crash-evict"),
-    ]
-    return "\n".join(lines)

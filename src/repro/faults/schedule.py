@@ -168,8 +168,10 @@ class FaultSchedule:
 
         Counts are per kind and must be >= 0, as must ``horizon_s``;
         timestamps are uniform over ``[0.05, 0.95] * horizon_s`` so
-        faults land inside the run, not at its edges.  Node targets
-        cycle deterministically through ``node_names``.
+        faults land inside the run, not at its edges.  Node and link
+        windows last ``uniform(0.5, outage_s)`` seconds, so ``outage_s``
+        must be >= 0.5.  Node targets cycle deterministically through
+        ``node_names``.
         """
         counts = dict(tasks=tasks, operators=operators, nodes=nodes, links=links,
                       replicas=replicas, ooms=ooms)
@@ -178,6 +180,10 @@ class FaultSchedule:
                 raise ValueError(f"{kind}: a fault count must be >= 0, got {count}")
         if horizon_s < 0:
             raise ValueError(f"horizon: must be >= 0, got {horizon_s}")
+        if outage_s < 0.5:
+            raise ValueError(
+                f"outage: must be >= 0.5 (the shortest window), got {outage_s}"
+            )
         rng = random.Random(seed)
         names = list(node_names)
         events: List[FaultEvent] = []

@@ -60,7 +60,7 @@ from repro.jobs.model import (
 )
 from repro.jobs.queue import JobQueue
 from repro.jobs.service import JobService, percentile
-from repro.jobs.spec import describe_jobs, parse_jobs_spec
+from repro.jobs.spec import parse_jobs_spec
 from repro.jobs.traffic import Arrival, TrafficGenerator, merge_arrivals
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "register_body",
     "resolve_body",
     "parse_jobs_spec",
-    "describe_jobs",
     "percentile",
     "QUEUED",
     "ADMITTED",

@@ -10,13 +10,11 @@ from __future__ import annotations
 from repro.config import JobsConfig
 from repro.errors import JobsSpecError
 from repro.layer import Field, Grammar, choice, finite, size
-from repro.mem.spec import format_size
 from repro.sched import valid_policy
 
 __all__ = [
     "JOBS_GRAMMAR",
     "parse_jobs_spec",
-    "describe_jobs",
 ]
 
 _placement = choice(
@@ -79,47 +77,3 @@ def parse_jobs_spec(spec: str) -> JobsConfig:
     50.0
     """
     return JOBS_GRAMMAR.build(spec, JobsConfig)
-
-
-def _fmt_quota(value, size: bool = False) -> str:
-    if value is None:
-        return "unlimited"
-    return format_size(value) if size else str(value)
-
-
-def describe_jobs(config: JobsConfig) -> str:
-    """Aligned text description of a jobs config (the CLI's output)."""
-    shape = []
-    if config.burst > 0.0:
-        shape.append(
-            f"bursts x{1 + config.burst:g} for {config.burst_duty:.0%} of "
-            f"every {config.burst_period_s:g}s"
-        )
-    if config.diurnal > 0.0:
-        shape.append(
-            f"diurnal +/-{config.diurnal:.0%} over {config.diurnal_period_s:g}s"
-        )
-    lines = [
-        "job service: "
-        + ("traffic generator ON" if config.enabled else "dormant (seed path)"),
-        f"  arrivals           Poisson {config.rate_per_s:g}/s for "
-        f"{config.horizon_s:g}s (seed {config.seed})",
-        f"  shape              {'; '.join(shape) if shape else 'flat'}",
-        f"  tenants            {config.tenants}",
-        f"  admission          {config.policy} ordering, "
-        f"placement={config.placement}",
-        f"  quotas/tenant      running={_fmt_quota(config.quota_running)}, "
-        f"cpus={_fmt_quota(config.quota_cpus)}, "
-        f"ram={_fmt_quota(config.quota_ram_bytes, size=True)}",
-        f"  queue capacity     {_fmt_quota(config.max_queue)}",
-        f"  job demand         {config.cpus} vCPU, "
-        f"{format_size(config.ram_bytes) if config.ram_bytes else '0B'}, "
-        f"body={config.body} (~{config.duration_s:g}s)",
-        f"  admit watermark    "
-        + (
-            f"{config.admission_watermark:.0%} of node RAM"
-            if config.admission_watermark is not None
-            else "from memory policy (repro.mem)"
-        ),
-    ]
-    return "\n".join(lines)

@@ -3,9 +3,9 @@
 A layer (``obs``, ``faults``, ``sched``, ``mem``, ``cache``, ``jobs``,
 ``elastic``) is wired from three pieces:
 
-* a :class:`Grammar` — a table of :class:`Field` rows from which both
-  the ``key=value,...`` spec parser and the CLI help block are derived,
-  so the two cannot drift;
+* a :class:`Grammar` — a table of :class:`Field` rows from which the
+  ``key=value,...`` spec parser, the CLI help block and the printed
+  config are all derived, so the three cannot drift;
 * a :class:`Slot` — "the installed value, or None" behind each layer's
   ``install_* / uninstall_* / current_* / with`` quartet;
 * one row of ``repro.cli.SUBCOMMANDS`` (the only code that iterates
@@ -33,6 +33,7 @@ __all__ = [
     "SpecValueError",
     "finite",
     "size",
+    "format_size",
     "on_off",
     "choice",
 ]
@@ -79,6 +80,15 @@ def size(text: str) -> int:
     if quantity <= 0:
         raise SpecValueError(f"size must be positive: {text!r}")
     return int(quantity * _UNITS[(unit or "").lower()])
+
+
+def format_size(nbytes: int) -> str:
+    """``nbytes`` in the largest binary unit that divides it, else as a
+    plain byte count; :func:`size` reads either back exactly."""
+    for suffix, unit in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
+        if nbytes and not nbytes % unit:
+            return f"{nbytes // unit}{suffix}"
+    return str(nbytes)
 
 
 def on_off(text: str) -> bool:
@@ -192,6 +202,33 @@ class Grammar:
         lines = ["spec grammar: comma-separated flags and key=value pairs"]
         lines += [f"  {label:<{self.width}}{text}" for label, text in rows]
         lines.append(f"example: {self.example}")
+        return "\n".join(lines)
+
+    def describe(self, config: Any) -> str:
+        """``config`` as ``repro <layer> [SPEC]`` prints it: an ``on`` /
+        ``off (dormant)`` header, then one row per visible field, its
+        ``key=value`` and help text.
+
+        The on/off word joined with the ``key=value`` rows parses back
+        to ``config``; an unset (None) row has no ``=`` and is left out.
+        """
+        rows = []
+        for field in self.fields:
+            if not field.metavar:
+                continue
+            value = getattr(config, field.attr)
+            if value is None:
+                label = f"{field.key} (unset)"
+            elif field.metavar == "SIZE":
+                label = f"{field.key}={format_size(int(value))}"
+            elif isinstance(value, bool):
+                label = f"{field.key}={'on' if value else 'off'}"
+            else:  # a float's str is its repr, which float() reads back
+                label = f"{field.key}={value}"
+            rows.append((label, field.help))
+        pad = max([self.width - 1] + [len(label) for label, _ in rows])
+        lines = [f"{self.noun}: {'on' if config.enabled else 'off (dormant)'}"]
+        lines += [f"  {label:<{pad}} {text}" for label, text in rows]
         return "\n".join(lines)
 
 

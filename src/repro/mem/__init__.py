@@ -37,15 +37,13 @@ from __future__ import annotations
 from repro.config import MemoryConfig
 from repro.layer import Slot
 from repro.mem.manager import MemoryManager
-from repro.mem.spec import describe_memory, format_size, parse_mem_spec, parse_size
+from repro.mem.spec import parse_mem_spec, parse_size
 
 __all__ = [
     "MemoryConfig",
     "MemoryManager",
     "parse_mem_spec",
     "parse_size",
-    "format_size",
-    "describe_memory",
     "install_memory",
     "uninstall_memory",
     "current_memory_config",

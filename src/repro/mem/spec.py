@@ -6,7 +6,7 @@ defaults, and ``repro mem SPEC`` prints the policy a spec expands to.
 
 from __future__ import annotations
 
-from repro.config import GIB, KIB, MIB, MemoryConfig
+from repro.config import MemoryConfig
 from repro.errors import MemSpecError
 from repro.layer import Field, Grammar, finite, size
 
@@ -14,8 +14,6 @@ __all__ = [
     "MEM_GRAMMAR",
     "parse_mem_spec",
     "parse_size",
-    "format_size",
-    "describe_memory",
 ]
 
 
@@ -53,17 +51,6 @@ def parse_size(text: str) -> int:
         raise MemSpecError(str(exc)) from None
 
 
-def format_size(nbytes: int) -> str:
-    """Human-readable binary size (exact where possible)."""
-    for suffix, value in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
-        if nbytes >= value:
-            quantity = nbytes / value
-            if quantity == int(quantity):
-                return f"{int(quantity)}{suffix}"
-            return f"{quantity:.2f}{suffix}"
-    return f"{nbytes}B"
-
-
 def parse_mem_spec(spec: str) -> MemoryConfig:
     """Parse a ``--mem`` spec string into a :class:`MemoryConfig`.
 
@@ -71,23 +58,3 @@ def parse_mem_spec(spec: str) -> MemoryConfig:
     True
     """
     return MEM_GRAMMAR.build(spec, MemoryConfig)
-
-
-def describe_memory(config: MemoryConfig) -> str:
-    """Aligned text description of a policy (the CLI's output)."""
-    lines = [
-        "memory policy: "
-        + ("spilling + backpressure ON" if config.enabled else "dormant (seed path)"),
-        f"  node RAM ceiling   {format_size(config.node_ram_bytes) if config.node_ram_bytes is not None else 'testbed default (64GiB)'}",
-        f"  spill watermark    {config.spill_watermark:.0%} of ceiling",
-        f"  admit watermark    {config.admission_watermark:.0%} of ceiling",
-        f"  spill write bw     {format_size(int(config.spill_write_bytes_per_s))}/s",
-        f"  spill read bw      {format_size(int(config.spill_read_bytes_per_s))}/s",
-        f"  per-spill base     {config.spill_base_s * 1e3:.1f}ms",
-    ]
-    if not config.enabled and config.node_ram_bytes is not None:
-        lines.append(
-            "  (RAM override applies even while dormant: allocations that "
-            "do not fit fail hard)"
-        )
-    return "\n".join(lines)

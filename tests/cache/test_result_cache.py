@@ -7,11 +7,11 @@ from repro.cache import (
     ResultCache,
     cached,
     current_cache,
-    describe_cache,
     install_cache,
     parse_cache_spec,
     uninstall_cache,
 )
+from repro.cache.spec import CACHE_GRAMMAR
 from repro.cluster import build_cluster
 from repro.errors import CacheSpecError
 from repro.sim import Environment
@@ -45,9 +45,9 @@ def test_bad_specs_raise_cache_spec_error(spec):
 
 
 def test_describe_mentions_state_and_capacity():
-    text = describe_cache(parse_cache_spec("on,cap=1gib"))
-    assert "ON" in text and "1GiB" in text
-    assert "dormant" in describe_cache(CacheConfig())
+    text = CACHE_GRAMMAR.describe(parse_cache_spec("on,cap=1gib"))
+    assert text.startswith("cache: on\n") and "\n  cap=1GiB " in text
+    assert CACHE_GRAMMAR.describe(CacheConfig()).startswith("cache: off (dormant)\n")
 
 
 # -- lookup / insert / eviction -----------------------------------------------

@@ -33,6 +33,8 @@ BAD_SPECS = {
         "seed=1,horizon=nan,tasks=1",
         "seed=1,tasks=-1",
         "seed=1,horizon=-1",
+        "seed=1,nodes=3,outage=0.1",
+        "seed=1,nodes=1,outage=-1",
     ],
     "sched": ["banana"],
     "mem": ["banana", "ram=lots", "ram=inf", "spill=nan", "on,base=-1"],
@@ -58,13 +60,13 @@ for _specs in BAD_SPECS.values():
 GOOD_SPECS = [
     (("mem",), "dormant"),
     (("cache",), "dormant"),
-    (("cache", "on,cap=1gib"), "ON"),
+    (("cache", "on,cap=1gib"), "cache: on"),
     (("sched",), "round_robin"),
     (("faults", "seed=7,tasks=1"), "seed"),
     (("jobs",), "dormant"),
     (("jobs", "off,rate=50"), "dormant"),
     (("elastic",), "dormant"),
-    (("elastic", "on,min=2"), "ON"),
+    (("elastic", "on,min=2"), "elastic: on"),
 ]
 
 
@@ -188,6 +190,18 @@ def test_a_bare_subcommand_reads_its_own_flag_as_its_spec(capsys, sub):
     assert code == 2
     assert f"repro: {sub.name}:" in err
     assert f"--{sub.flag}:" not in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("spec", ["seed=1,nodes=3,outage=0.1", "seed=1,nodes=1,outage=-1"])
+def test_fault_outage_below_the_floor_names_the_key(capsys, spec):
+    """Used to print windows longer than the outage asked for, or to
+    name a drawn duration instead of the key."""
+    code, out, err = run_cli(capsys, "faults", spec)
+    assert code == 2
+    assert err.splitlines()[0] == (
+        f"repro: faults: outage: must be >= 0.5 (the shortest window), "
+        f"got {float(spec.rpartition('=')[2])}"
+    )
 
 
 def test_faults_json_file_with_bad_json_exits_2(tmp_path, capsys):

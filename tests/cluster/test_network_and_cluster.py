@@ -67,33 +67,6 @@ def test_unknown_node_lookup_raises():
         cluster.node("worker-9")
 
 
-def test_broadcast_time_scales_with_destinations():
-    env = Environment()
-    cluster = build_cluster(env)
-    one = cluster.network.broadcast_time("controller", 1, 10**6)
-    four = cluster.network.broadcast_time("controller", 4, 10**6)
-    assert four == pytest.approx(4 * one)
-
-
-def test_broadcast_time_applies_link_degradation():
-    """Regression: broadcasts must slow down inside a link window."""
-    from repro.faults import FaultEvent, FaultInjector, FaultSchedule
-
-    schedule = FaultSchedule(
-        events=(FaultEvent(5.0, "link", duration_s=10.0, factor=3.0),)
-    )
-    env = Environment()
-    cluster = build_cluster(env, faults=FaultInjector(schedule))
-    clean = cluster.network.broadcast_time("controller", 4, 10**6)
-
-    def proc():
-        yield env.timeout(6.0)  # inside the window
-
-    env.run(until=env.process(proc()))
-    degraded = cluster.network.broadcast_time("controller", 4, 10**6)
-    assert degraded == pytest.approx(3.0 * clean)
-
-
 def test_compute_killed_mid_timeout_charges_elapsed_busy_seconds():
     """Regression: a kill mid-compute must bill the slice it burned."""
     env = Environment()

@@ -9,13 +9,13 @@ from repro.config import ElasticConfig
 from repro.elastic import (
     MACHINE_SHAPES,
     current_elastic_config,
-    describe_elastic,
     elastic_enabled,
     install_elastic,
     machine_shape,
     parse_elastic_spec,
     uninstall_elastic,
 )
+from repro.elastic.spec import ELASTIC_GRAMMAR
 from repro.errors import ElasticSpecError
 
 
@@ -76,11 +76,11 @@ def test_json_round_trip():
 
 
 def test_describe_mentions_the_bounds_and_shape():
-    text = describe_elastic(parse_elastic_spec("on,min=2,max=6,shape=fast"))
-    assert "2..6 workers" in text
-    assert "fast" in text
-    assert "autoscaler ON" in text
-    assert "dormant" in describe_elastic(ElasticConfig())
+    text = ELASTIC_GRAMMAR.describe(parse_elastic_spec("on,min=2,max=6,shape=fast"))
+    assert "\n  min=2 " in text and "\n  max=6 " in text
+    assert "\n  shape=fast " in text
+    assert text.startswith("elastic: on\n")
+    assert ELASTIC_GRAMMAR.describe(ElasticConfig()).startswith("elastic: off (dormant)\n")
 
 
 def test_install_pattern():

@@ -26,15 +26,11 @@ from repro.experiments import (
     run_fig14c,
     run_table1,
 )
-from repro.experiments.exp_extensions import (
-    run_dice_extended_scaling,
-    run_kge_small_scale_workers,
-    run_wef_workers_extension,
-)
-from repro.tasks import fresh_cluster
+from repro.tasks import PARADIGM_SCRIPT, TASKS, fresh_cluster
 from repro.tasks.dice import run_dice_workflow
 from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
 from repro.tasks.kge import make_kge_dataset, run_kge_workflow
+from tests.support.wef_distributed import run_wef_distributed
 
 
 def _by_x(report, series):
@@ -252,9 +248,15 @@ def test_table1_without_cross_language_bridge():
 
 
 def test_ext_wef_distributed_workers():
-    report = run_wef_workers_extension(num_tweets=100)
-    distributed = _by_x(report, "distributed model-averaging")
-    (sequential,) = report.measured_series("sequential (paper's setting)")
+    # X1: the panel the paper excluded, WEF trained data-parallel with
+    # per-epoch model averaging, against the paper's sequential run.
+    wef = TASKS["wef"]
+    tweets = wef.dataset(100)
+    sequential = wef.run(PARADIGM_SCRIPT, tweets).elapsed_s
+    distributed = {
+        count: run_wef_distributed(fresh_cluster(), tweets, num_cpus=count).elapsed_s
+        for count in (1, 2, 4)
+    }
     assert distributed[4] < distributed[2] < distributed[1]
     # Near-linear scaling of the compute-bound part.
     assert distributed[1] / distributed[4] > 2.5
@@ -263,7 +265,8 @@ def test_ext_wef_distributed_workers():
 
 
 def test_ext_dice_extended_scaling():
-    script, workflow = _both(run_dice_extended_scaling(sizes=(200, 400)))
+    # X2: DICE past the real 200-pair corpus.
+    script, workflow = _both(run_fig13a(sizes=(200, 400)))
     # Linearity persists beyond the paper's range...
     assert 1.8 < script[400] / script[200] < 2.2
     # ...and the workflow's lead converges toward the marginal ratio.
@@ -271,7 +274,8 @@ def test_ext_dice_extended_scaling():
 
 
 def test_ext_kge_small_scale_workers():
-    script, workflow = _both(run_kge_small_scale_workers())
+    # X3: Fig 14c's worker sweep at the 6.8k scale.
+    script, workflow = _both(run_fig14c(num_candidates=6800, universe_size=68000))
     # The script wins at every worker count at this scale...
     for count in (1, 2, 4):
         assert script[count] < workflow[count]

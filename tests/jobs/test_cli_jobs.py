@@ -1,6 +1,7 @@
 """CLI surface of the job service: ``repro jobs`` and ``--jobs SPEC``."""
 
-from repro.cli import JOBS_SPEC_HELP, main
+from repro.cli import main
+from repro.jobs.spec import JOBS_GRAMMAR
 
 
 def run_cli(capsys, *argv):
@@ -13,7 +14,7 @@ def test_bare_jobs_prints_dormant_default_and_grammar(capsys):
     code, out, err = run_cli(capsys, "jobs")
     assert code == 0
     assert "dormant" in out
-    assert JOBS_SPEC_HELP in out
+    assert JOBS_GRAMMAR.help() in out
     assert err == ""
 
 
@@ -29,7 +30,7 @@ def test_jobs_on_runs_traffic_and_summarizes(capsys):
         capsys, "jobs", "on,rate=20,horizon=4,tenants=2,duration=0.3"
     )
     assert code == 0
-    assert "traffic generator ON" in out
+    assert out.startswith("jobs: on\n")
     assert "traffic:" in out
     assert "peak queue depth" in out
     assert "tenant-0" in out

@@ -8,17 +8,17 @@ from repro.config import GIB, KIB, MIB, MemoryConfig
 from repro.datasets import generate_fsqa, generate_maccrobat
 from repro.errors import InsufficientResources, MemSpecError
 from repro.experiments.exp_memory import shrunken_ram_bytes
+from repro.layer import format_size
 from repro.mem import (
     MemoryManager,
     current_memory_config,
-    describe_memory,
-    format_size,
     install_memory,
     memory_managed,
     parse_mem_spec,
     parse_size,
     uninstall_memory,
 )
+from repro.mem.spec import MEM_GRAMMAR
 from repro.sim import Environment
 from repro.tasks.dice import run_dice_script
 from repro.tasks.gotta import run_gotta_script
@@ -280,7 +280,12 @@ def test_parse_size_suffixes_and_errors():
 def test_format_size_round_trips_exact_binary_sizes():
     assert format_size(2 * GIB) == "2GiB"
     assert format_size(512 * MIB) == "512MiB"
-    assert format_size(999) == "999B"
+    # Not a whole number of KiB: the plain byte count, never rounded.
+    assert format_size(999) == "999"
+    assert format_size(1234567) == "1234567"
+    assert format_size(3 * MIB // 2) == "1536KiB"
+    for nbytes in (999, 1234567, 3 * MIB // 2, 2 * GIB):
+        assert parse_size(format_size(nbytes)) == nbytes
 
 
 def test_parse_mem_spec_full_grammar():
@@ -313,9 +318,9 @@ def test_parse_mem_spec_rejects_malformed(spec):
         parse_mem_spec(spec)
 
 
-def test_describe_memory_mentions_the_policy_state():
-    assert "dormant" in describe_memory(MemoryConfig())
-    assert "ON" in describe_memory(MemoryConfig(enabled=True))
+def test_the_memory_description_names_the_policy_state():
+    assert MEM_GRAMMAR.describe(MemoryConfig()).startswith("memory: off (dormant)\n")
+    assert MEM_GRAMMAR.describe(MemoryConfig(enabled=True)).startswith("memory: on\n")
 
 
 # -- install API --------------------------------------------------------------

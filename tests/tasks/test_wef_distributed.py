@@ -6,7 +6,7 @@ from repro.datasets import FRAMINGS, generate_wildfire_tweets, train_test_split
 from repro.ml import accuracy
 from repro.tasks import fresh_cluster
 from repro.tasks.wef import run_wef_script
-from repro.tasks.wef.distributed import run_wef_distributed
+from tests.support.wef_distributed import run_wef_distributed
 
 TWEETS = generate_wildfire_tweets(120, seed=11)
 

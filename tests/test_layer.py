@@ -4,13 +4,15 @@ import re
 from typing import Any, Callable, NamedTuple
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cache import ResultCache, cached
 from repro.cache.spec import CACHE_GRAMMAR
 from repro.cluster import build_cluster
 from repro.config import CacheConfig, ElasticConfig, JobsConfig, MemoryConfig
 from repro.elastic import elastic_enabled, parse_elastic_spec
-from repro.elastic.spec import ELASTIC_GRAMMAR
+from repro.elastic.spec import ELASTIC_GRAMMAR, MACHINE_SHAPES
 from repro.faults import NULL_INJECTOR, FaultInjector, FaultSchedule, faults_injected
 from repro.jobs import JobService
 from repro.jobs.spec import JOBS_GRAMMAR
@@ -18,7 +20,7 @@ from repro.layer import Field, Grammar, Slot, choice, finite, on_off, size
 from repro.mem import memory_managed
 from repro.mem.spec import MEM_GRAMMAR
 from repro.obs import NULL_TRACER, Tracer, tracing
-from repro.sched import Scheduler, scheduling
+from repro.sched import POLICIES, Scheduler, scheduling
 from repro.sim import Environment
 
 
@@ -132,14 +134,17 @@ def test_help_is_rendered_from_the_same_table():
 #: policy's)`` is prose and does not match.
 STATED_DEFAULT = re.compile(r"\(default ([^)]+)\)")
 
+#: Each layer grammar that builds a config dataclass, with that class.
+GRAMMARS = (
+    (MEM_GRAMMAR, MemoryConfig),
+    (CACHE_GRAMMAR, CacheConfig),
+    (JOBS_GRAMMAR, JobsConfig),
+    (ELASTIC_GRAMMAR, ElasticConfig),
+)
+
 STATED_DEFAULTS = [
     pytest.param(field, config, id=f"{grammar.noun}-{field.key}")
-    for grammar, config in (
-        (MEM_GRAMMAR, MemoryConfig),
-        (CACHE_GRAMMAR, CacheConfig),
-        (JOBS_GRAMMAR, JobsConfig),
-        (ELASTIC_GRAMMAR, ElasticConfig),
-    )
+    for grammar, config in GRAMMARS
     for field in grammar.fields
     if STATED_DEFAULT.search(field.help)
 ]
@@ -155,6 +160,73 @@ def test_help_states_the_default_the_config_dataclass_has(field, config):
 
 def test_the_stated_defaults_are_actually_being_checked():
     assert len(STATED_DEFAULTS) >= 30
+
+
+# -- describe -----------------------------------------------------------------
+
+DESCRIBED = [pytest.param(grammar, config, id=grammar.noun) for grammar, config in GRAMMARS]
+
+#: Values of the ``NAME`` rows the configs check; other names are free text.
+NAMES = {"policy": ("fifo", "drf"), "placement": tuple(POLICIES), "shape": tuple(MACHINE_SHAPES)}
+
+
+def _texts(field):
+    """Spellings a user might type for ``field``, most of them valid."""
+    if field.convert is on_off:
+        return st.sampled_from(["on", "off", "yes", "0", "TRUE"])
+    if field.metavar == "SIZE":
+        return st.integers(1, 2**40).map(str) | st.sampled_from(
+            ["2gib", "512MiB", "1.5gb", "3k", "1234567", "0.5KiB"]
+        )
+    if field.metavar == "NAME":
+        if field.key in NAMES:
+            return st.sampled_from(NAMES[field.key])
+        return st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+    if field.convert is int:
+        return st.integers(0, 64).map(str)
+    if field.metavar in ("F", "FRACTION"):
+        return st.floats(0.01, 1.0).map(repr) | st.sampled_from(["0.5", "1", ".25"])
+    return st.floats(0.0, 1e6).map(repr) | st.sampled_from(["1e3", "7", "0.0001"])
+
+
+def _pasted_back(grammar, config):
+    """The on/off word and the printed ``key=value`` rows, parsed again."""
+    header, *rows = grammar.describe(config).splitlines()
+    assert header == f"{grammar.noun}: " + ("on" if config.enabled else "off (dormant)")
+    assert len(rows) == sum(1 for field in grammar.fields if field.metavar)
+    labels = [row.split()[0] for row in rows]
+    spec = ",".join([header.split()[1]] + [label for label in labels if "=" in label])
+    return grammar.build(spec, type(config))
+
+
+@pytest.mark.parametrize("grammar, config", DESCRIBED)
+def test_the_default_config_reads_back_from_its_description(grammar, config):
+    assert _pasted_back(grammar, config()) == config()
+    assert _pasted_back(grammar, config(enabled=True)) == config(enabled=True)
+
+
+@pytest.mark.parametrize("grammar, config", DESCRIBED)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_described_config_reads_back_from_its_rows(grammar, config, data):
+    visible = [field for field in grammar.fields if field.metavar]
+    flag = data.draw(st.sampled_from(["on", "off"]))
+    values = data.draw(
+        st.fixed_dictionaries({}, optional={f.key: _texts(f) for f in visible})
+    )
+    spec = ",".join([flag] + [f"{key}={text}" for key, text in values.items()])
+    try:
+        described = grammar.build(spec, config)
+    except grammar.error:
+        assume(False)
+    assert _pasted_back(grammar, described) == described
+
+
+def test_sizes_print_exactly():
+    config = MemoryConfig(node_ram_bytes=1234567, spill_write_bytes_per_s=3 * 2**30)
+    rows = MEM_GRAMMAR.describe(config).splitlines()
+    assert rows[1].split()[0] == "ram=1234567"
+    assert rows[4].split()[0] == "write_bw=3GiB"
 
 
 # -- Slot ---------------------------------------------------------------------

@@ -69,6 +69,7 @@ def test_the_cli_group_is_the_cli_smoke_job():
         ["memory", "--quick", "--mem", "on"],
         ["elasticity", "--quick"],
         ["elasticity", "--quick", "--elastic", "on"],
+        ["elastic", "on,min=2,max=6,shape=fast"],
         ["compile", "examples/workflows/demo.json"],
         ["gen", "family=raster,run=off"],
     ):
