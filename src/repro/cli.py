@@ -3,6 +3,16 @@
 Runs the requested experiment reproductions (default: all) and prints
 each measured-vs-paper table.  ``--quick`` uses reduced dataset scales.
 
+Each experiment is a pure function of its id, so a run of several
+executes them side by side in forked worker processes, one per CPU the
+process may use, and prints the reports in the order given: stdout is
+byte-identical to a serial run.  The run stays serial with one
+experiment or one CPU, under a tracer or any layer flag (their
+end-of-run summaries gather state in this process), in a process that
+already runs a second thread, and where ``fork`` is unavailable.  When
+stdout is closed early (``repro --quick | head``) the CLI stops without
+a traceback and exits :data:`EXIT_CLOSED_STDOUT`.
+
 Observability::
 
     python -m repro trace fig13d --quick --trace /tmp/gotta.json
@@ -135,11 +145,14 @@ layer is wired").
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
-from contextlib import ExitStack
+import threading
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Tuple
 
 from repro.experiments import ALL_EXPERIMENTS, QUICK_EXPERIMENTS
 from repro.cache import ResultCache, cached, parse_cache_spec
@@ -164,7 +177,11 @@ from repro.obs import format_breakdown, tracing, write_chrome_trace
 from repro.paradigm import diff_rows, run_both
 from repro.sched import policy_catalogue, scheduling, valid_policy
 
-__all__ = ["main", "QUICK_EXPERIMENTS"]
+__all__ = ["main", "QUICK_EXPERIMENTS", "EXIT_CLOSED_STDOUT"]
+
+#: Exit status when stdout closes before everything is printed:
+#: 128 + SIGPIPE, what a shell reports for a process SIGPIPE ended.
+EXIT_CLOSED_STDOUT = 128 + 13
 
 #: Appended to workflow-spec errors from ``compile`` and ``--workflow``.
 WORKFLOW_SPEC_HELP = """\
@@ -667,12 +684,63 @@ def _jobs_summary(summary) -> str:
     return "\n".join(lines)
 
 
-def _run_experiments(names: List[str], registry, jobs_config) -> int:
-    """Run experiments directly, or as jobs when ``--jobs`` enables them."""
+def _render(experiment) -> str:
+    """One experiment's report text (what a pool worker sends back)."""
+    return experiment().to_text()
+
+
+def _workers(count: int) -> int:
+    """Processes to run ``count`` independent experiments on: the CPUs
+    this process may use, capped at ``count``.
+
+    1 (serial) where ``fork`` is unavailable and while a second Python
+    thread runs: a forked child keeps only the forking thread, and a
+    lock another thread held stays locked in it for good.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, count)
+
+
+@contextmanager
+def _reports(experiments, workers: int) -> Iterator[Iterator[str]]:
+    """Each experiment's report text, in the order given.
+
+    With ``workers > 1`` they are rendered in a ``fork`` pool.  It is
+    closed and joined once every report is through, and terminated and
+    joined on any error or interrupt, so no worker outlives the run.
+    Workers ignore SIGINT: a Ctrl-C reaches the parent, which ends them.
+    """
+    if workers <= 1:
+        yield map(_render, experiments)
+        return
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
+    try:
+        yield pool.imap(_render, experiments, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        pool.join()
+        raise
+    pool.close()
+    pool.join()
+
+
+def _run_experiments(names: List[str], registry, jobs_config, workers: int) -> int:
+    """Run experiments directly, on ``workers`` processes, or as jobs
+    when ``--jobs`` enables them."""
     if jobs_config is None or not jobs_config.enabled:
-        for name in names:
-            print(registry[name]().to_text())
-            print()
+        with _reports([registry[name] for name in names], workers) as reports:
+            for text in reports:
+                print(text)
+                print()
         return 0
     from repro.jobs import JobResult, JobService, JobSpec
 
@@ -708,6 +776,26 @@ def _run_experiments(names: List[str], registry, jobs_config) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the CLI; the exit status.  A closed stdout ends the run
+    quietly with :data:`EXIT_CLOSED_STDOUT`."""
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing more can be shown.  What is still buffered goes to
+        # devnull, so the interpreter's own flush at exit cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # no descriptor behind sys.stdout
+            pass
+        finally:
+            os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _main(argv: Optional[List[str]]) -> int:
     args = build_parser().parse_args(argv)
     registry = QUICK_EXPERIMENTS if args.quick else ALL_EXPERIMENTS
     if args.list:
@@ -752,7 +840,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         tracer = stack.enter_context(tracing()) if trace_mode else None
         if args.workflow is None:
-            code = _run_experiments(names, registry, installed.get("jobs"))
+            # The tracer's breakdown and each layer's summary gather
+            # state in this process, across experiments: either one
+            # keeps the run serial.
+            workers = 1 if tracer is not None or installed else _workers(len(names))
+            code = _run_experiments(names, registry, installed.get("jobs"), workers)
         else:
             try:
                 code = _run_workflow_file(args.workflow)

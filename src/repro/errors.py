@@ -105,6 +105,13 @@ class OperatorError(WorkflowError):
         super().__init__(f"operator '{operator_id}': {message}")
         self.operator_id = operator_id
 
+    def __reduce__(self):
+        # ``args`` holds the formatted text, which ``__init__`` cannot
+        # take back; a pickle (a CLI pool worker's result) rebuilds it
+        # from the two parts.
+        message = str(self)[len(f"operator '{self.operator_id}': "):]
+        return type(self), (self.operator_id, message), self.__dict__
+
 
 class FaultError(ReproError):
     """Base class for the deterministic fault-injection subsystem."""

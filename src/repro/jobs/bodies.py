@@ -35,6 +35,7 @@ __all__ = [
     "GEN_BODIES",
     "TASK_BODIES",
     "JobResult",
+    "known_body",
     "register_body",
     "resolve_body",
 ]
@@ -75,6 +76,12 @@ def register_body(
     if fn is not None:
         return install(fn)
     return install
+
+
+def known_body(name: str) -> bool:
+    """Whether a ``--jobs`` spec may name ``name``: a registered body, or
+    ``gen`` (traffic draws a ``gen/<family>/<paradigm>`` body per job)."""
+    return name == "gen" or name in _BODIES
 
 
 def resolve_body(name: str) -> Callable[[JobSpec], JobResult]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from repro.config import JobsConfig
 from repro.errors import JobsSpecError
+from repro.jobs.bodies import known_body
 from repro.layer import Field, Grammar, choice, finite, size
 from repro.sched import valid_policy
 
@@ -17,6 +18,9 @@ __all__ = [
     "parse_jobs_spec",
 ]
 
+_body = choice(
+    known_body, "unknown job body {!r} (see repro.jobs.bodies; 'gen' draws one per job)",
+)
 _placement = choice(
     valid_policy,
     "unknown placement policy {!r} (see 'repro sched' for the catalogue)",
@@ -60,7 +64,7 @@ JOBS_GRAMMAR = Grammar(
               "per-job RAM demand (default 1gib)"),
         Field("duration", "duration_s", finite, "SECONDS",
               "mean profile-body duration (default 1.0)"),
-        Field("body", "body", str, "NAME",
+        Field("body", "body", _body, "NAME",
               "job body, see repro.jobs.bodies (default profile)"),
         Field("admit", "admission_watermark", finite, "FRACTION",
               "RAM backpressure watermark (default: memory policy's)"),

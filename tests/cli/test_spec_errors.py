@@ -48,6 +48,7 @@ BAD_SPECS = {
         "ram=1e400",
         "on,horizon=nan",
         "on,rate=inf,horizon=1",
+        "on,body=banana,horizon=1",
     ],
     "elastic": ["banana", "min=lots", "shape=warp9", "interval=nan", "up=-inf"],
 }

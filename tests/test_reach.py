@@ -6,6 +6,8 @@ reachability audit runs with no second edit.
 """
 
 import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +66,7 @@ def test_the_cli_group_is_the_cli_smoke_job():
     assert all(command[1:3] == ["-m", "repro"] for command in cli)
     for argv in (
         ["--list"],
+        ["--quick"],
         ["fig13c", "--quick", "--faults", "seed=7,operators=3"],
         ["memory", "--quick"],
         ["memory", "--quick", "--mem", "on"],
@@ -75,3 +78,26 @@ def test_the_cli_group_is_the_cli_smoke_job():
     ):
         assert argv in argvs
     assert not [tok for argv in argvs for tok in argv if tok[0] in "$<>|;&()"]
+
+
+
+#: Calls ``format_size`` only inside a forked pool worker, which is
+#: closed and joined as the CLI's pool is.
+POOL_ONLY = """\
+import multiprocessing
+from repro.layer import format_size
+
+pool = multiprocessing.get_context("fork").Pool(1)
+assert pool.map(format_size, [2048]) == ["2KiB"]
+pool.close()
+pool.join()
+"""
+
+
+def test_a_function_entered_only_in_a_pool_worker_is_reached(tmp_path):
+    # The worker leaves through os._exit, which skips atexit.
+    from repro.layer import format_size
+
+    assert reach.collect(tmp_path, [sys.executable, "-c", POOL_ONLY]) == 0
+    line = inspect.getsourcelines(format_size)[1]
+    assert ("repro/layer.py", line) in reach.load_hits([tmp_path])

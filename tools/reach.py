@@ -34,9 +34,10 @@ they are a contract.
 Limits: an interpreter that replaces ``PYTHONPATH`` (bench's
 ``cli_all_quick`` child) or installs its own profiler without chaining
 to the one it found is not covered, and one that leaves through
-``os._exit`` writes nothing.  Functions are matched by the line of
-their first decorator, as ``co_firstlineno`` is; lambdas and
-comprehensions are not listed.
+``os._exit`` writes nothing, unless it is a forked ``multiprocessing``
+worker (the CLI's pool), which writes as it runs its finalizers.
+Functions are matched by the line of their first decorator, as
+``co_firstlineno`` is; lambdas and comprehensions are not listed.
 """
 
 from __future__ import annotations
@@ -98,7 +99,18 @@ def install() -> None:
         name = Path(out) / f"{os.getpid()}-{id(seen):x}.json"
         name.write_text(json.dumps(hits), encoding="utf-8")
 
+    def after_fork_in_child() -> None:
+        # A forked multiprocessing worker leaves through ``os._exit``,
+        # so atexit never runs there; its finalizers do, but it clears
+        # them once forked, just before it runs its after-fork hooks.
+        util = sys.modules.get("multiprocessing.util")
+        if util is not None:
+            util.register_after_fork(
+                dump, lambda dump: util.Finalize(None, dump, exitpriority=0)
+            )
+
     atexit.register(dump)
+    os.register_at_fork(after_in_child=after_fork_in_child)
     sys.setprofile(profile)
     threading.setprofile(profile)
 
