@@ -146,6 +146,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -164,6 +165,7 @@ from repro.errors import (
     FaultSpecError,
     GenSpecError,
     InvalidWorkflow,
+    ReproError,
     UnknownPolicy,
     WorkflowSpecError,
 )
@@ -685,8 +687,21 @@ def _jobs_summary(summary) -> str:
 
 
 def _render(experiment) -> str:
-    """One experiment's report text (what a pool worker sends back)."""
-    return experiment().to_text()
+    """One experiment's report text (what a pool worker sends back).
+
+    The pool pickles a worker's exception back to the parent, and one
+    that cannot be rebuilt from its pickle kills the pool's result
+    thread, so the run hangs.  Such an exception is raised as a
+    :class:`ReproError` naming its class and message instead.
+    """
+    try:
+        return experiment().to_text()
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise ReproError(f"{type(exc).__name__}: {exc}") from exc
+        raise
 
 
 def _workers(count: int) -> int:

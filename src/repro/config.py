@@ -112,10 +112,9 @@ class ObjectStoreConfig:
 class RayxConfig:
     """Script-paradigm runtime knobs (paper Section IV-A)."""
 
-    #: The paper set Ray's num_cpus to 1 per worker for the fair
-    #: one-worker comparison; Ray then pinned PyTorch to 1 CPU.
-    default_num_cpus_per_worker: int = 1
-    #: Effective cores PyTorch may use inside one Ray task.
+    #: Effective cores PyTorch may use inside one Ray task.  The paper
+    #: set Ray's num_cpus to 1 per worker for the fair one-worker
+    #: comparison; Ray then pinned PyTorch to 1 CPU.
     torch_cores_per_task: int = 1
     #: Fixed cost of launching a remote task (scheduling + dispatch).
     task_dispatch_s: float = 2.0e-3

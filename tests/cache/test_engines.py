@@ -8,22 +8,17 @@ warm tasks back to the node holding their result.
 """
 
 from repro.cache import ResultCache, cached
-from repro.cluster import build_cluster
 from repro.datasets import generate_fsqa, generate_maccrobat, generate_wildfire_tweets
 from repro.experiments.harness import cached_kge_dataset
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
 from repro.sched import PlacementRequest, Scheduler
 from repro.sched.policy import LocalityPolicy
-from repro.sim import Environment
 from repro.rayx import run_script
+from repro.tasks import fresh_cluster
 from repro.tasks.dice import run_dice_script, run_dice_workflow
 from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
 from repro.tasks.kge import run_kge_script, run_kge_workflow
 from repro.tasks.wef import run_wef_script, run_wef_workflow
-
-
-def fresh_cluster():
-    return build_cluster(Environment())
 
 
 def square(ctx, x):

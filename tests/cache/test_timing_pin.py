@@ -10,7 +10,7 @@ Two timing guarantees beyond the dormant pin every layer shares
 """
 
 from repro.cache import ResultCache, cached
-from tests.obs.test_timing_regression import SEED_TIMINGS, _run_all
+from tests.support.cells import SEED_TIMINGS, group, run, seed_timings
 
 
 def test_enabled_cold_cache_timings_bit_identical_to_seed():
@@ -22,13 +22,11 @@ def test_enabled_cold_cache_timings_bit_identical_to_seed():
     which is reuse, not drift.
     """
     caches = []
-
-    def fresh():
-        cache = ResultCache("on")
-        caches.append(cache)
-        return cached(cache)
-
-    timings = _run_all(each=fresh)
+    timings = {}
+    for key in SEED_TIMINGS:
+        name, paradigm = key.split("/")
+        caches.append(ResultCache("on"))
+        timings[key] = run(group("tasks")[name], paradigm, slots=[(cached, caches[-1])]).elapsed_s
     assert timings == SEED_TIMINGS
     assert all(cache.hits == 0 for cache in caches)
     assert sum(cache.misses for cache in caches) > 0  # really consulted
@@ -36,10 +34,9 @@ def test_enabled_cold_cache_timings_bit_identical_to_seed():
 
 def test_warm_cache_strictly_faster_everywhere():
     cache = ResultCache("on")
-    with cached(cache):
-        cold = _run_all()
-        warm = _run_all()
+    cold = seed_timings(slots=[(cached, cache)])
+    warm = seed_timings(slots=[(cached, cache)])
     for key, warm_elapsed in warm.items():
         assert warm_elapsed < cold[key], f"{key} did not speed up warm"
-    assert cold["gotta/script-1"] == SEED_TIMINGS["gotta/script-1"]
+    assert cold["gotta/script"] == SEED_TIMINGS["gotta/script"]
     assert cache.hits > 0

@@ -186,3 +186,43 @@ def test_a_second_thread_or_no_fork_keeps_the_run_serial(monkeypatch):
     assert cli._workers(3) == 2
     monkeypatch.delattr(os, "fork")
     assert cli._workers(3) == 1
+
+
+#: Three reports in a pool of two; the middle one raises an exception
+#: whose ``__init__`` cannot take its own ``args`` back.
+PICKY = """
+from functools import partial
+from repro import cli
+
+class Picky(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+class Report(str):
+    def to_text(self):
+        if self == "bad":
+            raise Picky("a", "b")
+        return str(self)
+
+try:
+    with cli._reports([partial(Report, text) for text in ("ok", "bad", "ok")], 2) as reports:
+        for text in reports:
+            print(text)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_an_exception_that_cannot_be_unpickled_reaches_the_parent():
+    # A session of its own: on a hang the child and its pool die together.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", PICKY], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the pool hung on an exception it could not unpickle")
+    assert (proc.returncode, out.decode(), err.decode()) == (0, "ok\nReproError Picky: a and b\n", "")

@@ -20,10 +20,9 @@ from repro.cluster import Mechanism, Node, charge
 from repro.config import JobsConfig
 from repro.jobs import JobService
 from repro.obs import tracing
-from repro.paradigm import PARADIGMS
-from repro.tasks import TASKS
-from tests.rayx.test_body_exactness import observe as observe_script
-from tests.workflow.test_charge_exactness import observe as observe_workflow
+from tests.support.body_path import observe as observe_script
+from tests.support.cells import PINNED, matrix, run
+from tests.support.charge_path import observe as observe_workflow
 
 FLOOD = JobsConfig(
     enabled=True, seed=3, rate_per_s=30.0, horizon_s=2.0, tenants=3,
@@ -52,17 +51,9 @@ def compute_callers(run):
     return callers
 
 
-@pytest.mark.parametrize("paradigm", PARADIGMS)
-@pytest.mark.parametrize("task", list(TASKS))
-def test_every_task_holds_vcpus_only_through_charge(task, paradigm):
-    row = TASKS[task]
-    data = row.dataset(*row.pinned)
-
-    def run():
-        with tracing():
-            row.run(paradigm, data)
-
-    callers = compute_callers(run)
+@pytest.mark.parametrize("cell, paradigm", matrix(PINNED.values()))
+def test_every_task_holds_vcpus_only_through_charge(cell, paradigm):
+    callers = compute_callers(lambda: run(cell, paradigm, slots=[(tracing, None)]))
     assert callers, "the run held no vCPUs; the pin watches nothing"
     assert {code.co_name for code in callers} == {"charge"}
     assert all(code is charge.__code__ for code in callers)

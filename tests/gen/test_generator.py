@@ -1,16 +1,16 @@
 """The seeded random-workflow generator: validity, determinism, knobs.
 
-The acceptance bar: 25 distinct seeds must each produce a document
-that validates, compiles to both paradigms and collects identical row
-multisets — the same contract the ``cli-smoke`` CI job's
-``repro gen count=10`` step enforces.
+The acceptance bar — distinct seeds each produce a document that
+validates, compiles to both paradigms and collects identical row
+multisets, the contract the ``cli-smoke`` CI job's ``repro gen
+count=10`` step enforces — runs on the cell matrix's forty seeds
+(``tests/test_laws.py``).
 """
 
 import pytest
 
 from repro.errors import GenSpecError
 from repro.gen import GenConfig, generate_spec, random_spec
-from repro.paradigm import run_both
 from repro.workflow.spec import WorkflowSpec
 
 
@@ -56,13 +56,6 @@ def test_knobs_steer_the_shape():
 def test_bad_knobs_raise_gen_spec_error(bad):
     with pytest.raises(GenSpecError):
         GenConfig(seed=0, **bad)
-
-
-def test_twenty_five_seeds_validate_compile_and_row_agree():
-    """The acceptance sweep: every seed, both paradigms, identical rows."""
-    for seed in range(25):
-        workflow, script = run_both(random_spec(seed))
-        assert script.rows == workflow.rows, f"seed {seed} disagrees"
 
 
 def test_generated_documents_serialize_strictly():

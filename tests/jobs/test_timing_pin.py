@@ -17,24 +17,21 @@ from repro.jobs.bodies import TASK_BODIES
 from repro.tasks.base import fresh_cluster
 from repro.tasks.kge.common import make_kge_dataset
 from repro.tasks.kge.script import run_kge_script
-from tests.obs.test_timing_regression import PINNED_RUNS, SEED_TIMINGS
-
-#: body name -> SEED_TIMINGS key for every TASKS row x paradigm; a task
-#: body registered outside the table has no key and fails the pin.
-PINNED_BODIES = {f"{task.name}/{paradigm}": key for key, task, paradigm in PINNED_RUNS}
+from tests.support.cells import SEED_TIMINGS
 
 
 def test_single_job_task_timings_bit_identical_to_seed():
+    # A body's name is its pinned cell's SEED_TIMINGS key; a task body
+    # registered outside the table has no key and fails the pin.
     for body in TASK_BODIES:
-        key = PINNED_BODIES[body]
         service = JobService()
         job = service.run_job(JobSpec(body=body))
         assert job.state == "completed", job.error
-        assert job.result.run.elapsed_s == SEED_TIMINGS[key], body
+        assert job.result.run.elapsed_s == SEED_TIMINGS[body], body
         # The body's virtual time is the job's occupancy on the
         # service cluster; an uncontended job waits zero.
         assert job.queue_latency_s == 0.0
-        assert service.env.now == SEED_TIMINGS[key]
+        assert service.env.now == SEED_TIMINGS[body]
 
 
 def test_single_job_outputs_identical_to_direct_run():

@@ -16,21 +16,9 @@ and timed exactly as the single-heap seed kernel.  Two guards:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.fsqa import generate_fsqa
-from repro.datasets.maccrobat import generate_maccrobat
-from repro.datasets.wildfire import generate_wildfire_tweets
 from repro.faults import FaultSchedule, faults_injected
 from repro.sim import Environment
-from repro.tasks.base import fresh_cluster
-from repro.tasks.dice.script import run_dice_script
-from repro.tasks.dice.workflow import run_dice_workflow
-from repro.tasks.gotta.script import run_gotta_script
-from repro.tasks.gotta.workflow import run_gotta_workflow
-from repro.tasks.kge.common import make_kge_dataset
-from repro.tasks.kge.script import run_kge_script
-from repro.tasks.kge.workflow import run_kge_workflow
-from repro.tasks.wef.script import run_wef_script
-from repro.tasks.wef.workflow import run_wef_workflow
+from tests.support.cells import seed_timings
 
 #: Virtual timings of every paper task under one fixed fault schedule,
 #: recorded on the pre-optimization (single-heap) kernel.  Exact float
@@ -38,47 +26,24 @@ from repro.tasks.wef.workflow import run_wef_workflow
 #: amplify any ordering drift, so agreement here means the fast path is
 #: bit-identical even on the adversarial recovery paths.
 FAULT_SEED_TIMINGS = {
-    "gotta/script-1": 146.53636422480747,
-    "gotta/workflow-1": 63.54263398720341,
-    "gotta/script-4": 395.2392738549409,
-    "dice/script-4": 8.2103241998,
-    "dice/workflow-4": 8.120559969866665,
-    "kge/script": 21.649590524133334,
-    "kge/workflow": 14.977701228366675,
-    "wef/script": 336.2067139711333,
+    "dice/workflow": 8.120559969866665,
+    "dice/script": 8.2103241998,
     "wef/workflow": 258.4677945387333,
+    "wef/script": 336.2067139711333,
+    "gotta/workflow": 63.54263398720341,
+    "gotta/script": 146.53636422480747,
+    "kge/workflow": 14.977701228366675,
+    "kge/script": 21.649590524133334,
+    "gotta@4/script": 395.2392738549409,
 }
 
-
-def _schedule():
-    return FaultSchedule.generate(
-        seed=1234, horizon_s=60.0, tasks=2, operators=1, nodes=1, links=1,
-        replicas=1,
-    )
+SCHEDULE = FaultSchedule.generate(
+    seed=1234, horizon_s=60.0, tasks=2, operators=1, nodes=1, links=1, replicas=1,
+)
 
 
 def test_all_tasks_bit_identical_under_fault_schedule():
-    paras1 = generate_fsqa(1)
-    paras4 = generate_fsqa(4)
-    reports = generate_maccrobat(4)
-    kge = make_kge_dataset(300, universe_size=1000)
-    tweets = generate_wildfire_tweets(40)
-    runners = {
-        "gotta/script-1": lambda: run_gotta_script(fresh_cluster(), paras1),
-        "gotta/workflow-1": lambda: run_gotta_workflow(fresh_cluster(), paras1),
-        "gotta/script-4": lambda: run_gotta_script(fresh_cluster(), paras4),
-        "dice/script-4": lambda: run_dice_script(fresh_cluster(), reports),
-        "dice/workflow-4": lambda: run_dice_workflow(fresh_cluster(), reports),
-        "kge/script": lambda: run_kge_script(fresh_cluster(), kge),
-        "kge/workflow": lambda: run_kge_workflow(fresh_cluster(), kge),
-        "wef/script": lambda: run_wef_script(fresh_cluster(), tweets),
-        "wef/workflow": lambda: run_wef_workflow(fresh_cluster(), tweets),
-    }
-    timings = {}
-    for key, run in runners.items():
-        with faults_injected(_schedule()):
-            timings[key] = run().elapsed_s
-    assert timings == FAULT_SEED_TIMINGS
+    assert seed_timings(slots=[(faults_injected, SCHEDULE)]) == FAULT_SEED_TIMINGS
 
 
 # -- ordering property ----------------------------------------------------------

@@ -15,12 +15,11 @@ from repro.cluster import build_cluster
 from repro.config import MIB, MemoryConfig
 from repro.faults import FaultSchedule, faults_injected
 from repro.rayx import run_script
-from repro.relational import FieldType, Schema, Table, column_greater
+from repro.relational import Table, column_greater
 from repro.sim import Environment
 from repro.workflow import Workflow, run_workflow
 from repro.workflow.operators import FilterOperator, SinkOperator, TableSource
-
-SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
+from tests.support.workflows import SCHEMA
 
 
 def script_outputs(mem_config=None):

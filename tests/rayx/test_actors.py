@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.cluster import build_cluster
 from repro.errors import RayxError
 from repro.rayx import run_script
-from repro.sim import Environment
-
-
-def fresh_cluster():
-    return build_cluster(Environment())
+from repro.tasks import fresh_cluster
 
 
 class Counter:

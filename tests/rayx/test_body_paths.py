@@ -11,12 +11,11 @@ before the paths were folded into one, too.
 import pytest
 
 from repro.cache import cached
-from repro.cluster import build_cluster
 from repro.config import default_config
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
 from repro.obs import tracing
 from repro.rayx import ObjectRef, run_script
-from repro.sim import Environment
+from repro.tasks import fresh_cluster
 
 STARTUP = default_config().rayx.startup_s
 DISPATCH = default_config().rayx.task_dispatch_s
@@ -39,10 +38,6 @@ def body(ctx, rows, scale, nested):
 class Host:
     def body(self, ctx, *args):
         return body(ctx, *args)
-
-
-def fresh_cluster():
-    return build_cluster(Environment())
 
 
 def as_task(rt, args):

@@ -19,10 +19,7 @@ from repro.cluster import build_cluster, estimate_bytes
 from repro.config import MemoryConfig
 from repro.rayx import ObjectRef, RayxRuntime
 from repro.sim import Environment
-from tests.properties.test_fault_props import (
-    assert_ledger_laws,
-    assert_resources_released,
-)
+from tests.support.ledger import assert_ledger_laws, assert_resources_released
 
 
 def make_runtime():

@@ -9,19 +9,14 @@ are never retried.
 
 import pytest
 
-from repro.cluster import build_cluster
 from repro.config import default_config
 from repro.errors import InjectedFault
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
 from repro.rayx import run_script
-from repro.sim import Environment
+from repro.tasks import fresh_cluster
 
 MAX_RETRIES = default_config().rayx.max_task_retries
 BACKOFF = default_config().rayx.retry_backoff_base_s
-
-
-def fresh_cluster():
-    return build_cluster(Environment())
 
 
 def schedule_of(*events, seed=None):

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.cluster import build_cluster
 from repro.config import default_config
 from repro.errors import RayxError
 from repro.rayx import RayxRuntime, run_script
-from repro.sim import Environment
+from repro.tasks import fresh_cluster
 
 STARTUP = default_config().rayx.startup_s
 DISPATCH = default_config().rayx.task_dispatch_s
-
-
-def fresh_cluster():
-    return build_cluster(Environment())
 
 
 def test_driver_runs_and_returns_value():

@@ -11,6 +11,7 @@ from repro.tasks.dice import run_dice_script, run_dice_workflow
 from repro.tasks.gotta import run_gotta_script, run_gotta_workflow
 from repro.tasks.kge import run_kge_script, run_kge_workflow
 from repro.tasks.wef import run_wef_script, run_wef_workflow
+from tests.support.cells import PINNED, matrix
 
 #: The plain entry points the rows must wrap, spelled out independently.
 DIRECT = {
@@ -24,19 +25,13 @@ DIRECT = {
     ("kge", "workflow"): run_kge_workflow,
 }
 
-CELLS = [(task, paradigm) for task in TASKS.values() for paradigm in PARADIGMS]
-
-
-def cell_id(value):
-    return getattr(value, "name", value)
-
 
 def test_table_is_the_four_tasks_in_paper_order_under_both_paradigms():
     assert list(TASKS) == ["dice", "wef", "gotta", "kge"]
     for name, task in TASKS.items():
         assert task.name == name
         assert set(task.sides) == set(PARADIGMS)
-    assert {(task.name, paradigm) for task, paradigm in CELLS} == set(DIRECT)
+    assert {(name, paradigm) for name in PINNED for paradigm in PARADIGMS} == set(DIRECT)
 
 
 def test_job_bodies_are_the_table_cells():
@@ -44,9 +39,10 @@ def test_job_bodies_are_the_table_cells():
     assert sorted(TASK_BODIES) == sorted(f"{name}/{p}" for name, p in DIRECT)
 
 
-@pytest.mark.parametrize("task, paradigm", CELLS, ids=cell_id)
-def test_run_adds_nothing_to_the_direct_call(task, paradigm):
-    data = task.dataset(*task.pinned)
+@pytest.mark.parametrize("cell, paradigm", matrix(PINNED.values()))
+def test_run_adds_nothing_to_the_direct_call(cell, paradigm):
+    task = cell.task
+    data = task.dataset(*cell.size)
     direct = DIRECT[task.name, paradigm](fresh_cluster(), data)
     run = task.run(paradigm, data)
     assert (run.task, run.paradigm) == (task.name, paradigm)
@@ -55,9 +51,10 @@ def test_run_adds_nothing_to_the_direct_call(task, paradigm):
     assert run.num_workers == direct.num_workers == 1
 
 
-@pytest.mark.parametrize("task, paradigm", CELLS, ids=cell_id)
-def test_workers_reach_the_paradigms_own_knob(task, paradigm):
-    data = task.dataset(*task.pinned)
+@pytest.mark.parametrize("cell, paradigm", matrix(PINNED.values()))
+def test_workers_reach_the_paradigms_own_knob(cell, paradigm):
+    task = cell.task
+    data = task.dataset(*cell.size)
     _, knob = task.sides[paradigm]
     if knob is None:
         with pytest.raises(ValueError, match="no parallelism knob"):
@@ -71,8 +68,9 @@ def test_workers_reach_the_paradigms_own_knob(task, paradigm):
 
 def test_only_wefs_workflow_lacks_a_knob():
     knobless = [
-        (task.name, paradigm)
-        for task, paradigm in CELLS
+        (name, paradigm)
+        for name, task in TASKS.items()
+        for paradigm in PARADIGMS
         if task.sides[paradigm][1] is None
     ]
     assert knobless == [("wef", "workflow")]

@@ -105,3 +105,15 @@ def test_names_occur_only_where_the_rule_allows(rule):
 def test_each_rule_proven_by_running_keeps_its_test(pin):
     path, name = pin.split("::")
     assert f"\ndef {name}(" in (REPO / path).read_text("utf-8")
+
+
+def test_test_modules_share_helpers_only_through_tests_support():
+    crossings = [
+        f"{path.relative_to(REPO)}: {name}"
+        for path in sorted((REPO / "tests").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (f"{getattr(node, 'module', '')}.{alias.name}" for alias in node.names)
+        if re.match(r"\.?tests(\.\w+)*\.test_", name)
+    ]
+    assert crossings == []

@@ -10,7 +10,6 @@ import dataclasses
 
 import pytest
 
-from repro.cluster import build_cluster
 from repro.config import MachineConfig, default_config
 from repro.errors import (
     InsufficientResources,
@@ -19,7 +18,7 @@ from repro.errors import (
 )
 from repro.rayx import run_script
 from repro.relational import FieldType, Schema, Table, udf_predicate
-from repro.sim import Environment
+from repro.tasks import fresh_cluster
 from repro.workflow import OperatorState, Workflow, WorkflowController
 from repro.workflow.operators import FilterOperator, SinkOperator, TableSource
 
@@ -28,10 +27,6 @@ SCHEMA = Schema.of(id=FieldType.INT)
 
 def make_table(n=50):
     return Table.from_rows(SCHEMA, [[i] for i in range(n)])
-
-
-def fresh_cluster(config=None):
-    return build_cluster(Environment(), config)
 
 
 # -- workflow-side failures -------------------------------------------------------

@@ -15,8 +15,7 @@ from repro.sim import Environment
 from repro.workflow import OperatorState, WorkflowController
 from repro.workflow.operators import MapOperator
 
-from tests.workflow.test_charge_paths import make_workflow as scan_middle_sink
-from tests.workflow.test_checkpoint_recovery import SCHEMA
+from tests.support.workflows import SCHEMA, scan_middle_sink
 
 
 def make_workflow(poison=300):

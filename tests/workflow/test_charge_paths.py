@@ -18,39 +18,18 @@ from repro.cluster import CONTROLLER, build_cluster
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
 from repro.mem import memory_managed
 from repro.obs import Tracer, tracing
-from repro.relational import Table, column_greater
+from repro.relational import column_greater
 from repro.sim import Environment
-from repro.workflow import Workflow, WorkflowController, run_workflow
+from repro.workflow import WorkflowController, run_workflow
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operators import (
-    FilterOperator,
-    MapOperator,
-    SinkOperator,
-    TableSource,
-)
+from repro.workflow.operators import FilterOperator
 
-from tests.workflow.test_checkpoint_recovery import SCHEMA
+from tests.support.workflows import scan_middle_sink
 
 ROWS = 400
 BATCHES = 7  # 400 rows in batches of 64
 M_FAULT = FaultSchedule(events=(FaultEvent(0.01, "operator", target="m"),))
 ARMED = FaultSchedule(events=(FaultEvent(0.01, "operator", target="nobody"),))
-
-
-def make_workflow(middle=None, rows=ROWS):
-    table = Table.from_rows(SCHEMA, [[i, i / 100] for i in range(rows)])
-    wf = Workflow("charge-paths")
-    scan = wf.add_operator(TableSource("scan", table))
-    middle = wf.add_operator(
-        middle
-        or MapOperator(
-            "m", SCHEMA, lambda row: row.values, extra_seconds_fn=lambda r: 0.001
-        )
-    )
-    sink = wf.add_operator(SinkOperator("results"))
-    wf.link(scan, middle)
-    wf.link(middle, sink)
-    return wf
 
 
 class Run:
@@ -66,7 +45,7 @@ class Run:
             if mem:
                 stack.enter_context(memory_managed("on"))
             self.cluster = build_cluster(Environment())
-            self.result = run_workflow(self.cluster, make_workflow(middle))
+            self.result = run_workflow(self.cluster, scan_middle_sink(middle))
         self.counters = self.tracer.metrics.snapshot()["counters"]
 
     def spans(self, prefix, node=None):
@@ -223,7 +202,7 @@ def test_the_gather_decodes_a_whole_table_on_the_controller():
 @pytest.mark.parametrize("what", ["batch", "eos"])
 def test_a_producer_killed_on_a_full_channel_leaves_nothing_behind(what):
     cluster = build_cluster(Environment())
-    controller = WorkflowController(cluster, make_workflow())
+    controller = WorkflowController(cluster, scan_middle_sink())
     controller.workflow.compile_schemas()
     controller._build_plan()
     (producer,) = controller._instances["scan"]
@@ -281,7 +260,7 @@ def test_a_crashed_half_batch_charges_tuple_cost_but_not_the_lost_extra_work():
     # A second decode of the batch and 32 tuple_costs — and none of the
     # 32 ms of extra work the lost rows would have declared.
     replayed = faulted.spans("decode:", faulted.node_of("m"))[1]
-    tuple_cost = make_workflow().operators["m"].tuple_cost_s(0)
+    tuple_cost = scan_middle_sink().operators["m"].tuple_cost_s(0)
     assert paid_for_the_crash == pytest.approx(
         replayed.end_s - replayed.start_s + 32 * tuple_cost, abs=2e-6
     )

@@ -14,8 +14,7 @@ from repro.relational import FieldType, Schema, Table, column_greater
 from repro.sim import Environment
 from repro.workflow import Workflow, run_workflow
 from repro.workflow.operators import FilterOperator, SinkOperator, TableSource
-
-SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
+from tests.support.workflows import SCHEMA
 
 
 def make_workflow(rows=400):

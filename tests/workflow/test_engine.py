@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.cluster import build_cluster
 from repro.errors import OperatorError
 from repro.relational import FieldType, Schema, Table, column_greater, udf_predicate
-from repro.sim import Environment
+from repro.tasks import fresh_cluster
 from repro.workflow import OperatorLanguage, OperatorState, Workflow, run_workflow
 from repro.workflow.operators import (
     AggregationFunction,
@@ -26,10 +25,6 @@ SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
 
 def make_table(n=100):
     return Table.from_rows(SCHEMA, [[i, (i % 10) / 10.0] for i in range(n)])
-
-
-def fresh_cluster():
-    return build_cluster(Environment())
 
 
 def run_simple(workflow):
