@@ -287,10 +287,6 @@ class Codec:
         """
         return self.encode_time(nbytes, items)
 
-    def round_trip_time(self, nbytes: int, items: int = 0) -> float:
-        """Encode + decode, the cost of crossing one runtime boundary."""
-        return self.encode_time(nbytes, items) + self.decode_time(nbytes, items)
-
 
 @dataclass(frozen=True)
 class CodecSuite:

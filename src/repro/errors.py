@@ -77,10 +77,6 @@ class ObjectNotFound(ObjectStoreError):
     """``get`` was called with a ref that was never ``put``."""
 
 
-class TaskError(RayxError):
-    """A remote task raised; the exception is re-raised at ``get``."""
-
-
 class WorkflowError(ReproError):
     """Base class for errors raised by the workflow (Texera-like) engine."""
 

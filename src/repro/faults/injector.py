@@ -196,13 +196,6 @@ class FaultInjector:
             for name, start, end in self.node_windows
         )
 
-    def node_window_end(self, node: str, now: float) -> Optional[float]:
-        """Close of the outage window covering ``now`` on ``node``."""
-        for name, start, end in self.node_windows:
-            if name == node and start <= now < end:
-                return end
-        return None
-
     # -- workflow checks ---------------------------------------------------
 
     def take_operator_fault(
@@ -274,9 +267,6 @@ class NullInjector:
 
     def node_crashed_between(self, node: str, t0: float, t1: float) -> bool:
         return False
-
-    def node_window_end(self, node: str, now: float) -> Optional[float]:
-        return None
 
     def take_operator_fault(
         self, operator_id: str, now: float

@@ -283,15 +283,14 @@ class JobService:
 
     def _admit(self, job: Job, fallback_node) -> None:
         spec = job.spec
-        node = self.scheduler.place(
-            PlacementRequest(
-                "job",
-                label=job.job_id,
-                tenant=spec.tenant,
-                cpus=spec.cpus,
-                ram_bytes=spec.ram_bytes,
-            )
+        request = PlacementRequest(
+            "job",
+            label=job.job_id,
+            tenant=spec.tenant,
+            cpus=spec.cpus,
+            ram_bytes=spec.ram_bytes,
         )
+        node = self.scheduler.choose(request)
         if (
             self._cpus_held[node.name] + spec.cpus > node.num_cpus
             or node.ram_used + spec.ram_bytes
@@ -300,18 +299,9 @@ class JobService:
             # The placement policy (e.g. plain round_robin) picked a
             # node that cannot take the job right now; fall back to the
             # fitting node the admission check already found.
-            self.scheduler.release(node.name)
             self.blocked["placement"] += 1
             node = fallback_node
-            self.scheduler.place(
-                PlacementRequest(
-                    "job",
-                    label=job.job_id,
-                    tenant=spec.tenant,
-                    cpus=spec.cpus,
-                    ram_bytes=spec.ram_bytes,
-                )
-            )
+        self.scheduler.commit(request, node)
         now = self.env.now
         job.admit(now, node.name)
         self._cpus_held[node.name] += spec.cpus

@@ -37,13 +37,12 @@ from __future__ import annotations
 from repro.config import MemoryConfig
 from repro.layer import Slot
 from repro.mem.manager import MemoryManager
-from repro.mem.spec import parse_mem_spec, parse_size
+from repro.mem.spec import parse_mem_spec
 
 __all__ = [
     "MemoryConfig",
     "MemoryManager",
     "parse_mem_spec",
-    "parse_size",
     "install_memory",
     "uninstall_memory",
     "current_memory_config",

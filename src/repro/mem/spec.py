@@ -13,7 +13,6 @@ from repro.layer import Field, Grammar, finite, size
 __all__ = [
     "MEM_GRAMMAR",
     "parse_mem_spec",
-    "parse_size",
 ]
 
 
@@ -41,14 +40,6 @@ MEM_GRAMMAR = Grammar(
     ),
     example="--mem on,ram=2gib,spill=0.7,admit=0.9",
 )
-
-
-def parse_size(text: str) -> int:
-    """Parse ``"2GiB"`` / ``"512MiB"`` / ``"1048576"`` into bytes."""
-    try:
-        return size(text)
-    except ValueError as exc:
-        raise MemSpecError(str(exc)) from None
 
 
 def parse_mem_spec(spec: str) -> MemoryConfig:

@@ -9,7 +9,7 @@ rather than absolute seconds (DESIGN.md section 6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 __all__ = ["ExperimentRow", "ExperimentReport"]
 
@@ -61,14 +61,6 @@ class ExperimentReport:
     def measured_series(self, name: str) -> List[float]:
         return [row.measured for row in self.series(name)]
 
-    def max_relative_error(self) -> Optional[float]:
-        errors = [
-            abs(row.relative_error)
-            for row in self.rows
-            if row.relative_error is not None
-        ]
-        return max(errors) if errors else None
-
     def to_text(self) -> str:
         """Render the report as an aligned text table."""
         header = (
@@ -91,17 +83,3 @@ class ExperimentReport:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-    def to_records(self) -> List[Dict[str, Any]]:
-        """Rows as plain dicts (for JSON/EXPERIMENTS.md generation)."""
-        return [
-            {
-                "experiment": self.experiment_id,
-                "series": row.series,
-                "x": row.x,
-                "measured": round(row.measured, 3),
-                "paper": row.paper,
-                "unit": row.unit,
-            }
-            for row in self.rows
-        ]

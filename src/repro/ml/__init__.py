@@ -12,7 +12,6 @@ from repro.ml.metrics import (
     accuracy,
     exact_match,
     f1_score,
-    multilabel_scores,
     precision,
     recall,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "accuracy",
     "exact_match",
     "f1_score",
-    "multilabel_scores",
     "precision",
     "recall",
     "MASK_TOKEN",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 __all__ = [
     "accuracy",
@@ -10,7 +10,6 @@ __all__ = [
     "recall",
     "f1_score",
     "exact_match",
-    "multilabel_scores",
 ]
 
 
@@ -60,25 +59,3 @@ def exact_match(truth: Sequence[str], predictions: Sequence[str]) -> float:
     )
     return matches / len(truth)
 
-
-def multilabel_scores(
-    truth: Sequence[Sequence[int]], predictions: Sequence[Sequence[int]]
-) -> Dict[str, List[float]]:
-    """Per-label accuracy/F1 for a multi-label problem (WEF's shape).
-
-    ``truth[i][j]`` is label j of example i; all rows must have the
-    same number of labels.
-    """
-    _check_lengths(truth, predictions)
-    num_labels = len(truth[0])
-    for row in list(truth) + list(predictions):
-        if len(row) != num_labels:
-            raise ValueError("ragged multilabel rows")
-    per_label_accuracy = []
-    per_label_f1 = []
-    for j in range(num_labels):
-        t = [row[j] for row in truth]
-        p = [row[j] for row in predictions]
-        per_label_accuracy.append(accuracy(t, p))
-        per_label_f1.append(f1_score(t, p))
-    return {"accuracy": per_label_accuracy, "f1": per_label_f1}

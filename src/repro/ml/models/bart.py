@@ -13,7 +13,7 @@ and per-token generation FLOPs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster import Sized
 from repro.config import ModelConfig
@@ -90,9 +90,3 @@ class SimBartGenerator(Sized):
             if word not in question_words
         ]
         return candidates[-1] if candidates else ""
-
-    def batch_generate(
-        self, question_context_pairs: Sequence[Tuple[str, str]]
-    ) -> List[str]:
-        """Vector form of :meth:`generate` (one forward per pair)."""
-        return [self.generate(q, c) for q, c in question_context_pairs]

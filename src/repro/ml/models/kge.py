@@ -1,13 +1,12 @@
 """TransE-style knowledge graph embedding model for the KGE task.
 
 What is real: TransE geometry over seeded random embeddings — scoring
-is ``-||h + r - t||``, ranking sorts real scores, and reverse lookup
-returns what an exact nearest-neighbour search returns, so the task's
-output (which products a user is predicted to buy) is deterministic and
-assertable.
+is ``-||h + r - t||``, and reverse lookup returns what an exact
+nearest-neighbour search returns, so the task's output (which products
+a user is predicted to buy) is deterministic and assertable.
 
 What is simulated: cost.  The model reports the 375 MB payload the
-paper cites for the KGE model and per-score FLOPs.
+paper cites for the KGE model.
 """
 
 from __future__ import annotations
@@ -67,18 +66,11 @@ class TransEModel(Sized):
     def payload_bytes(self) -> int:
         return self.model_config.kge_bytes
 
-    def score_flops(self) -> float:
-        """FLOPs of scoring one (head, relation, tail) triple."""
-        return self.model_config.kge_flops_per_score
-
     # -- embeddings -------------------------------------------------------------
 
     @property
     def num_entities(self) -> int:
         return len(self._entities)
-
-    def has_entity(self, entity_id: str) -> bool:
-        return entity_id in self._entity_index
 
     def embedding_of(self, entity_id: str) -> np.ndarray:
         try:
@@ -108,21 +100,6 @@ class TransEModel(Sized):
         # np.linalg.norm of a 1-D float64 vector is sqrt(x.dot(x)).
         residual = head + rel - tail_embedding
         return -math.sqrt(residual.dot(residual))
-
-    def rank(
-        self,
-        head_id: str,
-        relation: str,
-        candidates: Sequence[Tuple[str, np.ndarray]],
-        top_k: Optional[int] = None,
-    ) -> List[Tuple[str, float]]:
-        """Rank candidate tails by score, best first (stable on ties)."""
-        scored = [
-            (candidate_id, self.score(head_id, relation, embedding))
-            for candidate_id, embedding in candidates
-        ]
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored if top_k is None else scored[:top_k]
 
     def reverse_lookup(self, embedding: np.ndarray) -> str:
         """Nearest entity to an embedding (exact L2 search)."""

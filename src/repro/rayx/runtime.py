@@ -40,6 +40,7 @@ Usage::
 from __future__ import annotations
 
 import inspect
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, List, Optional, Sequence
 
 from repro.cache.fingerprint import combine, fingerprint_function, fingerprint_value
@@ -301,7 +302,9 @@ class RayxRuntime:
             # recorded under fault injection — clean runs keep zero
             # bookkeeping overhead.
             self.store.lineage[ref.ref_id] = (fn, args)
-        self.env.process(self._run_task(fn, args, ref, node))
+        self.env.process(
+            self._run_task(partial(self._attempt, fn, args, ref), ref, args, node, "retry")
+        )
         return ref
 
     def _place(
@@ -315,19 +318,26 @@ class RayxRuntime:
         )
 
     def _run_task(
-        self, fn: Callable[..., Any], args: Sequence[Any], ref: ObjectRef, node: Node
+        self,
+        run_attempt: Callable[[Node, int], Generator],
+        ref: ObjectRef,
+        args: Sequence[Any],
+        node: Node,
+        kind: str,
     ) -> Generator:
-        """One submitted task: attempts, with backoff and a fresh
-        placement between them, until one stops asking for a retry."""
+        """Attempts of one task body (``run_attempt(node, attempt)``),
+        with backoff and a fresh ``kind`` placement between them, until
+        one stops asking for a retry.  Releases the last placement."""
         attempt = 0
         try:
-            while (yield from self._attempt(fn, args, ref, node, attempt)):
+            while (yield from run_attempt(node, attempt)):
                 yield from self._backoff(attempt, ref, node)
                 attempt += 1
-                # Resubmission is a fresh placement decision; the
-                # default policy keeps the task on the same node.
+                # A re-run is a fresh placement decision; the default
+                # policy keeps a retry on the same node and sends a
+                # reconstruction to the first healthy worker.
                 self.scheduler.release(node.name)
-                node = self._place("retry", ref, args, prev_node=node.name)
+                node = self._place(kind, ref, args, prev_node=node.name)
         finally:
             self.scheduler.release(node.name)
 
@@ -504,18 +514,38 @@ class RayxRuntime:
         Installed as ``store.reconstructor``; runs on the first healthy
         worker, re-dereferences the producer's arguments (recursively
         reconstructing *them* if needed) and re-runs the task body,
-        charging its full virtual cost.  Reconstruction runs outside
-        the ``num_cpus`` slot pool — it is triggered from inside a
-        ``get`` that may itself hold a slot, and waiting for a second
-        slot there could deadlock a fully subscribed pool.
+        charging its full virtual cost.  An injected fault that kills
+        the re-run is retried like a task's, up to
+        ``max_task_retries``.  Reconstruction runs outside the
+        ``num_cpus`` slot pool — it is triggered from inside a ``get``
+        that may itself hold a slot, and waiting for a second slot
+        there could deadlock a fully subscribed pool.
         """
         fn, args = self.store.lineage[ref.ref_id]
         hit = self._probe(ref)
         cache_node = self.cluster.cache.peek_node(ref.fingerprint)
         node = self._place("reconstruction", ref, args, cache_node=cache_node)
+        yield from self._run_task(
+            partial(self._reconstruct_attempt, fn, args, ref, hit),
+            ref, args, node, "reconstruction",
+        )
+
+    def _reconstruct_attempt(
+        self,
+        fn: Callable[..., Any],
+        args: Sequence[Any],
+        ref: ObjectRef,
+        hit: bool,
+        node: Node,
+        attempt: int,
+    ) -> Generator:
+        """One re-run of ``ref``'s producer on ``node``.  Returns True
+        when an injected fault ended it with retries left; any other
+        exception propagates to the rebuild's waiters."""
         tracer = self.tracer
         start = self.env.now
         span = None
+        retried = None
         if tracer.enabled:
             span = tracer.start(
                 f"reconstruct:{ref.label}",
@@ -524,6 +554,8 @@ class RayxRuntime:
                 parent=self._driver_span,
                 cache_hit=hit,
             )
+            if attempt:
+                span.attrs["attempt"] = attempt
             tracer.metrics.counter("faults.reconstructions").inc()
         try:
             # No ``fault_label``: a rebuild is exempt from task faults.
@@ -541,14 +573,21 @@ class RayxRuntime:
             result = yield from context.run(fn, args)
             yield from self.store.restore(ref, result, node.name, charge=not hit)
             self._memoise(ref, node.name, "task")
+        except InjectedFault as exc:
+            if attempt >= self.config.rayx.max_task_retries:
+                raise
+            retried = exc
         finally:
-            self.scheduler.release(node.name)
             if span is not None:
-                tracer.end(span)
+                if retried is None:
+                    tracer.end(span)
+                else:
+                    tracer.end(span, status="retried", error=retried.kind)
             if tracer.enabled:
                 tracer.metrics.counter("faults.recovery.virtual_seconds").add(
                     self.env.now - start
                 )
+        return retried is not None
 
     # -- actors --------------------------------------------------------------------
 

@@ -26,20 +26,6 @@ class FieldType(enum.Enum):
     BOOL = "bool"
     ANY = "any"  # opaque payloads (embeddings, model handles, ...)
 
-    def accepts(self, value: Any) -> bool:
-        """Whether ``value`` conforms to this type (None is nullable)."""
-        if value is None:
-            return True
-        if self is FieldType.INT:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self is FieldType.FLOAT:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is FieldType.STRING:
-            return isinstance(value, str)
-        if self is FieldType.BOOL:
-            return isinstance(value, bool)
-        return True  # ANY
-
 
 def _accepts_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -119,11 +105,6 @@ class Schema:
         """
         return cls(Field(name, ftype) for name, ftype in name_types.items())
 
-    @classmethod
-    def untyped(cls, *names: str) -> "Schema":
-        """Build a schema of ANY-typed fields from names."""
-        return cls(Field(name) for name in names)
-
     # -- lookups --------------------------------------------------------------
 
     @property
@@ -177,18 +158,6 @@ class Schema:
                     )
             fields.append(Field(name, field.ftype))
         return Schema(fields)
-
-    def with_field(self, field: Field) -> "Schema":
-        """Schema extended by one appended field."""
-        return Schema(list(self.fields) + [field])
-
-    def without(self, *names: str) -> "Schema":
-        """Schema with the given fields removed."""
-        missing = [name for name in names if name not in self._index]
-        if missing:
-            raise FieldNotFound(f"fields {missing} not in schema {self.names}")
-        drop = set(names)
-        return Schema(f for f in self.fields if f.name not in drop)
 
     def validate(self, values: Sequence[Any]) -> None:
         """Check arity and per-field types of a row of values."""

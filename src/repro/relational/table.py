@@ -6,7 +6,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Seque
 from typing import Tuple as PyTuple
 
 from repro.errors import SchemaError
-from repro.relational.schema import Field, FieldType, Schema
+from repro.relational.schema import Schema
 from repro.relational.tup import Tuple
 
 __all__ = ["Table"]
@@ -94,59 +94,11 @@ class Table:
         schema = self.schema.project(names)
         return Table(schema, (Tuple(schema, [row[n] for n in names]) for row in self.rows))
 
-    def map_rows(
-        self, schema: Schema, fn: Callable[[Tuple], Sequence[Any]]
-    ) -> "Table":
-        """Apply ``fn`` to every row, producing rows of ``schema``."""
-        return Table(schema, (Tuple(schema, fn(row)) for row in self.rows))
-
-    def with_column(
-        self, name: str, fn: Callable[[Tuple], Any], ftype: FieldType = FieldType.ANY
-    ) -> "Table":
-        """Table extended with a computed column."""
-        schema = self.schema.with_field(Field(name, ftype))
-        return Table(
-            schema,
-            (Tuple(schema, list(row.values) + [fn(row)]) for row in self.rows),
-        )
-
     def sort_by(self, name: str, reverse: bool = False) -> "Table":
         """Rows ordered by one column (stable)."""
         index = self.schema.index_of(name)
         ordered = sorted(self.rows, key=lambda row: row.values[index], reverse=reverse)
         return Table(self.schema, ordered)
-
-    def limit(self, n: int) -> "Table":
-        if n < 0:
-            raise ValueError(f"limit must be >= 0, got {n}")
-        return Table(self.schema, self.rows[:n])
-
-    def concat_rows(self, other: "Table") -> "Table":
-        """Union-all of two same-schema tables."""
-        if other.schema != self.schema:
-            raise SchemaError(
-                f"cannot concat tables with schemas {self.schema!r} and "
-                f"{other.schema!r}"
-            )
-        return Table(self.schema, list(self.rows) + list(other.rows))
-
-    def group_by(self, name: str) -> Dict[Any, "Table"]:
-        """Partition rows by the value of one column."""
-        index = self.schema.index_of(name)
-        groups: Dict[Any, List[Tuple]] = {}
-        for row in self.rows:
-            groups.setdefault(row.values[index], []).append(row)
-        return {key: Table(self.schema, rows) for key, rows in groups.items()}
-
-    def distinct(self) -> "Table":
-        """Unique rows, first occurrence kept (order-preserving)."""
-        seen = set()
-        unique: List[Tuple] = []
-        for row in self.rows:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        return Table(self.schema, unique)
 
     # -- sizing ------------------------------------------------------------------
 

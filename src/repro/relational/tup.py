@@ -87,12 +87,6 @@ class Tuple:
             return self.values[self.schema.index_of(key)]
         return self.values[key]
 
-    def get(self, name: str, default: Any = None) -> Any:
-        """Field value by name, or ``default`` if the field is absent."""
-        if name in self.schema:
-            return self.values[self.schema.index_of(name)]
-        return default
-
     def as_dict(self) -> Dict[str, Any]:
         return dict(zip(self.schema.names, self.values))
 
@@ -112,13 +106,6 @@ class Tuple:
         """Tuple restricted to the given fields."""
         schema = self.schema.project(names)
         return Tuple(schema, [self[name] for name in names])
-
-    def with_value(self, name: str, value: Any) -> "Tuple":
-        """Tuple with field ``name`` replaced by ``value``."""
-        index = self.schema.index_of(name)
-        values = list(self.values)
-        values[index] = value
-        return Tuple(self.schema, values)
 
     def concat(self, other: "Tuple", suffix: str = "_right") -> "Tuple":
         """Join-style concatenation of two tuples."""

@@ -162,10 +162,21 @@ class Scheduler:
 
     def place(self, request: PlacementRequest) -> "Node":
         """Decide where ``request`` runs; updates accounts and obs."""
+        node = self.choose(request)
+        self.commit(request, node)
+        return node
+
+    def choose(self, request: PlacementRequest) -> "Node":
+        """The policy's pick for ``request``, not yet recorded.  A caller
+        that may overrule the pick passes the node it settles on to
+        :meth:`commit`, so each request is one placement."""
         if request.kind in COUNTED_KINDS:
             request.index = self._counter
             self._counter += 1
-        node = self.policy.choose(request, self)
+        return self.policy.choose(request, self)
+
+    def commit(self, request: PlacementRequest, node: "Node") -> None:
+        """Record ``request`` as placed on ``node``: accounts and obs."""
         account = self.accounts.get(node.name)
         if account is not None:
             account.outstanding += 1
@@ -197,7 +208,6 @@ class Scheduler:
                 policy=self.policy.name,
                 kind=request.kind,
             )
-        return node
 
     def release(self, node_name: str) -> None:
         """A placement finished; decrement the node's outstanding load."""

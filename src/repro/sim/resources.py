@@ -267,18 +267,6 @@ class Store:
                 return
 
 
-def acquire(resource: Resource, amount: int = 1):
-    """Generator helper: ``yield from acquire(res, n)`` inside a process.
-
-    Returns the request so the caller can later ``resource.release(n)``.
-    Provided for readability; direct ``yield resource.request(n)`` is
-    equally valid.
-    """
-    request = resource.request(amount)
-    yield request
-    return request
-
-
 def drain(store: Store) -> List[Any]:
     """Immediately empty a store's buffered items (no simulation time)."""
     items = list(store.items)

@@ -173,11 +173,6 @@ class Workflow:
         links = [l for l in self._links if l.consumer_id == operator_id]
         return sorted(links, key=lambda l: l.input_port)
 
-    def out_links(self, operator_id: str) -> List[Link]:
-        """Outgoing links of one operator, ordered by output port."""
-        links = [l for l in self._links if l.producer_id == operator_id]
-        return sorted(links, key=lambda l: l.output_port)
-
     def sources(self) -> List[LogicalOperator]:
         return [op for op in self._operators.values() if op.is_source]
 

@@ -224,16 +224,6 @@ class LogicalOperator(abc.ABC):
         """Whether input ports must be drained sequentially (0, 1, ...)."""
         return self.num_input_ports > 1
 
-    @property
-    def is_blocking(self) -> bool:
-        """True when no output is produced until all input is consumed.
-
-        Blocking operators (sort, train, aggregate) are pipeline
-        breakers; the paper's pipelining benefits accrue only to
-        non-blocking chains.
-        """
-        return False
-
     def partition_key(self, port: int) -> Optional[str]:
         """Field to hash-partition this input port on, if required.
 

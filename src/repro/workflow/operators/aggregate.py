@@ -119,10 +119,6 @@ class GroupByOperator(LogicalOperator):
         self.result_field = result_field
         self._out_schema: Optional[Schema] = None
 
-    @property
-    def is_blocking(self) -> bool:
-        return True
-
     def partition_key(self, port: int) -> Optional[str]:
         return self.group_key
 
@@ -204,10 +200,6 @@ class SortOperator(LogicalOperator):
         self.reverse = reverse
         self.per_tuple_sort_work_s = per_tuple_sort_work_s
 
-    @property
-    def is_blocking(self) -> bool:
-        return True
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         schema.index_of(self.key)
@@ -255,10 +247,6 @@ class TopKOperator(LogicalOperator):
         self.key = key
         self.k = k
         self.reverse = reverse
-
-    @property
-    def is_blocking(self) -> bool:
-        return True
 
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas

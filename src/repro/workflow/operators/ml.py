@@ -177,10 +177,6 @@ class TrainOperator(LogicalOperator):
         self.load_seconds = load_seconds
         self.trained_model: Any = None
 
-    @property
-    def is_blocking(self) -> bool:
-        return True
-
     def output_schema(self, input_schemas: Sequence[Schema]) -> Schema:
         (schema,) = input_schemas
         schema.index_of(self.text_field)

@@ -188,15 +188,6 @@ class WorkflowSpec:
             "links": [link.to_json() for link in self.links],
         }
 
-    def to_json_text(self, indent: int = 2) -> str:
-        """The canonical document as strict JSON text.
-
-        Non-finite floats raise a scoped :class:`WorkflowSpecError`
-        (see :func:`dump_spec_doc`); non-ASCII operator ids round-trip
-        losslessly.
-        """
-        return dump_spec_doc(self.to_json(), indent=indent)
-
     @classmethod
     def from_json(cls, doc: Any) -> "WorkflowSpec":
         """Parse and structurally validate a spec document."""

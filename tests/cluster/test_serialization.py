@@ -85,7 +85,7 @@ def test_estimate_is_deterministic():
 def test_codec_times():
     codecs = make_codecs(SerializationConfig(base_s=0.001, python_bytes_per_s=1e6))
     assert codecs.python.encode_time(1000) == pytest.approx(0.002)
-    assert codecs.python.round_trip_time(1000) == pytest.approx(0.004)
+    assert codecs.python.decode_time(1000) == pytest.approx(0.002)
 
 
 def test_codec_rejects_negative_size():

@@ -41,13 +41,6 @@ def test_node_crashed_between_detects_start_in_interval():
     assert not injector.node_crashed_between("worker-0", 8.0, 12.0)
 
 
-def test_node_window_end():
-    injector = injector_for(FaultEvent(10.0, "node", target="worker-1", duration_s=5.0))
-    assert injector.node_window_end("worker-1", 12.0) == 15.0
-    assert injector.node_window_end("worker-1", 16.0) is None
-    assert injector.node_window_end("worker-0", 12.0) is None
-
-
 # -- link degradation -------------------------------------------------------------
 
 
@@ -151,7 +144,6 @@ def test_null_injector_is_benign():
     assert NULL_INJECTOR.take_operator_fault("any", 1e9) is None
     assert not NULL_INJECTOR.node_down("worker-0", 1e9)
     assert not NULL_INJECTOR.node_crashed_between("worker-0", 0.0, 1e9)
-    assert NULL_INJECTOR.node_window_end("worker-0", 1e9) is None
     assert NULL_INJECTOR.link_factor(1e9) == 1.0
     assert NULL_INJECTOR.injected == 0 and NULL_INJECTOR.retries == 0
 

@@ -193,6 +193,32 @@ def test_every_placement_policy_drains_the_same_workload(placement):
     assert service.queue.drained
 
 
+def test_a_fallback_admission_is_one_placement():
+    # round_robin picks blind to load, so a 6-vCPU job it sends to a
+    # busy 8-vCPU worker falls back to the node admission found free.
+    service = JobService(JobsConfig(placement="round_robin", policy="fifo"))
+    scheduler = service.scheduler
+    admitted = []
+    admit = service._admit
+
+    def checked_admit(job, node):
+        admit(job, node)
+        admitted.append(job)
+        for name, account in scheduler.accounts.items():
+            running = [j for j in admitted if j.node == name and not j.terminal]
+            assert account.outstanding == len(running), name
+        assert scheduler.placements == len(admitted)
+
+    service._admit = checked_admit
+    for duration_s in [5, 1, 5, 5, 1, 1, 1, 1]:
+        service.submit(profile(duration_s, cpus=6, ram_bytes=0))
+    service.run_pending()
+    assert service.counts()["completed"] == 8
+    assert service.blocked["placement"] > 0  # the fallback ran
+    assert scheduler.placements == 8
+    assert all(account.outstanding == 0 for account in scheduler.accounts.values())
+
+
 # -- traffic runs -------------------------------------------------------------
 
 TRAFFIC = JobsConfig(

@@ -8,14 +8,13 @@ from repro.config import GIB, KIB, MIB, MemoryConfig
 from repro.datasets import generate_fsqa, generate_maccrobat
 from repro.errors import InsufficientResources, MemSpecError
 from repro.experiments.exp_memory import shrunken_ram_bytes
-from repro.layer import format_size
+from repro.layer import format_size, size
 from repro.mem import (
     MemoryManager,
     current_memory_config,
     install_memory,
     memory_managed,
     parse_mem_spec,
-    parse_size,
     uninstall_memory,
 )
 from repro.mem.spec import MEM_GRAMMAR
@@ -268,13 +267,13 @@ def test_dormant_clamp_only_drops_the_ceiling():
 
 
 def test_parse_size_suffixes_and_errors():
-    assert parse_size("2GiB") == 2 * GIB
-    assert parse_size("512MiB") == 512 * MIB
-    assert parse_size("1.5kb") == int(1.5 * KIB)
-    assert parse_size("4096") == 4096
+    assert size("2GiB") == 2 * GIB
+    assert size("512MiB") == 512 * MIB
+    assert size("1.5kb") == int(1.5 * KIB)
+    assert size("4096") == 4096
     for bad in ("", "lots", "-1MiB", "0"):
         with pytest.raises(MemSpecError):
-            parse_size(bad)
+            parse_mem_spec(f"on,ram={bad}")
 
 
 def test_format_size_round_trips_exact_binary_sizes():
@@ -285,7 +284,7 @@ def test_format_size_round_trips_exact_binary_sizes():
     assert format_size(1234567) == "1234567"
     assert format_size(3 * MIB // 2) == "1536KiB"
     for nbytes in (999, 1234567, 3 * MIB // 2, 2 * GIB):
-        assert parse_size(format_size(nbytes)) == nbytes
+        assert size(format_size(nbytes)) == nbytes
 
 
 def test_parse_mem_spec_full_grammar():

@@ -61,7 +61,6 @@ def test_relative_error():
     assert row.relative_error == pytest.approx(0.2)
     no_paper = report.add("a", 2, 12.0)
     assert no_paper.relative_error is None
-    assert report.max_relative_error() == pytest.approx(0.2)
 
 
 def test_to_text_contains_everything():
@@ -75,17 +74,3 @@ def test_to_text_contains_everything():
     assert "12.35" in text
     assert "+23.5%" in text
     assert "note: a note" in text
-
-
-def test_to_records_round_values():
-    report = ExperimentReport("fig99", "demo", x_label="n")
-    report.add("s", 1, 1.23456, paper=None, unit="loc")
-    (record,) = report.to_records()
-    assert record == {
-        "experiment": "fig99",
-        "series": "s",
-        "x": 1,
-        "measured": 1.235,
-        "paper": None,
-        "unit": "loc",
-    }

@@ -95,27 +95,10 @@ def test_sort_is_permutation_and_ordered(table):
 
 
 @given(left_tables)
-def test_distinct_is_idempotent(table):
-    once = table.distinct()
-    twice = once.distinct()
-    assert once.rows == twice.rows
-    assert len(once) <= len(table)
-
-
-@given(left_tables)
 def test_projection_preserves_row_count(table):
     projected = table.project(["a"])
     assert len(projected) == len(table)
     assert projected.column("a") == table.column("a")
-
-
-@given(st.lists(st.tuples(KEYS, st.integers()), max_size=30))
-def test_group_by_partitions_rows(rows):
-    table = Table.from_rows(LEFT_SCHEMA, [list(r) for r in rows])
-    groups = table.group_by("k")
-    assert sum(len(g) for g in groups.values()) == len(table)
-    for key, group in groups.items():
-        assert all(row["k"] == key for row in group)
 
 
 @given(st.dictionaries(st.sampled_from(["k", "a"]), st.integers(), max_size=2))

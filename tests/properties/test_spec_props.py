@@ -22,7 +22,7 @@ from repro.gen import GenConfig, generate_spec, random_spec
 from repro.paradigm import run_both
 from repro.sim import Environment
 from repro.workflow import run_workflow
-from repro.workflow.spec import WorkflowSpec, build_workflow
+from repro.workflow.spec import WorkflowSpec, build_workflow, dump_spec_doc
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -60,7 +60,7 @@ def test_every_knob_combination_generates_a_valid_spec(seed, knobs):
     doc = generate_spec(GenConfig(seed=seed, **knobs))
     spec = WorkflowSpec.from_json(doc)  # structural validation runs here
     build_workflow(spec)  # and operator-level validation here
-    assert spec.to_json_text()  # strict JSON text, no NaN/Infinity
+    assert dump_spec_doc(spec.to_json())  # strict JSON text, no NaN/Infinity
 
 
 @given(seed=SEEDS)

@@ -169,6 +169,38 @@ def test_lineage_reconstruction_rebuilds_lost_object():
         assert run_script(fresh_cluster(), driver)
 
 
+def test_a_node_crash_during_reconstruction_is_retried():
+    # Seed 748 drops the only replica of t1's result; its lineage
+    # re-run lands on worker-0, which goes down mid-compute.  The
+    # re-run must be retried like a task, on a healthy worker.
+    def task(ctx, x):
+        yield from ctx.compute(0.3)
+        return [(x, float(x) * 1.5)]
+
+    runtimes = []
+
+    def driver(rt):
+        runtimes.append(rt)
+        refs = [rt.submit(task, i, label=f"t{i}") for i in range(6)]
+        partials = yield from rt.get_all(refs)
+        return sorted(row for partial in partials for row in partial)
+
+    clean = run_script(fresh_cluster(), driver, num_cpus=3)
+    schedule = FaultSchedule.generate(
+        seed=748, horizon_s=8.0, tasks=1, operators=1, nodes=1, replicas=1
+    )
+    with faults_injected(schedule) as injector:
+        rows = run_script(fresh_cluster(), driver, num_cpus=3)
+    assert rows == clean
+    runtime = runtimes[-1]
+    # t1, and t4, whose only replica the outage took with worker-0.
+    assert runtime.store.reconstructions == 2
+    # One backoff for the task fault, one for the crashed re-run of t1.
+    assert injector.retries == 2
+    # t0's retry, t1's rebuild and its retry, t4's rebuild.
+    assert runtime.scheduler.replacements == 4
+
+
 def test_reconstruction_requires_lineage():
     from repro.errors import ReconstructionError
 

@@ -6,23 +6,31 @@ from repro.errors import DuplicateField, FieldNotFound, TypeMismatch
 from repro.relational import Field, FieldType, Schema
 
 
+def accepts(ftype, value):
+    try:
+        Schema.of(x=ftype).validate([value])
+    except TypeMismatch:
+        return False
+    return True
+
+
 def test_field_type_acceptance():
-    assert FieldType.INT.accepts(5)
-    assert not FieldType.INT.accepts(True)  # bools are not ints here
-    assert not FieldType.INT.accepts(5.0)
-    assert FieldType.FLOAT.accepts(5)  # ints widen to float
-    assert FieldType.FLOAT.accepts(5.5)
-    assert not FieldType.FLOAT.accepts("5")
-    assert FieldType.STRING.accepts("x")
-    assert not FieldType.STRING.accepts(5)
-    assert FieldType.BOOL.accepts(True)
-    assert not FieldType.BOOL.accepts(1)
-    assert FieldType.ANY.accepts(object())
+    assert accepts(FieldType.INT, 5)
+    assert not accepts(FieldType.INT, True)  # bools are not ints here
+    assert not accepts(FieldType.INT, 5.0)
+    assert accepts(FieldType.FLOAT, 5)  # ints widen to float
+    assert accepts(FieldType.FLOAT, 5.5)
+    assert not accepts(FieldType.FLOAT, "5")
+    assert accepts(FieldType.STRING, "x")
+    assert not accepts(FieldType.STRING, 5)
+    assert accepts(FieldType.BOOL, True)
+    assert not accepts(FieldType.BOOL, 1)
+    assert accepts(FieldType.ANY, object())
 
 
 def test_all_types_accept_none():
     for ftype in FieldType:
-        assert ftype.accepts(None)
+        assert accepts(ftype, None)
 
 
 def test_field_validation():
@@ -40,11 +48,6 @@ def test_schema_of_and_names():
     assert "missing" not in schema
 
 
-def test_untyped_schema():
-    schema = Schema.untyped("a", "b")
-    assert all(f.ftype is FieldType.ANY for f in schema.fields)
-
-
 def test_duplicate_field_rejected():
     with pytest.raises(DuplicateField):
         Schema([Field("x"), Field("x")])
@@ -59,7 +62,7 @@ def test_index_of_and_field():
 
 
 def test_project_preserves_order_given():
-    schema = Schema.untyped("a", "b", "c")
+    schema = Schema([Field("a"), Field("b"), Field("c")])
     assert schema.project(["c", "a"]).names == ["c", "a"]
 
 
@@ -68,15 +71,6 @@ def test_concat_suffixes_collisions():
     right = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
     joined = left.concat(right)
     assert joined.names == ["id", "text", "id_right", "score"]
-
-
-def test_with_field_and_without():
-    schema = Schema.untyped("a", "b")
-    extended = schema.with_field(Field("c", FieldType.FLOAT))
-    assert extended.names == ["a", "b", "c"]
-    assert extended.without("b").names == ["a", "c"]
-    with pytest.raises(FieldNotFound):
-        extended.without("zz")
 
 
 def test_validate_arity_and_types():

@@ -6,24 +6,7 @@ from repro.cluster import build_cluster
 from repro.errors import ObjectNotFound, WorkflowError
 from repro.rayx import ObjectStore, RayxRuntime
 from repro.sim import Environment
-from repro.sim.resources import acquire
 from repro.workflow.progress import OperatorState, ProgressTracker
-
-
-def test_acquire_helper_grants_and_returns_request():
-    from repro.sim import Resource
-
-    env = Environment()
-    cpus = Resource(env, capacity=2)
-
-    def proc():
-        request = yield from acquire(cpus, 2)
-        assert request.amount == 2
-        assert cpus.available == 0
-        cpus.release(2)
-        return "done"
-
-    assert env.run(until=env.process(proc())) == "done"
 
 
 def test_object_store_contains_and_nbytes():

@@ -75,6 +75,9 @@ def test_the_cli_group_is_the_cli_smoke_job():
         ["elastic", "on,min=2,max=6,shape=fast"],
         ["compile", "examples/workflows/demo.json"],
         ["gen", "family=raster,run=off"],
+        ["faults", "seed=7,tasks=2,nodes=1"],
+        ["sched"],
+        ["fig14a", "--quick", "--faults", "seed=12,replicas=3,nodes=2"],
     ):
         assert argv in argvs
     assert not [tok for argv in argvs for tok in argv if tok[0] in "$<>|;&()"]

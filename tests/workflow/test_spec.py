@@ -20,6 +20,7 @@ from repro.workflow.spec import (
     WorkflowSpec,
     build_workflow,
     callable_form,
+    dump_spec_doc,
     import_callable,
     load_workflow_json,
     operator_factory,
@@ -86,7 +87,7 @@ def test_nan_config_value_fails_serialization_with_grammar_error():
     doc["operators"][1]["config"]["threshold"] = float("nan")
     spec = WorkflowSpec.from_json(doc)
     with pytest.raises(WorkflowSpecError, match="non-finite"):
-        spec.to_json_text()
+        dump_spec_doc(spec.to_json())
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
@@ -94,7 +95,7 @@ def test_infinities_fail_serialization_too(bad):
     doc = minimal_doc()
     doc["operators"][1]["config"]["limit"] = bad
     with pytest.raises(WorkflowSpecError, match="non-finite"):
-        WorkflowSpec.from_json(doc).to_json_text()
+        dump_spec_doc(WorkflowSpec.from_json(doc).to_json())
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -117,7 +118,7 @@ def test_non_ascii_operator_ids_round_trip_losslessly():
         {"from": "garde-café-π", "to": "view"},
     ]
     spec = WorkflowSpec.from_json(doc)
-    text = spec.to_json_text()
+    text = dump_spec_doc(spec.to_json())
     assert "garde-café-π" in text  # not \u-escaped
     assert WorkflowSpec.from_json(json.loads(text)) == spec
 
