@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fault_summary(injector) -> str:
     return (
-        f"faults: {injector.injected} injected, {injector.retries} recovery "
-        f"actions, {injector.skipped} skipped (seed="
+        f"faults: {injector.injected} injected, {injector.recovery_actions} "
+        f"recovery actions, {injector.skipped} skipped (seed="
         f"{injector.schedule.seed})"
     )
 

@@ -137,20 +137,11 @@ class WorkflowConfig:
     startup_s: float = 4.5
     #: Additional per-operator deployment cost.
     operator_deploy_s: float = 0.12
-    #: Default tuple batch size on inter-operator channels.
+    #: Tuple batch size on an operator's output channels unless the
+    #: operator declares its own ``output_batch_size`` (how this model
+    #: gives the paper's "Texera tunes batching", Section III-B; see
+    #: ``docs/cost_model.md``).
     default_batch_size: int = 64
-    #: When True, channels re-tune their batch size at runtime from the
-    #: observed tuple payload (targeting ``auto_batch_target_bytes`` per
-    #: batch) — the paper's "Texera automates the tuning ... batch size
-    #: that Texera tunes to the available computational resources"
-    #: (Section III-B).  Off by default so calibrated experiment
-    #: timings stay exactly reproducible.
-    auto_tune_batch_size: bool = False
-    #: Target bytes per batch for the auto-tuner.
-    auto_batch_target_bytes: int = 64 * 1024
-    #: Auto-tuner clamp range.
-    min_batch_size: int = 1
-    max_batch_size: int = 1024
     #: Channel capacity in batches (bounds in-flight data; gives
     #: back-pressure).
     channel_capacity_batches: int = 4
@@ -358,6 +349,11 @@ class CacheConfig:
             raise ValueError(f"epoch must be >= 0, got {self.epoch}")
 
 
+#: Most arrivals a jobs config may expect (peak rate x horizon); the
+#: traffic generator draws every candidate, so a larger spec would not end.
+MAX_EXPECTED_ARRIVALS = 1_000_000
+
+
 @dataclass(frozen=True)
 class JobsConfig:
     """Multi-tenant job service + traffic generator (``repro.jobs``).
@@ -443,6 +439,12 @@ class JobsConfig:
             raise ValueError(
                 f"diurnal_period_s must be positive, got {self.diurnal_period_s}"
             )
+        expected = self.peak_rate_per_s * self.horizon_s
+        if expected > MAX_EXPECTED_ARRIVALS:
+            raise ValueError(
+                f"expected arrivals (peak rate x horizon) must be <= "
+                f"{MAX_EXPECTED_ARRIVALS}, got {expected:.3g}"
+            )
         if self.policy not in ("fifo", "drf"):
             raise ValueError(
                 f"policy must be 'fifo' or 'drf', got {self.policy!r}"
@@ -464,6 +466,11 @@ class JobsConfig:
                 "admission_watermark must be in (0, 1], got "
                 f"{self.admission_watermark}"
             )
+
+    @property
+    def peak_rate_per_s(self) -> float:
+        """Upper bound on the instantaneous arrival rate."""
+        return self.rate_per_s * (1.0 + self.diurnal) * (1.0 + self.burst)
 
 
 @dataclass(frozen=True)

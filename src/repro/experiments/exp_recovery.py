@@ -84,7 +84,7 @@ def run_recovery(
         )
         report.notes.append(
             f"{task}/{paradigm}: {injector.injected} faults injected, "
-            f"{injector.retries} recovery actions, {injector.skipped} "
+            f"{injector.recovery_actions} recovery actions, {injector.skipped} "
             "skipped; output identical to clean run"
         )
     return report

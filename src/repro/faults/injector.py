@@ -74,9 +74,12 @@ class FaultInjector:
         #: Telemetry mirrored into tracer counters by the engines.
         self.injected = 0
         self.skipped = 0
-        #: Recovery attempts (task retries + operator restarts), bumped
-        #: by the engines so experiments can report them per run.
+        #: Recovery attempts (task and rebuild retries, operator
+        #: restarts), bumped by the engines so experiments can report
+        #: them per run.
         self.retries = 0
+        #: Lineage rebuilds of lost objects, one per rebuild.
+        self.reconstructions = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -226,6 +229,11 @@ class FaultInjector:
             if start <= now < end:
                 factor = max(factor, window_factor)
         return factor
+
+    @property
+    def recovery_actions(self) -> int:
+        """Retries plus lineage rebuilds: what a run's summary reports."""
+        return self.retries + self.reconstructions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

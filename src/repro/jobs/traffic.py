@@ -85,11 +85,7 @@ class TrafficGenerator:
     @property
     def peak_rate(self) -> float:
         """Upper bound on :meth:`rate_at` (the thinning envelope)."""
-        config = self.config
-        rate = config.rate_per_s * (1.0 + config.diurnal)
-        if config.burst > 0.0:
-            rate *= 1.0 + config.burst
-        return rate
+        return self.config.peak_rate_per_s
 
     # -- sampling ----------------------------------------------------------
 

@@ -35,8 +35,8 @@ class DataLoader(Generic[T]):
     """Yield fixed-size batches from a dataset.
 
     ``batch_size`` is the knob the paper says script users "manually
-    tune for the given environment" (Section III-B); the workflow
-    engine tunes its own batch size instead.
+    tune for the given environment" (Section III-B); a workflow
+    operator declares its ``output_batch_size`` instead.
     """
 
     def __init__(self, dataset: TextDataset[T], batch_size: int = 8) -> None:

@@ -37,10 +37,14 @@ __all__ = [
     "format_breakdown",
 ]
 
-#: Categories hidden from the text breakdown by default: ``sim.process``
+#: Categories hidden from the text breakdown: ``sim.process``
 #: spans wrap nearly every other span (tasks, transfers, instances all
 #: run as simulation processes), so showing them would double-count.
-DEFAULT_EXCLUDED_CATEGORIES = ("sim.process", "sim.timeout")
+DEFAULT_EXCLUDED_CATEGORIES = ("sim.process",)
+
+#: Span names listed under each category of the text breakdown
+#: (largest first); the rest are summed into one "... more" row.
+TOP_NAMES = 6
 
 #: Categories the breakdown sums into its "object-store + serialization"
 #: headline (the paper's Fig 13d mechanism).
@@ -202,26 +206,21 @@ def breakdown(tracer: Tracer) -> List[RunBreakdown]:
     return [runs[run_id] for run_id in sorted(runs)]
 
 
-def format_breakdown(
-    tracer: Tracer,
-    exclude_categories: Sequence[str] = DEFAULT_EXCLUDED_CATEGORIES,
-    top_names: int = 6,
-    include_empty_runs: bool = False,
-) -> str:
+def format_breakdown(tracer: Tracer) -> str:
     """Render the per-run time breakdown as indented text.
 
-    ``top_names`` bounds how many span names are listed under each
-    category (largest first); ``exclude_categories`` hides the
-    double-counting kernel categories by default.
+    Each category lists its :data:`TOP_NAMES` largest span names; the
+    double-counting :data:`DEFAULT_EXCLUDED_CATEGORIES` are hidden, and
+    a run with nothing else is left out.
     """
     lines: List[str] = []
     for run in breakdown(tracer):
         visible = {
             name: stat
             for name, stat in run.categories.items()
-            if name not in exclude_categories
+            if name not in DEFAULT_EXCLUDED_CATEGORIES
         }
-        if not visible and not include_empty_runs:
+        if not visible:
             continue
         lines.append(f"run {run.run_id} · {run.label} — wall {run.wall_s:.2f}s virtual")
         for name, stat in sorted(
@@ -233,12 +232,12 @@ def format_breakdown(
                 f"  ({stat.count} span{'s' if stat.count != 1 else ''})"
             )
             ranked = sorted(stat.by_name.items(), key=lambda item: -item[1][0])
-            for sub_name, (total, count) in ranked[:top_names]:
+            for sub_name, (total, count) in ranked[:TOP_NAMES]:
                 lines.append(f"    {sub_name:<22} {total:>10.2f}s  (x{count})")
-            if len(ranked) > top_names:
-                rest = sum(total for _n, (total, _c) in ranked[top_names:])
+            if len(ranked) > TOP_NAMES:
+                rest = sum(total for _n, (total, _c) in ranked[TOP_NAMES:])
                 lines.append(
-                    f"    ... {len(ranked) - top_names} more {rest:>10.2f}s"
+                    f"    ... {len(ranked) - TOP_NAMES} more {rest:>10.2f}s"
                 )
         store_frac = run.store_and_serialization_fraction
         if store_frac > 0:

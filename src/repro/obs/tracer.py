@@ -130,11 +130,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, capture_timeouts: bool = False) -> None:
+    def __init__(self) -> None:
         self.spans: List[Span] = []
         self.metrics = MetricsRegistry()
-        #: Record a span per ``Timeout`` event (very noisy; off by default).
-        self.capture_timeouts = capture_timeouts
         self.runs: List[TraceRun] = []
         self._env: Optional[Any] = None
         self._next_span_id = 0
@@ -211,10 +209,9 @@ class Tracer:
         node: str = "",
         start_s: float = 0.0,
         end_s: float = 0.0,
-        parent: Optional[Span] = None,
         **attrs: Any,
     ) -> Span:
-        """Record an already-bounded interval (e.g. a scheduled timeout)."""
+        """Record an already-bounded interval (e.g. a finished placement)."""
         span = Span(
             span_id=self._next_span_id,
             name=name,
@@ -222,7 +219,6 @@ class Tracer:
             node=node,
             start_s=start_s,
             run_id=self._current_run_id(),
-            parent_id=parent.span_id if parent is not None else None,
             attrs=attrs or None,
         )
         span.end_s = end_s
@@ -282,7 +278,6 @@ class NullTracer:
     """
 
     enabled = False
-    capture_timeouts = False
     metrics = NULL_METRICS
     spans: List[Span] = []
     runs: List[TraceRun] = []

@@ -522,6 +522,8 @@ class RayxRuntime:
         there could deadlock a fully subscribed pool.
         """
         fn, args = self.store.lineage[ref.ref_id]
+        if self.env.faults.active:
+            self.env.faults.reconstructions += 1
         hit = self._probe(ref)
         cache_node = self.cluster.cache.peek_node(ref.fingerprint)
         node = self._place("reconstruction", ref, args, cache_node=cache_node)

@@ -185,15 +185,7 @@ class Timeout(Event):
         else:
             tail.append(entry)
         if env._tracing:
-            tracer = env._tracer
-            tracer.metrics.counter("sim.timeouts").inc()
-            if tracer.capture_timeouts:
-                tracer.record_complete(
-                    "timeout",
-                    category="sim.timeout",
-                    start_s=env._now,
-                    end_s=env._now + delay,
-                )
+            env._tracer.metrics.counter("sim.timeouts").inc()
 
 
 class Process(Event):

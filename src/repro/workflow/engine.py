@@ -107,7 +107,6 @@ class _Outbound:
         consumer_nodes: Sequence[Node],
         codec: Codec,
         batch_size: int,
-        auto_tune: Optional["_AutoBatchTuner"] = None,
     ) -> None:
         self.link = link
         self.partitioner = partitioner
@@ -115,15 +114,7 @@ class _Outbound:
         self.consumer_nodes = list(consumer_nodes)
         self.codec = codec
         self.batch_size = batch_size
-        self.auto_tune = auto_tune
         self._buffers: List[List[Tuple]] = [[] for _ in consumer_ports]
-
-    def observe_batch(self, batch: "_Batch") -> None:
-        """Feed the auto-tuner; adjusts this channel's batch size."""
-        if self.auto_tune is not None and batch.tuples:
-            self.batch_size = self.auto_tune.tuned_size(
-                batch.nbytes / len(batch.tuples)
-            )
 
     def append(self, row: Tuple) -> List[int]:
         """Buffer a tuple; return consumer indices whose buffer is full."""
@@ -141,32 +132,6 @@ class _Outbound:
 
     def pending_indices(self) -> List[int]:
         return [i for i, buffer in enumerate(self._buffers) if buffer]
-
-
-class _AutoBatchTuner:
-    """Runtime batch-size tuning from observed tuple payloads.
-
-    The paper credits Texera with tuning batching automatically
-    (Section III-B); this tuner targets a fixed number of bytes per
-    batch using an exponential moving average of tuple sizes, clamped
-    to the configured range.
-    """
-
-    def __init__(self, target_bytes: int, min_size: int, max_size: int) -> None:
-        self.target_bytes = target_bytes
-        self.min_size = min_size
-        self.max_size = max_size
-        self._avg_tuple_bytes: Optional[float] = None
-
-    def tuned_size(self, observed_tuple_bytes: float) -> int:
-        if self._avg_tuple_bytes is None:
-            self._avg_tuple_bytes = observed_tuple_bytes
-        else:
-            self._avg_tuple_bytes = (
-                0.7 * self._avg_tuple_bytes + 0.3 * observed_tuple_bytes
-            )
-        size = int(self.target_bytes / max(self._avg_tuple_bytes, 1.0))
-        return max(self.min_size, min(self.max_size, size))
 
 
 class _Instance:
@@ -385,16 +350,6 @@ class WorkflowController:
                     consumer.inbound[link.input_port] = port
                 ports.append(port)
             for producer in self._instances[link.producer_id]:
-                tuner = None
-                if (
-                    wf_config.auto_tune_batch_size
-                    and producer_op.output_batch_size is None
-                ):
-                    tuner = _AutoBatchTuner(
-                        wf_config.auto_batch_target_bytes,
-                        wf_config.min_batch_size,
-                        wf_config.max_batch_size,
-                    )
                 producer.outbound.append(
                     _Outbound(
                         link,
@@ -402,9 +357,7 @@ class WorkflowController:
                         ports,
                         [c.node for c in consumers],
                         codec,
-                        producer_op.output_batch_size
-                        or wf_config.default_batch_size,
-                        auto_tune=tuner,
+                        self._batch_size(producer_op),
                     )
                 )
 
@@ -573,11 +526,12 @@ class WorkflowController:
         if progress.state is OperatorState.COMPLETED:
             progress.completed_at = self.env.now
 
+    def _batch_size(self, operator: LogicalOperator) -> int:
+        """Tuples per batch on ``operator``'s output channels."""
+        return operator.output_batch_size or self.config.workflow.default_batch_size
+
     def _run_source(self, instance: _Instance) -> Generator:
-        batch_size = (
-            instance.operator.output_batch_size
-            or self.config.workflow.default_batch_size
-        )
+        batch_size = self._batch_size(instance.operator)
         buffer: List[Tuple] = []
         for row in instance.executor.produce():  # type: ignore[attr-defined]
             buffer.append(row)
@@ -896,10 +850,8 @@ class WorkflowController:
                     buffer.append(row)
                     if len(buffer) >= size:
                         yield from self._flush(instance, outbound, 0)
-                        # _flush swapped in a fresh buffer and may have
-                        # auto-tuned the batch size; re-read both.
+                        # _flush swapped in a fresh buffer; re-read it.
                         buffer = outbound._buffers[0]
-                        size = outbound.batch_size
                 continue
             for row in rows:
                 for index in outbound.append(row):
@@ -912,7 +864,6 @@ class WorkflowController:
         batch = _Batch(
             rows, source=f"{instance.operator_id}#{instance.worker_index}"
         )
-        outbound.observe_batch(batch)
         tracer = self.tracer
         link = f"{outbound.link.producer_id}->{outbound.link.consumer_id}"
         if tracer.enabled:

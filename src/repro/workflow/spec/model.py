@@ -56,7 +56,7 @@ _OPERATOR_KEYS = {"id", "type", "config"}
 _LINK_KEYS = {"from", "to", "out", "in"}
 
 
-def dump_spec_doc(doc: Any, indent: int = 2) -> str:
+def dump_spec_doc(doc: Any) -> str:
     """Serialize a spec document to JSON text, *strictly*.
 
     ``json.dumps`` would otherwise emit the non-standard ``NaN`` /
@@ -68,7 +68,7 @@ def dump_spec_doc(doc: Any, indent: int = 2) -> str:
     operator ids byte-for-byte intact (the round-trip contract).
     """
     try:
-        return json.dumps(doc, indent=indent, allow_nan=False, ensure_ascii=False)
+        return json.dumps(doc, indent=2, allow_nan=False, ensure_ascii=False)
     except ValueError as exc:
         raise WorkflowSpecError(
             "workflow spec contains non-finite float values (NaN/Infinity), "

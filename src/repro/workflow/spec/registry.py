@@ -64,15 +64,13 @@ _ON_DEMAND: Dict[str, str] = {
 }
 
 
-def register_operator_type(
-    name: str, factory: OperatorFactory, replace: bool = False
-) -> None:
-    """Register (or with ``replace=True`` override) an operator type."""
+def register_operator_type(name: str, factory: OperatorFactory) -> None:
+    """Register an operator type under a name no other type holds."""
     if not name or not isinstance(name, str):
         raise WorkflowSpecError(
             f"operator type name must be a non-empty string, got {name!r}"
         )
-    if name in _REGISTRY and not replace:
+    if name in _REGISTRY:
         raise WorkflowSpecError(f"operator type {name!r} is already registered")
     _REGISTRY[name] = factory
 

@@ -2,8 +2,12 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.config import JobsConfig
+from repro.errors import JobsSpecError
 from repro.jobs import Arrival, JobSpec, TrafficGenerator, merge_arrivals
+from repro.jobs.spec import parse_jobs_spec
 
 BASE = JobsConfig(seed=7, rate_per_s=20.0, horizon_s=10.0, tenants=3)
 
@@ -72,6 +76,20 @@ def test_peak_rate_bounds_the_instantaneous_rate():
     gen = TrafficGenerator(config)
     for t in range(0, 120):
         assert gen.rate_at(float(t)) <= gen.peak_rate + 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec", ["on,rate=1e308,horizon=1", "on,rate=1e5,horizon=6,burst=1"]
+)
+def test_a_spec_expecting_too_many_arrivals_is_rejected(spec):
+    # TrafficGenerator.arrivals would draw ~1e308 (or ~1.2e6) candidates.
+    with pytest.raises(JobsSpecError, match="expected arrivals"):
+        parse_jobs_spec(spec)
+
+
+def test_the_largest_committed_flood_is_valid():
+    # bench's jobs_flood: 400 jobs/s over 3.3 s.
+    assert TrafficGenerator(parse_jobs_spec("on,rate=400,horizon=3.3")).peak_rate == 400.0
 
 
 def test_bursty_config_still_deterministic_and_denser():

@@ -143,7 +143,7 @@ def test_format_breakdown_excludes_kernel_categories_by_default():
     # Only sim.process spans recorded -> excluded -> no runs to print.
     assert all(s.category == "sim.process" for s in tracer.finished_spans())
     assert format_breakdown(tracer) == "(no finished spans recorded)"
-    assert "only-kernel" in format_breakdown(tracer, exclude_categories=())
+    assert [run.label for run in breakdown(tracer)] == ["only-kernel"]
 
 
 def test_empty_tracer_formats_placeholder():

@@ -9,6 +9,7 @@ are never retried.
 
 import pytest
 
+from repro.cli import _fault_summary
 from repro.config import default_config
 from repro.errors import InjectedFault
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
@@ -167,6 +168,20 @@ def test_lineage_reconstruction_rebuilds_lost_object():
 
     with faults_injected(ARMED_BUT_QUIET):
         assert run_script(fresh_cluster(), driver)
+
+
+def test_a_reconstruction_counts_as_one_recovery_action():
+    def driver(rt):
+        ref = rt.submit(compute_task, 3, label="only")
+        yield from rt.get(ref)
+        for node_name in sorted(rt.store.replicas_of(ref)):
+            rt.store.evict_node(node_name)
+        return (yield from rt.get(ref))
+
+    with faults_injected(ARMED_BUT_QUIET) as injector:
+        assert run_script(fresh_cluster(), driver) == 9
+    assert injector.retries == 0
+    assert _fault_summary(injector).startswith("faults: 0 injected, 1 recovery actions,")
 
 
 def test_a_node_crash_during_reconstruction_is_retried():

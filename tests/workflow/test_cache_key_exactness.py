@@ -4,12 +4,11 @@ Every key the engine hands ``cache.lookup`` / ``cache.insert`` — batch,
 channel and lifecycle-phase keys alike — is a rolling digest over the
 content of every batch an instance produced or consumed.  One fixed
 workflow runs cold and then warm under a tracer, a memory policy and
-operator faults: a source scanned in batches of one size and flushed in
-batches the auto-tuner sizes differently, a broadcast link into a
-2-worker join, a 2-worker hash-partitioned group-by.  The sha256 of the
-ordered ``(kind, key)`` sequence the cache receives is a literal
-recorded before the engine carried a batch's content digest from the
-producer to the consumer; any change to what is hashed, or where, must
+operator faults: a map that consumes batches of 64 and flushes batches
+of 14 (so a consumed batch and a flushed batch hash different rows), a
+broadcast link into a 2-worker join, a 2-worker hash-partitioned
+group-by.  The sha256 of the ordered ``(kind, key)`` sequence the cache
+receives is a literal; any change to what is hashed, or where, must
 reproduce it to the bit.  (``test_charge_exactness.py`` digests what a
 hit *charges*, not which keys were asked for.)
 """
@@ -19,7 +18,6 @@ import json
 
 from repro.cache import cached
 from repro.cluster import build_cluster
-from repro.config import ReproConfig, WorkflowConfig
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
 from repro.mem import memory_managed
 from repro.obs import tracing
@@ -36,16 +34,10 @@ from repro.workflow.operators import (
     TableSource,
 )
 
-DIGEST = "20f0b851987527289ea8d36c71780c27acd4212bd0c06888b0797efdff4e9a4a"
+DIGEST = "4dc70076a622e4abb346cb0904f653246b19e3a07d1efba97db16e3baff4679a"
 
 FACTS = Schema.of(id=FieldType.INT, bucket=FieldType.INT, score=FieldType.FLOAT)
 DIMS = Schema.of(bucket=FieldType.INT, label=FieldType.STRING)
-
-#: Sources scan in batches of 64; their outbound channels re-tune to
-#: ~1 KiB batches, so a source settle and a flush hash different rows.
-CONFIG = ReproConfig(
-    workflow=WorkflowConfig(auto_tune_batch_size=True, auto_batch_target_bytes=1024)
-)
 
 SCHEDULE = FaultSchedule(
     events=(
@@ -67,7 +59,7 @@ def make_workflow():
             FACTS,
             lambda row: [row["id"], row["bucket"], row["score"] + 1.0],
             extra_seconds_fn=lambda row: 1.0e-5,
-        )
+        ).with_output_batch_size(14)  # a consumed batch and a flush differ
     )
     join = wf.add_operator(
         HashJoinOperator(
@@ -115,7 +107,7 @@ def observe():
         record_keys(cache, calls)
         for _ in range(2):  # cold, then warm
             with faults_injected(SCHEDULE) as injector:
-                result = run_workflow(build_cluster(Environment()), make_workflow(), CONFIG)
+                result = run_workflow(build_cluster(Environment()), make_workflow())
             runs.append(
                 (result.table().multiset(), injector.injected, injector.retries)
             )

@@ -22,9 +22,9 @@ from repro.relational import column_greater
 from repro.sim import Environment
 from repro.workflow import WorkflowController, run_workflow
 from repro.workflow.language import OperatorLanguage
-from repro.workflow.operators import FilterOperator
+from repro.workflow.operators import FilterOperator, ModelApplyOperator
 
-from tests.support.workflows import scan_middle_sink
+from tests.support.workflows import SCHEMA, scan_middle_sink
 
 ROWS = 400
 BATCHES = 7  # 400 rows in batches of 64
@@ -162,6 +162,31 @@ def test_a_flush_hit_skips_encode_and_transfer_but_not_admission_or_the_queue():
         assert admitted.largest_alloc > 0 and admitted.ram_peak >= admitted.largest_alloc
         assert admitted.largest_alloc == cold.cluster.node(admitted.name).largest_alloc
         assert admitted.ram_used == 0
+
+
+# -- a multi-core model charge ---------------------------------------------
+
+
+def test_a_flops_charge_credits_busy_s_with_seconds_times_cores():
+    def model_apply(flops_per_row):
+        return ModelApplyOperator(
+            "m", SCHEMA, loader=lambda: None, apply_fn=lambda model, row: row.values,
+            flops_fn=lambda model, row: flops_per_row, per_tuple_work_s=0.0,
+        )
+
+    with_flops, without = Run(middle=model_apply(1.0e6)), Run(middle=model_apply(0.0))
+    config = with_flops.cluster.config.workflow
+    node = with_flops.cluster.node(with_flops.node_of("m"))
+    cores = config.torch_cores_per_operator
+    assert 1 < cores <= node.num_cpus and with_flops.rows() == without.rows()
+    rate = node.machine.flops_per_core_per_s * (
+        1.0 + (cores - 1) * config.multicore_efficiency
+    )
+    seconds = ROWS * 1.0e6 / rate
+    # Everything but the FLOPs is the same in both runs.
+    assert with_flops.busy("m") - without.busy("m") == pytest.approx(
+        seconds * cores, abs=2e-6
+    )
 
 
 # -- the sink gather -------------------------------------------------------

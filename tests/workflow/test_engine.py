@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.config import default_config
 from repro.errors import OperatorError
 from repro.relational import FieldType, Schema, Table, column_greater, udf_predicate
 from repro.tasks import fresh_cluster
-from repro.workflow import OperatorLanguage, OperatorState, Workflow, run_workflow
+from repro.workflow import (
+    OperatorLanguage,
+    OperatorState,
+    Workflow,
+    WorkflowController,
+    run_workflow,
+)
 from repro.workflow.operators import (
     AggregationFunction,
     FilterOperator,
@@ -374,3 +381,26 @@ def test_blocking_operator_state_transitions():
     result = run_simple(wf)
     assert result.progress.of("sort").state is OperatorState.COMPLETED
     assert result.progress.of("sort").output_tuples == 10
+
+
+def source_channel(source):
+    """The one output channel of ``source`` after it feeds a sink."""
+    wf = Workflow("batch-size")
+    src = wf.add_operator(source)
+    sink = wf.add_operator(SinkOperator("sink"))
+    wf.link(src, sink)
+    cluster = fresh_cluster()
+    controller = WorkflowController(cluster, wf)
+    result = cluster.env.run(until=cluster.env.process(controller.execute()))
+    assert len(result.table()) == len(source.table)
+    return controller._instances[src.operator_id][0].outbound[0]
+
+
+def test_channels_batch_at_the_default_size():
+    outbound = source_channel(TableSource("src", make_table(300)))
+    assert outbound.batch_size == default_config().workflow.default_batch_size
+
+
+def test_an_explicit_output_batch_size_wins():
+    outbound = source_channel(TableSource("src", make_table(300)).with_output_batch_size(5))
+    assert outbound.batch_size == 5

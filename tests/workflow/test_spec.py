@@ -30,6 +30,7 @@ from repro.workflow.spec import (
     register_operator_type,
     schema_form,
 )
+from repro.workflow.spec.registry import _REGISTRY
 
 SCHEMA = Schema.of(id=FieldType.INT, score=FieldType.FLOAT)
 
@@ -316,14 +317,18 @@ def test_forms_round_trip():
 # -- registry ------------------------------------------------------------------
 
 
-def test_registry_rejects_duplicates_and_supports_replace():
+def test_registry_rejects_duplicates():
     marker = lambda operator_id, **config: None  # noqa: E731
-    register_operator_type("test_spec_dummy", marker, replace=True)
-    assert operator_factory("test_spec_dummy") is marker
-    with pytest.raises(WorkflowSpecError, match="already registered"):
-        register_operator_type("test_spec_dummy", marker)
-    assert "test_spec_dummy" in operator_types()
-    assert operator_types() == sorted(operator_types())
+    register_operator_type("test_spec_dummy", marker)
+    try:
+        assert operator_factory("test_spec_dummy") is marker
+        with pytest.raises(WorkflowSpecError, match="already registered"):
+            register_operator_type("test_spec_dummy", marker)
+        assert "test_spec_dummy" in operator_types()
+        assert operator_types() == sorted(operator_types())
+    finally:
+        del _REGISTRY["test_spec_dummy"]
+    assert "test_spec_dummy" not in operator_types()
 
 
 def test_builtin_palette_is_registered():
