@@ -26,10 +26,10 @@ from repro.ml.tokenizer import HashingTokenizer
 __all__ = ["SimBertClassifier"]
 
 #: Pooled features per frozen table, then per text.  A table is fixed by
-#: ``(seed, vocab_size, embedding_dim)`` and never written after
-#: ``__init__`` (only ``weights`` / ``bias`` train), so a text's features
-#: are computed once per table for the whole process: Fig 13b fine-tunes
-#: the same four tables on growing prefixes of one corpus, twice.
+#: ``(seed, vocab_size, embedding_dim)`` and read-only once drawn (only
+#: ``weights`` / ``bias`` train), so a text's features are computed once
+#: per table for the whole process: Fig 13b fine-tunes the same four
+#: tables on growing prefixes of one corpus, twice.
 _FEATURES: Dict[Tuple[int, int, int], Dict[str, np.ndarray]] = {}
 #: Most feature arrays held over all tables (0.25 KiB each at the
 #: default 32 dimensions); reaching it empties every table's memo.
@@ -54,16 +54,43 @@ class SimBertClassifier(Sized):
         self.name = name
         self.model_config = model_config
         self.tokenizer = HashingTokenizer(vocab_size)
-        rng = np.random.RandomState(seed)
-        # Frozen "pre-trained" token embeddings.  Each model keeps its own
-        # table: one per (seed, shape) would save 2 MiB a model but raise
-        # peak RSS on the paper-scale runs, which hold several at once.
-        self.embeddings = rng.normal(0.0, 1.0, size=(vocab_size, embedding_dim))
-        self.embeddings.flags.writeable = False
-        _MEMO_OF[self] = _FEATURES.setdefault((seed, vocab_size, embedding_dim), {})
+        self._table = (seed, vocab_size, embedding_dim)
+        _MEMO_OF[self] = _FEATURES.setdefault(self._table, {})
         self.weights = np.zeros(embedding_dim)
         self.bias = 0.0
         self.fitted = False
+
+    @property
+    def embeddings(self) -> np.ndarray:
+        """Frozen "pre-trained" token embeddings, drawn on first read.
+
+        A model whose texts all hit the features memo never reads its
+        table, so it never pays the 2 MiB draw.  Each model draws its
+        own: one per ``(seed, shape)`` would raise peak RSS on the
+        paper-scale runs, which hold several at once.
+        """
+        table = self.__dict__.get("embeddings")
+        if table is None:
+            seed, vocab_size, embedding_dim = self._table
+            table = np.random.RandomState(seed).normal(
+                0.0, 1.0, size=(vocab_size, embedding_dim)
+            )
+            table.flags.writeable = False
+            self.__dict__["embeddings"] = table
+        return table
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The eager class's state, key for key, so a model pickles to the
+        # same bytes whether or not its table was ever read.
+        return {
+            "name": self.name,
+            "model_config": self.model_config,
+            "tokenizer": self.tokenizer,
+            "embeddings": self.embeddings,
+            "weights": self.weights,
+            "bias": self.bias,
+            "fitted": self.fitted,
+        }
 
     # -- cost interface -----------------------------------------------------
 
@@ -102,7 +129,7 @@ class SimBertClassifier(Sized):
         if token_ids:
             features = self.embeddings[token_ids].mean(axis=0)
         else:
-            features = np.zeros(self.embeddings.shape[1])
+            features = np.zeros(self.weights.shape[0])
         features.flags.writeable = False
         return features
 

@@ -524,6 +524,8 @@ class RayxRuntime:
         fn, args = self.store.lineage[ref.ref_id]
         if self.env.faults.active:
             self.env.faults.reconstructions += 1
+        if self.tracer.enabled:
+            self.tracer.metrics.counter("faults.reconstructions").inc()
         hit = self._probe(ref)
         cache_node = self.cluster.cache.peek_node(ref.fingerprint)
         node = self._place("reconstruction", ref, args, cache_node=cache_node)
@@ -558,7 +560,6 @@ class RayxRuntime:
             )
             if attempt:
                 span.attrs["attempt"] = attempt
-            tracer.metrics.counter("faults.reconstructions").inc()
         try:
             # No ``fault_label``: a rebuild is exempt from task faults.
             context = TaskContext(self, node)

@@ -109,7 +109,7 @@ class Schema:
 
     @property
     def names(self) -> List[str]:
-        return [field.name for field in self.fields]
+        return list(self._index)
 
     def __len__(self) -> int:
         return len(self.fields)

@@ -88,7 +88,7 @@ class Tuple:
         return self.values[key]
 
     def as_dict(self) -> Dict[str, Any]:
-        return dict(zip(self.schema.names, self.values))
+        return dict(zip(self.schema._index, self.values))
 
     def __eq__(self, other: object) -> bool:
         return (

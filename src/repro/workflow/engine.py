@@ -72,18 +72,24 @@ class _Eos:
 _EOS = _Eos()
 
 
-def _operator_fingerprint(operator: LogicalOperator) -> str:
+def _operator_fingerprint(operator: LogicalOperator, digests: Dict[int, str]) -> str:
     """Structural fingerprint of a logical operator (``repro.cache``).
 
     Keyed by class plus attribute values (predicates and UDFs hash by
     code, not identity), so rebuilding the same workflow for a repeat
-    run maps onto the same cache entries.
+    run maps onto the same cache entries.  ``digests`` maps ``id(value)``
+    to the value's fingerprint; it is only valid while every value it
+    names is alive and unchanged, i.e. within one plan build.
     """
     parts: List[Any] = ["wfop", type(operator).__module__, type(operator).__qualname__]
     state = vars(operator)
     for key in sorted(state):
+        value = state[key]
+        digest = digests.get(id(value))
+        if digest is None:
+            digest = digests[id(value)] = fingerprint_value(value)
         parts.append(key)
-        parts.append(fingerprint_value(state[key]))
+        parts.append(digest)
     return combine(*parts)
 
 
@@ -299,11 +305,20 @@ class WorkflowController:
         """Create instances, inbound ports and outbound channels."""
         wf_config = self.config.workflow
         order = self.workflow.topological_order()
-        # 1. instances + progress registration
+        # 1. instances + progress registration.  Every operator is
+        # fingerprinted before any executor exists, and a value several
+        # operators hold (KGE's stages share one dataset) is pickled once.
         cache = self.cluster.cache
+        fingerprints: Dict[str, str] = {}
+        if cache.active:
+            digests: Dict[int, str] = {}
+            for operator in order:
+                fingerprints[operator.operator_id] = _operator_fingerprint(
+                    operator, digests
+                )
         for operator in order:
             self.progress.register(operator.operator_id, operator.num_workers)
-            op_fp = _operator_fingerprint(operator) if cache.active else None
+            op_fp = fingerprints.get(operator.operator_id)
             instances = []
             for index in range(operator.num_workers):
                 instance = _Instance(

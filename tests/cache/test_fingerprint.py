@@ -210,12 +210,12 @@ def test_row_fingerprints_do_not_depend_on_sizing():
     before = (
         fingerprint_value([row]),
         fingerprint_value(table),
-        _operator_fingerprint(source),
+        _operator_fingerprint(source, {}),
     )
     row.payload_bytes()
     after = (
         fingerprint_value([row]),
         fingerprint_value(table),
-        _operator_fingerprint(source),
+        _operator_fingerprint(source, {}),
     )
     assert after == before

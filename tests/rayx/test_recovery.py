@@ -13,6 +13,7 @@ from repro.cli import _fault_summary
 from repro.config import default_config
 from repro.errors import InjectedFault
 from repro.faults import FaultEvent, FaultSchedule, faults_injected
+from repro.obs import tracing
 from repro.rayx import run_script
 from repro.tasks import fresh_cluster
 
@@ -214,6 +215,28 @@ def test_a_node_crash_during_reconstruction_is_retried():
     assert injector.retries == 2
     # t0's retry, t1's rebuild and its retry, t4's rebuild.
     assert runtime.scheduler.replacements == 4
+
+
+def test_a_traced_rebuild_counts_once_however_often_it_is_retried():
+    # The schedule above under a tracer: t1's rebuild runs twice (the
+    # crash, then its retry) and t4's once, yet each is one rebuild.
+    def task(ctx, x):
+        yield from ctx.compute(0.3)
+        return [(x, float(x) * 1.5)]
+
+    def driver(rt):
+        refs = [rt.submit(task, i, label=f"t{i}") for i in range(6)]
+        return (yield from rt.get_all(refs))
+
+    schedule = FaultSchedule.generate(
+        seed=748, horizon_s=8.0, tasks=1, operators=1, nodes=1, replicas=1
+    )
+    with tracing() as tracer, faults_injected(schedule) as injector:
+        run_script(fresh_cluster(), driver, num_cpus=3)
+    counters = tracer.metrics.snapshot()["counters"]
+    assert injector.reconstructions == 2
+    assert counters["faults.reconstructions"] == injector.reconstructions
+    assert counters["faults.retries"] == injector.retries == 2
 
 
 def test_reconstruction_requires_lineage():

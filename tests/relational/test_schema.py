@@ -43,6 +43,11 @@ def test_field_validation():
 def test_schema_of_and_names():
     schema = Schema.of(id=FieldType.INT, text=FieldType.STRING)
     assert schema.names == ["id", "text"]
+    # A fresh list each call: a caller may change its copy.
+    names = schema.names
+    names.append("extra")
+    assert schema.names == ["id", "text"]
+    assert schema.names is not schema.names
     assert len(schema) == 2
     assert "id" in schema
     assert "missing" not in schema

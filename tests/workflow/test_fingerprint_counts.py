@@ -6,7 +6,8 @@ into its rolling key instead of hashing the rows again.  Counted with
 ``sys.setprofile``, no wall clock: the top-level content hashes of a
 run are exactly one per flushed batch plus one per source settle,
 none of them under ``_consume_batch``, and a dormant-cache run makes
-no ``fingerprint_value`` call at all.
+no ``fingerprint_value`` call at all.  A state value that several
+operators share is pickled once per plan build.
 """
 
 import sys
@@ -19,6 +20,8 @@ from repro.cache.fingerprint import fingerprint_function, fingerprint_value
 from repro.cluster import build_cluster
 from repro.relational import FieldType, Schema, Table, column_greater
 from repro.sim import Environment
+from repro.tasks import fresh_cluster
+from repro.tasks.kge import KgeDataset, make_kge_dataset, run_kge_workflow
 from repro.workflow import Workflow, WorkflowController, run_workflow
 from repro.workflow.engine import _Batch, _operator_fingerprint
 from repro.workflow.operators import (
@@ -130,3 +133,21 @@ def test_a_dormant_cache_hashes_nothing(spec):
     assert len(result.table().rows) == 4
     assert tally["batches"] > 0
     assert tally["fingerprint_value"] == 0
+
+
+def test_a_dataset_the_kge_stages_share_is_pickled_once_per_build(monkeypatch):
+    # All five stage operators hold the one dataset; each build used to
+    # pickle it once per operator to fingerprint that operator.
+    dataset = make_kge_dataset(num_candidates=60, universe_size=400)
+    pickles = Counter()
+
+    def counted(value, protocol):
+        pickles[id(value)] += 1
+        return object.__reduce_ex__(value, protocol)
+
+    monkeypatch.setattr(KgeDataset, "__reduce_ex__", counted)
+    with cached("on") as cache:
+        for builds in (1, 2):  # cold, then warm
+            run_kge_workflow(fresh_cluster(), dataset)
+            assert pickles == {id(dataset): builds}
+        assert cache.hits > 0
